@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from .decomposition import (DecompositionError, derive_params,
-                            strong_decomposition, termination_report)
+from .decomposition import (PHI_IN_MODES, DecompositionError, derive_params,
+                            strong_decomposition)
 from .experiment import (ALGORITHMS, SweepPoint, compare_sweep, run_algorithm,
                          write_csv)
 from .generators import GENERATOR_FAMILIES, GenSpec, generate, save_labels
@@ -202,8 +202,9 @@ def cmd_decompose(args, parser) -> int:
     G = load_graph(args.graph)
     params = derive_params(G, args.k, c0=args.c0,
                            phi_in_mode=args.phi_in_mode)
-    partition, run_report = strong_decomposition(G, args.k, params)
-    report = termination_report(G, partition, params, args.k)
+    partition, report = strong_decomposition(G, args.k, params)
+    iterations, stalled = report.pop("iterations"), report.pop("stalled")
+    del report["trace_tail"]
     payload = {
         "k": args.k,
         "params": {
@@ -216,8 +217,8 @@ def cmd_decompose(args, parser) -> int:
         },
         "sets": [sorted(int(v) for v in P) for P in partition.sets],
         "cores": [sorted(int(v) for v in c) for c in partition.cores],
-        "iterations": run_report["iterations"],
-        "stalled": run_report["stalled"],
+        "iterations": iterations,
+        "stalled": stalled,
         "report": report,
     }
     _emit(json.dumps(payload, indent=2, default=_json_default) + "\n",
@@ -284,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="write the dendrogram here")
     p_run.add_argument("--c0", type=float, default=1.0)
     p_run.add_argument("--phi-in-mode", dest="phi_in_mode",
-                       choices=("paper", "practical"), default="practical")
+                       choices=PHI_IN_MODES, default="practical")
     p_run.add_argument("--timing", choices=("none", "wall"), default="none")
     p_run.add_argument("--json", action="store_true",
                        help="print a JSON record instead of the bare cost")
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--k", type=int, required=True)
     p_dec.add_argument("--c0", type=float, default=1.0)
     p_dec.add_argument("--phi-in-mode", dest="phi_in_mode",
-                       choices=("paper", "practical"), default="practical")
+                       choices=PHI_IN_MODES, default="practical")
     p_dec.add_argument("--out", help="write the JSON here instead of stdout")
     p_dec.set_defaults(func=cmd_decompose)
 
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--best-over-k", dest="best_over_k", type=int)
     p_cmp.add_argument("--c0", type=float, default=1.0)
     p_cmp.add_argument("--phi-in-mode", dest="phi_in_mode",
-                       choices=("paper", "practical"), default="practical")
+                       choices=PHI_IN_MODES, default="practical")
     p_cmp.add_argument("--timing", choices=("none", "wall"), default="none")
     p_cmp.add_argument("--threads", type=int)
     p_cmp.add_argument("--out", required=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -54,6 +55,19 @@ class DecompositionError(RuntimeError):
         self.trace = trace or []
 
 
+def _require(ok: bool, message: str, *args) -> None:
+    """Invariant check that, unlike ``assert``, survives ``python -O``."""
+    if not ok:
+        raise DecompositionError(message % args)
+
+
+def _cluster_labels(sets: Iterable[np.ndarray], n: int) -> np.ndarray:
+    lab = np.empty(n, dtype=np.int64)
+    for i, P in enumerate(sets):
+        lab[P] = i
+    return lab
+
+
 @dataclass(frozen=True)
 class Partition:
     """Disjoint cover of the vertex set; every set holds a nonempty core."""
@@ -88,10 +102,7 @@ class Partition:
 
     @property
     def labels(self) -> np.ndarray:
-        lab = np.empty(self.n, dtype=np.int64)
-        for i, P in enumerate(self.sets):
-            lab[P] = i
-        return lab
+        return _cluster_labels(self.sets, self.n)
 
 
 @dataclass(frozen=True)
@@ -207,7 +218,7 @@ class _ClusterInfo:
 
 
 class _State:
-    """Mutable working partition plus caches and progress assertions."""
+    """Mutable working partition plus caches and progress checks."""
 
     def __init__(self, G: Graph, k: int, params: DecompParams,
                  sets: list[np.ndarray] | None = None,
@@ -264,10 +275,7 @@ class _State:
 
     def labels(self) -> np.ndarray:
         if self._labels is None:
-            lab = np.empty(self.G.n, dtype=np.int64)
-            for i, P in enumerate(self.sets):
-                lab[P] = i
-            self._labels = lab
+            self._labels = _cluster_labels(self.sets, self.G.n)
         return self._labels
 
     def _dirty(self) -> None:
@@ -294,6 +302,10 @@ class _State:
 
     def split_threshold(self) -> float:
         return self.params.rho_star * (1.0 + 1.0 / (self.k + 1)) ** (self.r + 1)
+
+    def rel_threshold(self) -> float:
+        """Relative-conductance level below which a core half is shed."""
+        return 1.0 / (3.0 * (self.k + 1))
 
     def lambda2_order(self) -> list[int]:
         lams = np.asarray([self.info(i).lambda2 for i in range(self.r)])
@@ -332,17 +344,17 @@ class _State:
 
     def _check_invariants(self) -> None:
         allv = np.concatenate(self.sets)
-        assert np.array_equal(np.sort(allv), np.arange(self.G.n)), \
-            "cluster sets stopped partitioning the vertex set"
+        _require(np.array_equal(np.sort(allv), np.arange(self.G.n)),
+                 "cluster sets stopped partitioning the vertex set")
         bound = self.params.rho_star * \
             (1.0 + 1.0 / (self.k + 1)) ** self.r * (1.0 + _BOUND_RTOL) + 1e-12
         for P, C in zip(self.sets, self.cores):
-            assert C.size > 0, "a core emptied out"
-            assert not np.setdiff1d(C, P, assume_unique=True).size, \
-                "a core escaped its cluster"
+            _require(C.size > 0, "a core emptied out")
+            _require(not np.setdiff1d(C, P, assume_unique=True).size,
+                     "a core escaped its cluster")
             phi = set_conductance(self.G, C)
-            assert phi <= bound, \
-                f"core conductance {phi:.6g} exceeds its invariant bound {bound:.6g}"
+            _require(phi <= bound, "core conductance %.6g exceeds its "
+                     "invariant bound %.6g", phi, bound)
 
     def _record(self, tag: str, i: int, **extra) -> None:
         entry = {"iteration": self.iterations, "branch": tag, "cluster": i,
@@ -353,40 +365,42 @@ class _State:
             del self.trace[:100]
 
     def apply_split(self, i: int, removed: np.ndarray,
-                    new_core: np.ndarray | None, tag: str) -> None:
-        assert removed.size > 0
+                    new_core: np.ndarray | None, tag: str) -> str:
+        _require(removed.size > 0, "split removes nothing")
         old_r = self.r
         P_new = np.setdiff1d(self.sets[i], removed, assume_unique=True)
-        assert P_new.size > 0
+        _require(P_new.size > 0, "split removes the whole cluster")
         self.sets[i] = P_new
         if new_core is not None:
             self.cores[i] = new_core
         self.sets.append(removed.copy())
         self.cores.append(removed.copy())
         self._dirty()
-        assert self.r == old_r + 1
+        _require(self.r == old_r + 1, "split did not add a cluster")
         self._record(tag, i, split_size=int(removed.size))
         self._check_invariants()
+        return tag
 
-    def apply_core_shrink(self, i: int, new_core: np.ndarray, tag: str) -> None:
-        old = self.cores[i]
-        assert 0 < new_core.size < old.size, \
-            "core shrink must strictly reduce a nonempty core"
+    def apply_core_shrink(self, i: int, new_core: np.ndarray, tag: str) -> str:
+        _require(0 < new_core.size < self.cores[i].size,
+                 "core shrink must strictly reduce a nonempty core")
         self.cores[i] = new_core
         self._record(tag, i, core_size=int(new_core.size))
         self._check_invariants()
+        return tag
 
-    def apply_move(self, i: int, moved: np.ndarray, j: int, tag: str) -> None:
-        assert moved.size > 0 and i != j
+    def apply_move(self, i: int, moved: np.ndarray, j: int, tag: str) -> str:
+        _require(moved.size > 0 and i != j, "move needs mass and a target")
         before = self.total_cross()
         self.sets[i] = np.setdiff1d(self.sets[i], moved, assume_unique=True)
         self.sets[j] = np.union1d(self.sets[j], moved)
         self._dirty()
         after = self.total_cross()
-        assert after < before, \
-            f"mass move failed to reduce cross weight ({before:.6g} -> {after:.6g})"
+        _require(after < before, "mass move failed to reduce cross weight "
+                 "(%.6g -> %.6g)", before, after)
         self._record(tag, i, moved=int(moved.size), to=j)
         self._check_invariants()
+        return tag
 
     def move_target(self, cross: np.ndarray, i: int) -> int:
         """Receiving cluster: argmax of cross weight over j != i, ties to the
@@ -396,64 +410,127 @@ class _State:
         return int(np.argmax(masked))
 
 
-def _phi(G: Graph, S: np.ndarray) -> float:
-    return set_conductance(G, S)
+class _Candidate:
+    """Cluster i split by a candidate set S (a sweep cut or the leaves of a
+    critical node) and its core. Every measurement the refinement
+    predicates read is computed on first use and at most once."""
+
+    def __init__(self, state: _State, i: int, S: np.ndarray):
+        self.state, self.G, self.i = state, state.G, i
+        self.P, self.core = state.sets[i], state.cores[i]
+        self.view = split_view(S, self.P, self.core)
+
+    @cached_property
+    def phi_plus(self) -> float:
+        return set_conductance(self.G, self.view.s_plus)
+
+    @cached_property
+    def phi_plus_bar(self) -> float:
+        return set_conductance(self.G, self.view.s_plus_bar)
+
+    @cached_property
+    def rel_plus(self) -> float:
+        return relative_conductance(self.G, self.view.s_plus, self.core)
+
+    @cached_property
+    def plus_is_small(self) -> bool:
+        """vol(S∩C) <= vol(C)/2, where the late core shrink applies."""
+        return volume(self.G, self.view.s_plus) <= volume(self.G, self.core) / 2.0
+
+    @cached_property
+    def minus_is_small(self) -> bool:
+        """vol(S\\C) <= vol(P)/2, where the late move applies."""
+        return volume(self.G, self.view.s_minus) <= volume(self.G, self.P) / 2.0
+
+    @cached_property
+    def cross_minus(self) -> np.ndarray:
+        return self.state.cross_weights(self.view.s_minus)
+
+    @cached_property
+    def splits_core(self) -> bool:
+        """Split-core-half test (if_6): both core halves are sparse cuts."""
+        return max(self.phi_plus, self.phi_plus_bar) <= \
+            self.state.split_threshold()
+
+    @cached_property
+    def shrinks_core_late(self) -> bool:
+        """Late core-shrink test (if_7)."""
+        return self.plus_is_small and self.rel_plus <= self.state.rel_threshold()
+
+    @cached_property
+    def moves_rest(self) -> bool:
+        """S\\C sends more weight to another cluster than to its own."""
+        return self.state.cond1_fires(self.cross_minus, self.i)
+
+    @cached_property
+    def moves_late(self) -> bool:
+        """Late move test (if_8)."""
+        return bool(self.view.s_minus.size) and self.minus_is_small and \
+            self.moves_rest
+
+    def split_core(self, tag: str) -> str:
+        return self.state.apply_split(self.i, removed=self.view.s_plus_bar,
+                                      new_core=self.view.s_plus, tag=tag)
+
+    def shrink_core(self, tag: str) -> str:
+        """Keep the lower-conductance core half; ties go to the larger
+        volume, then the lower minimum vertex id."""
+        a, b = self.view.s_plus, self.view.s_plus_bar
+        if self.phi_plus != self.phi_plus_bar:
+            keep = a if self.phi_plus < self.phi_plus_bar else b
+        else:
+            va, vb = volume(self.G, a), volume(self.G, b)
+            if va != vb:
+                keep = a if va > vb else b
+            else:
+                keep = a if a.min() <= b.min() else b
+        return self.state.apply_core_shrink(self.i, keep, tag=tag)
+
+    def move_rest(self, tag: str) -> str:
+        target = self.state.move_target(self.cross_minus, self.i)
+        return self.state.apply_move(self.i, self.view.s_minus, target, tag=tag)
+
+
+def _critical_candidates(state: _State, i: int,
+                         ) -> list[tuple[np.ndarray, _Candidate]]:
+    """One candidate per critical node of cluster i's degree tree, in their
+    canonical order, each with the node's leaves as local ids."""
+    info = state.tree_of(i)
+    if info.crit is None:
+        return []
+    locals_ = [info.tree.leaves_under(node) for node in info.crit.nodes]
+    return [(local, _Candidate(state, i, info.P[local])) for local in locals_]
+
+
+def _move_noncore(state: _State, i: int) -> str | None:
+    cross = state.cond1_cross(i)
+    if not state.cond1_fires(cross, i):
+        return None
+    D = np.setdiff1d(state.sets[i], state.cores[i], assume_unique=True)
+    return state.apply_move(i, D, state.move_target(cross, i),
+                            tag="move-noncore")
 
 
 def _try_refine(state: _State, i: int, S: np.ndarray) -> str | None:
     """Run the five refinement cases for cluster i and sweep set S; apply the
     first that fires and name it, or return None."""
     G = state.G
-    P, core = state.sets[i], state.cores[i]
-    view = split_view(S, P, core)
-    thr_split = state.split_threshold()
-    thr_rel = 1.0 / (3.0 * (state.k + 1))
-
-    phi_plus = _phi(G, view.s_plus)
-    phi_plus_bar = _phi(G, view.s_plus_bar)
-    if max(phi_plus, phi_plus_bar) <= thr_split:
-        state.apply_split(i, removed=view.s_plus_bar, new_core=view.s_plus,
-                          tag="split-core-half")
-        return "split-core-half"
-
-    rel_plus = relative_conductance(G, view.s_plus, core)
-    rel_plus_bar = relative_conductance(G, view.s_plus_bar, core)
-    if min(rel_plus, rel_plus_bar) <= thr_rel:
-        state.apply_core_shrink(i, _lower_phi_side(
-            G, view.s_plus, view.s_plus_bar, phi_plus, phi_plus_bar),
-            tag="core-shrink")
-        return "core-shrink"
-
-    if _phi(G, view.s_minus) <= thr_split:
-        state.apply_split(i, removed=view.s_minus, new_core=None,
-                          tag="split-outside-core")
-        return "split-outside-core"
-
-    cross_d = state.cond1_cross(i)
-    if state.cond1_fires(cross_d, i):
-        D = np.setdiff1d(P, core, assume_unique=True)
-        state.apply_move(i, D, state.move_target(cross_d, i), tag="move-noncore")
-        return "move-noncore"
-
-    if view.s_minus.size:
-        cross_m = state.cross_weights(view.s_minus)
-        if state.cond1_fires(cross_m, i):
-            state.apply_move(i, view.s_minus, state.move_target(cross_m, i),
-                             tag="move-sweep-rest")
-            return "move-sweep-rest"
+    cand = _Candidate(state, i, S)
+    view = cand.view
+    if cand.splits_core:
+        return cand.split_core("split-core-half")
+    rel_plus_bar = relative_conductance(G, view.s_plus_bar, state.cores[i])
+    if min(cand.rel_plus, rel_plus_bar) <= state.rel_threshold():
+        return cand.shrink_core("core-shrink")
+    if set_conductance(G, view.s_minus) <= state.split_threshold():
+        return state.apply_split(i, removed=view.s_minus, new_core=None,
+                                 tag="split-outside-core")
+    fired = _move_noncore(state, i)
+    if fired:
+        return fired
+    if view.s_minus.size and cand.moves_rest:
+        return cand.move_rest("move-sweep-rest")
     return None
-
-
-def _lower_phi_side(G: Graph, side_a: np.ndarray, side_b: np.ndarray,
-                    phi_a: float, phi_b: float) -> np.ndarray:
-    """Pick the lower-conductance side; ties go to the larger volume, then
-    the lower minimum vertex id."""
-    if phi_a != phi_b:
-        return side_a if phi_a < phi_b else side_b
-    va, vb = volume(G, side_a), volume(G, side_b)
-    if va != vb:
-        return side_a if va > vb else side_b
-    return side_a if side_a.min() <= side_b.min() else side_b
 
 
 def _scan_late_refinements(state: _State) -> str | None:
@@ -462,44 +539,17 @@ def _scan_late_refinements(state: _State) -> str | None:
     Clusters are scanned in index order; within a cluster, critical nodes in
     their canonical order. The first firing predicate is applied.
     """
-    G = state.G
-    thr_split = state.split_threshold()
-    thr_rel = 1.0 / (3.0 * (state.k + 1))
-    views: list[tuple[int, SplitView]] = []
-    for i in range(state.r):
-        if state.sets[i].size < 2:
-            continue
-        info = state.tree_of(i)
-        if info.crit is None:
-            continue
-        for node in info.crit.nodes:
-            leaves = info.P[info.tree.leaves_under(node)]
-            views.append((i, split_view(leaves, state.sets[i], state.cores[i])))
-
-    for i, view in views:
-        if max(_phi(G, view.s_plus), _phi(G, view.s_plus_bar)) <= thr_split:
-            state.apply_split(i, removed=view.s_plus_bar, new_core=view.s_plus,
-                              tag="late-split-core-half")
-            return "late-split-core-half"
-    for i, view in views:
-        if volume(G, view.s_plus) <= volume(G, state.cores[i]) / 2.0 and \
-                relative_conductance(G, view.s_plus, state.cores[i]) <= thr_rel:
-            phi_a = _phi(G, view.s_plus)
-            phi_b = _phi(G, view.s_plus_bar)
-            state.apply_core_shrink(i, _lower_phi_side(
-                G, view.s_plus, view.s_plus_bar, phi_a, phi_b),
-                tag="late-core-shrink")
-            return "late-core-shrink"
-    for i, view in views:
-        if view.s_minus.size == 0:
-            continue
-        if volume(G, view.s_minus) > volume(G, state.sets[i]) / 2.0:
-            continue
-        cross = state.cross_weights(view.s_minus)
-        if state.cond1_fires(cross, i):
-            state.apply_move(i, view.s_minus, state.move_target(cross, i),
-                             tag="late-move")
-            return "late-move"
+    cands = [cand for i in range(state.r) if state.sets[i].size >= 2
+             for _, cand in _critical_candidates(state, i)]
+    for cand in cands:
+        if cand.splits_core:
+            return cand.split_core("late-split-core-half")
+    for cand in cands:
+        if cand.shrinks_core_late:
+            return cand.shrink_core("late-core-shrink")
+    for cand in cands:
+        if cand.moves_late:
+            return cand.move_rest("late-move")
     return None
 
 
@@ -534,13 +584,8 @@ def strong_decomposition(G: Graph, k: int, params: DecompParams | None = None,
                 break
         if fired is None:
             for i in state.lambda2_order():
-                cross = state.cond1_cross(i)
-                if state.cond1_fires(cross, i):
-                    D = np.setdiff1d(state.sets[i], state.cores[i],
-                                     assume_unique=True)
-                    state.apply_move(i, D, state.move_target(cross, i),
-                                     tag="move-noncore")
-                    fired = "move-noncore"
+                fired = _move_noncore(state, i)
+                if fired:
                     break
         if fired is None:
             fired = _scan_late_refinements(state)
@@ -549,7 +594,8 @@ def strong_decomposition(G: Graph, k: int, params: DecompParams | None = None,
             break
         state.iterations += 1
 
-    assert state.r <= k, f"refinement produced {state.r} > k = {k} clusters"
+    _require(state.r <= k, "refinement produced %d > k = %d clusters",
+             state.r, k)
     partition = Partition(tuple(state.sets), tuple(state.cores))
     report = termination_report(G, partition, params, k, _state=state)
     report["iterations"] = state.iterations
@@ -573,8 +619,6 @@ def termination_report(G: Graph, partition: Partition, params: DecompParams,
         state = _State(G, k, params, sets=list(partition.sets),
                        cores=list(partition.cores))
     r = state.r
-    thr_split = state.split_threshold()
-    thr_rel = 1.0 / (3.0 * (k + 1))
     while_1 = False
     while_2 = bool(state.cond2_candidates())
     if_6 = if_7 = if_8 = False
@@ -587,9 +631,9 @@ def termination_report(G: Graph, partition: Partition, params: DecompParams,
         entry = {
             "size": int(P.size),
             "core_size": int(core.size),
-            "phi_core": _phi(G, core),
+            "phi_core": set_conductance(G, core),
             "phi_core_bound": params.phi_out / (k + 1),
-            "phi_set": _phi(G, P),
+            "phi_set": set_conductance(G, P),
             "phi_set_bound": params.phi_out,
             "lambda2_induced": None if math.isinf(info.lambda2) else info.lambda2,
             "inner_certificate": None if math.isinf(info.lambda2)
@@ -597,46 +641,33 @@ def termination_report(G: Graph, partition: Partition, params: DecompParams,
             "inner_target": params.phi_in ** 2 / 4.0,
             "critical_nodes": [],
         }
-        if info.crit is not None:
-            outside = np.setdiff1d(np.arange(G.n), P, assume_unique=True)
-            ind_deg = info.induced.degrees
-            for node in info.crit.nodes:
-                local = info.tree.leaves_under(node)
-                leaves = P[local]
-                view = split_view(leaves, P, core)
-                a3_lhs = cut_weight(G, leaves, outside)
-                a3_rhs = 6.0 * (k + 1) * float(ind_deg[local].sum())
-                a4_applicable = volume(G, view.s_plus) <= volume(G, core) / 2.0
-                a4_value = relative_conductance(G, view.s_plus, core)
-                a5_applicable = volume(G, view.s_minus) <= volume(G, P) / 2.0
-                w_minus_in = cut_weight(
-                    G, view.s_minus,
-                    np.setdiff1d(P, view.s_minus, assume_unique=True))
-                w_minus_out = cut_weight(G, view.s_minus, outside)
-                node_if6 = max(_phi(G, view.s_plus),
-                               _phi(G, view.s_plus_bar)) <= thr_split
-                node_if7 = a4_applicable and a4_value <= thr_rel
-                node_if8 = False
-                if a5_applicable and view.s_minus.size:
-                    cross_m = state.cross_weights(view.s_minus)
-                    node_if8 = state.cond1_fires(cross_m, i)
-                if_6 = if_6 or node_if6
-                if_7 = if_7 or node_if7
-                if_8 = if_8 or node_if8
-                entry["critical_nodes"].append({
-                    "leaves": int(local.size),
-                    "a3_lhs": a3_lhs,
-                    "a3_rhs": a3_rhs,
-                    "a3_ok": a3_lhs <= a3_rhs * (1.0 + _BOUND_RTOL),
-                    "a4_applicable": bool(a4_applicable),
-                    "a4_value": a4_value,
-                    "a4_ok": (not a4_applicable) or a4_value >= thr_rel,
-                    "a5_applicable": bool(a5_applicable),
-                    "a5_lhs": w_minus_in,
-                    "a5_rhs": w_minus_out / (k + 1),
-                    "a5_ok": (not a5_applicable) or
-                             w_minus_in >= w_minus_out / (k + 1) - 1e-12,
-                })
+        outside = np.setdiff1d(np.arange(G.n), P, assume_unique=True)
+        for local, cand in _critical_candidates(state, i):
+            s_minus = cand.view.s_minus
+            a3_lhs = cut_weight(G, P[local], outside)
+            a3_rhs = 6.0 * (k + 1) * float(info.induced.degrees[local].sum())
+            w_minus_in = cut_weight(
+                G, s_minus, np.setdiff1d(P, s_minus, assume_unique=True))
+            w_minus_out = cut_weight(G, s_minus, outside)
+            # node first, so every node's predicate is evaluated
+            if_6 = cand.splits_core or if_6
+            if_7 = cand.shrinks_core_late or if_7
+            if_8 = cand.moves_late or if_8
+            entry["critical_nodes"].append({
+                "leaves": int(local.size),
+                "a3_lhs": a3_lhs,
+                "a3_rhs": a3_rhs,
+                "a3_ok": a3_lhs <= a3_rhs * (1.0 + _BOUND_RTOL),
+                "a4_applicable": cand.plus_is_small,
+                "a4_value": cand.rel_plus,
+                "a4_ok": (not cand.plus_is_small)
+                         or cand.rel_plus >= state.rel_threshold(),
+                "a5_applicable": cand.minus_is_small,
+                "a5_lhs": w_minus_in,
+                "a5_rhs": w_minus_out / (k + 1),
+                "a5_ok": (not cand.minus_is_small) or
+                         w_minus_in >= w_minus_out / (k + 1) - 1e-12,
+            })
         clusters.append(entry)
     return {
         "r": r,

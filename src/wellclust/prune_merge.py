@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import (DecompParams, Partition, derive_params,
+from .decomposition import (DecompParams, Partition, _require, derive_params,
                             strong_decomposition)
 from .degree_hc import hc_with_degrees
 from .graph import Graph, cut_weight, induced_subgraph, vertex_set
@@ -75,17 +75,38 @@ def prune_condition(G: Graph, T: HCTree, crit: CriticalNodes | tuple[int, ...],
     if not nodes:
         raise ValueError("need at least one critical node")
     P = vertex_set(P, G.n)
-    induced = induced_subgraph(G, P)
+    live = _measure_critical(G, P, induced_subgraph(G, P), T, nodes)
+    return _keeps_whole(G.n, k, T, live, T.root)
+
+
+@dataclass(frozen=True)
+class _Critical:
+    node: int
+    w_out: float    # w(N, V \ P) in G
+    vol_in: float   # vol(N) in G[P]
+
+
+def _measure_critical(G: Graph, P: np.ndarray, induced: Graph, T: HCTree,
+                      nodes: tuple[int, ...]) -> list[_Critical]:
     outside = np.setdiff1d(np.arange(G.n), P, assume_unique=True)
-    lhs = 0.0
-    rhs = 0.0
+    out = []
     for node in nodes:
         local = T.leaves_under(node)
-        lhs += cut_weight(G, P[local], outside)
-        parent = int(T.parent[node])
-        parent_leaves = int(T.leaf_count[parent if parent >= 0 else node])
-        rhs += parent_leaves * float(induced.degrees[local].sum())
-    return G.n * lhs <= 6.0 * (k + 1) * rhs
+        out.append(_Critical(int(node), cut_weight(G, P[local], outside),
+                             float(induced.degrees[local].sum())))
+    return out
+
+
+def _keeps_whole(n: int, k: int, T: HCTree, live: list[_Critical],
+                 root: int) -> bool:
+    """The prune inequality over the live critical nodes of T below
+    ``root``; a node at ``root`` counts as its own parent."""
+    lhs = sum(c.w_out for c in live)
+    rhs = 0.0
+    for c in live:
+        parent = c.node if c.node == root else int(T.parent[c.node])
+        rhs += int(T.leaf_count[parent]) * c.vol_in
+    return n * lhs <= 6.0 * (k + 1) * rhs
 
 
 @dataclass
@@ -105,28 +126,8 @@ def _prune_cluster(G: Graph, P: np.ndarray, k: int, cluster: int,
     if induced.n < 2:
         return [_PoolEntry(P.copy(), relabel_leaves(tree, P), cluster, None)], \
             [], tree
-
-    outside = np.setdiff1d(np.arange(G.n), P, assume_unique=True)
-    live = []
-    for node in critical_nodes(induced, tree).nodes:
-        local = tree.leaves_under(node)
-        live.append({
-            "node": int(node),
-            "w_out": cut_weight(G, P[local], outside),
-            "vol_in": float(induced.degrees[local].sum()),
-        })
-
-    def condition() -> bool:
-        lhs = sum(e["w_out"] for e in live)
-        rhs = 0.0
-        for e in live:
-            parent = int(tree.parent[e["node"]])
-            if e["node"] == root or parent < 0:
-                parent_leaves = int(tree.leaf_count[e["node"]])
-            else:
-                parent_leaves = int(tree.leaf_count[parent])
-            rhs += parent_leaves * e["vol_in"]
-        return G.n * lhs <= 6.0 * (k + 1) * rhs
+    live = _measure_critical(G, P, induced, tree,
+                             critical_nodes(induced, tree).nodes)
 
     def pooled(node: int, record: dict | None) -> _PoolEntry:
         glob = P[tree.leaves_under(node)]
@@ -137,20 +138,20 @@ def _prune_cluster(G: Graph, P: np.ndarray, k: int, cluster: int,
     entries: list[_PoolEntry] = []
     outcomes: list[bool] = []
     while True:
-        keep = not live or condition()
+        keep = not live or _keeps_whole(G.n, k, tree, live, root)
         outcomes.append(keep)
         if keep:
             entries.append(pooled(root, None))
             break
-        children = [e for e in live if int(tree.parent[e["node"]]) == root]
+        children = [c for c in live if int(tree.parent[c.node]) == root]
         if not children:
             # the descent bottomed out on a critical root; keep it whole
             entries.append(pooled(root, None))
             break
-        children.sort(key=lambda e: (int(tree.leaf_count[e["node"]]), e["node"]))
-        victim = children[0]
+        victim = min(children,
+                     key=lambda c: (int(tree.leaf_count[c.node]), c.node))
         live.remove(victim)
-        node = victim["node"]
+        node = victim.node
         record = {"cluster": cluster, "node": node,
                   "leaf_count": int(tree.leaf_count[node])}
         entries.append(pooled(node, record))
@@ -187,8 +188,8 @@ def _merge_pool(G: Graph, pool: list[_PoolEntry]) -> HCTree:
     pruned record's parent size in the final tree from the prefix sums."""
     pool.sort(key=lambda e: e.leaves.size)
     covered = np.concatenate([e.leaves for e in pool])
-    assert np.array_equal(np.sort(covered), np.arange(G.n)), \
-        "pooled subtrees stopped partitioning the vertex set"
+    _require(np.array_equal(np.sort(covered), np.arange(G.n)),
+             "pooled subtrees stopped partitioning the vertex set")
     sizes = np.array([e.leaves.size for e in pool], dtype=np.int64)
     prefix = np.cumsum(sizes)
     for j, e in enumerate(pool):

@@ -10,12 +10,15 @@ depth ~n).
 Besides the data structure this module provides the Dasgupta cost in its
 edge form (via offline LCA) and its cut form (via small-to-large leaf-set
 merging), the dense branch / critical node decomposition of a tree, the
-caterpillar combination of a forest, and a brute-force optimal-tree oracle.
+caterpillar combination of a forest, and two test oracles: the exact
+optimum by a dynamic program over vertex subsets, and the cost of every
+topology by exhaustive enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -344,6 +347,28 @@ class CriticalNodes:
     nodes: tuple[int, ...]
 
 
+def _heavier_child(T: HCTree, vols: np.ndarray, node: int) -> int:
+    """The child of ``node`` with the larger leaf-set volume; equal volumes
+    go to the lower node id."""
+    l, r = int(T.left[node]), int(T.right[node])
+    return l if vols[l] > vols[r] or (vols[l] == vols[r] and l < r) else r
+
+
+def _sibling(T: HCTree, node: int) -> int:
+    p = T.parent[node]
+    return int(T.right[p]) if int(T.left[p]) == node else int(T.left[p])
+
+
+def _dense_path(T: HCTree, vols: np.ndarray, half: float) -> tuple[int, ...]:
+    path = [int(T.root)]
+    while T.left[path[-1]] >= 0:
+        child = _heavier_child(T, vols, path[-1])
+        if vols[child] <= half:
+            break
+        path.append(child)
+    return tuple(path)
+
+
 def dense_branch(G: Graph, T: HCTree) -> DenseBranch:
     """Follow the higher-volume child from the root while volume > vol(G)/2.
 
@@ -351,22 +376,7 @@ def dense_branch(G: Graph, T: HCTree) -> DenseBranch:
     only occur when both are already at or below the threshold, where the
     walk stops anyway).
     """
-    vols = node_volumes(G, T)
-    half = G.total_volume / 2.0
-    path = [T.root]
-    cur = T.root
-    while T.left[cur] >= 0:
-        l, r = int(T.left[cur]), int(T.right[cur])
-        if vols[l] > vols[r] or (vols[l] == vols[r] and l < r):
-            child = l
-        else:
-            child = r
-        if vols[child] > half:
-            path.append(child)
-            cur = child
-        else:
-            break
-    return DenseBranch(tuple(path))
+    return DenseBranch(_dense_path(T, node_volumes(G, T), G.total_volume / 2.0))
 
 
 def critical_nodes(G: Graph, T: HCTree) -> CriticalNodes:
@@ -380,25 +390,15 @@ def critical_nodes(G: Graph, T: HCTree) -> CriticalNodes:
     """
     if T.n_leaves < 2:
         raise ValueError("critical nodes need a tree with at least 2 leaves")
-    branch = dense_branch(G, T).path
     vols = node_volumes(G, T)
-    nodes: list[int] = []
-    for idx in range(1, len(branch)):
-        p = branch[idx - 1]
-        a = branch[idx]
-        sibling = int(T.right[p]) if int(T.left[p]) == a else int(T.left[p])
-        nodes.append(sibling)
+    branch = _dense_path(T, vols, G.total_volume / 2.0)
+    nodes = [_sibling(T, node) for node in branch[1:]]
     last = branch[-1]
     if T.left[last] < 0:
-        nodes.append(int(last))
+        nodes.append(last)
     else:
-        l, r = int(T.left[last]), int(T.right[last])
-        if vols[l] > vols[r] or (vols[l] == vols[r] and l < r):
-            cont, other = l, r
-        else:
-            cont, other = r, l
-        nodes.append(other)
-        nodes.append(cont)
+        cont = _heavier_child(T, vols, last)
+        nodes += [_sibling(T, cont), cont]
     return CriticalNodes(tuple(nodes))
 
 
@@ -485,9 +485,9 @@ def _scan_topologies(n: int, flush: Callable, chunk: int = 1 << 15) -> None:
 
     Leaf ``i`` is attached above any of the ``2i-1`` nodes of the partial
     tree over leaves ``0..i-1``. For every complete tree, the internal
-    nodes' (subtree mask, left-child mask) pairs and the insertion code are
-    appended to chunk buffers; ``flush(m_rows, m1_rows, codes)`` is called
-    whenever the buffer fills and once at the end.
+    nodes' (subtree mask, left-child mask) pairs are appended to chunk
+    buffers; ``flush(m_rows, m1_rows)`` is called whenever the buffer
+    fills and once at the end.
     """
     if n < 2:
         raise ValueError("need at least two leaves to enumerate topologies")
@@ -498,28 +498,19 @@ def _scan_topologies(n: int, flush: Callable, chunk: int = 1 << 15) -> None:
     chr_ = [-1] * total_nodes
     for i in range(n):
         mask[i] = 1 << i
-    code = [0] * (n - 1)
     buf_m: list[list[int]] = []
     buf_m1: list[list[int]] = []
-    buf_code: list[tuple[int, ...]] = []
 
     def emit():
-        row_m = [mask[j] for j in range(n, total_nodes)]
-        row_m1 = [mask[chl[j]] for j in range(n, total_nodes)]
-        buf_m.append(row_m)
-        buf_m1.append(row_m1)
-        buf_code.append(tuple(code))
+        buf_m.append([mask[j] for j in range(n, total_nodes)])
+        buf_m1.append([mask[chl[j]] for j in range(n, total_nodes)])
         if len(buf_m) >= chunk:
             flush(np.asarray(buf_m, dtype=np.int64),
-                  np.asarray(buf_m1, dtype=np.int64), list(buf_code))
+                  np.asarray(buf_m1, dtype=np.int64))
             buf_m.clear()
             buf_m1.clear()
-            buf_code.clear()
-
-    root = 0
 
     def insert(i: int) -> None:
-        nonlocal root
         if i == n:
             emit()
             return
@@ -528,33 +519,24 @@ def _scan_topologies(n: int, flush: Callable, chunk: int = 1 << 15) -> None:
         for t in range(2 * i - 1):
             x = t if t < i else n + (t - i)
             p = parent[x]
-            old_root = root
             mask[newint] = mask[x] | bit
             chl[newint] = x
             chr_[newint] = i
             parent[x] = newint
             parent[i] = newint
             parent[newint] = p
-            side = -1
-            if p == -1:
-                root = newint
-            else:
+            if p != -1:
                 if chl[p] == x:
                     chl[p] = newint
-                    side = 0
                 else:
                     chr_[p] = newint
-                    side = 1
                 a = p
                 while a != -1:
                     mask[a] |= bit
                     a = parent[a]
-            code[i - 1] = t
             insert(i + 1)
-            if p == -1:
-                root = old_root
-            else:
-                if side == 0:
+            if p != -1:
+                if chl[p] == newint:
                     chl[p] = x
                 else:
                     chr_[p] = x
@@ -567,81 +549,28 @@ def _scan_topologies(n: int, flush: Callable, chunk: int = 1 << 15) -> None:
     insert(1)
     if buf_m:
         flush(np.asarray(buf_m, dtype=np.int64),
-              np.asarray(buf_m1, dtype=np.int64), list(buf_code))
+              np.asarray(buf_m1, dtype=np.int64))
 
 
-_STRUCTURE_CACHE: dict[int, tuple[np.ndarray, np.ndarray, list]] = {}
+# Topologies are memoised up to n = 8; larger n are streamed.
 _STRUCTURE_CACHE_MAX_N = 8
 
 
-def _cached_structures(n: int):
-    if n in _STRUCTURE_CACHE:
-        return _STRUCTURE_CACHE[n]
-    parts_m, parts_m1, parts_code = [], [], []
-
-    def collect(m, m1, codes):
-        parts_m.append(m)
-        parts_m1.append(m1)
-        parts_code.extend(codes)
-
-    _scan_topologies(n, collect, chunk=1 << 20)
-    out = (np.concatenate(parts_m), np.concatenate(parts_m1), parts_code)
-    if n <= _STRUCTURE_CACHE_MAX_N:
-        _STRUCTURE_CACHE[n] = out
-    return out
-
-
-def _tree_from_code(n: int, code: Sequence[int]) -> HCTree:
-    total_nodes = 2 * n - 1
-    parent = [-1] * total_nodes
-    chl = [-1] * total_nodes
-    chr_ = [-1] * total_nodes
-    root = 0
-    for i in range(1, n):
-        t = code[i - 1]
-        x = t if t < i else n + (t - i)
-        newint = n + i - 1
-        p = parent[x]
-        chl[newint] = x
-        chr_[newint] = i
-        parent[x] = newint
-        parent[i] = newint
-        parent[newint] = p
-        if p == -1:
-            root = newint
-        elif chl[p] == x:
-            chl[p] = newint
-        else:
-            chr_[p] = newint
-    builder = TreeBuilder()
-    remap = {}
-    stack = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if node < n:
-            remap[node] = builder.leaf(node)
-        elif done:
-            remap[node] = builder.internal(remap[chl[node]], remap[chr_[node]])
-        else:
-            stack.append((node, True))
-            stack.append((chr_[node], False))
-            stack.append((chl[node], False))
-    return builder.build()
-
-
-def _pc_table(n: int) -> np.ndarray:
-    size = 1 << n
-    pc = np.zeros(size, dtype=np.int64)
-    for i in range(1, size):
-        pc[i] = pc[i >> 1] + (i & 1)
-    return pc
+@lru_cache(maxsize=None)
+def _cached_structures(n: int) -> tuple[np.ndarray, np.ndarray]:
+    parts = []
+    _scan_topologies(n, lambda m, m1: parts.append((m, m1)), chunk=1 << 20)
+    return tuple(np.concatenate(rows) for rows in zip(*parts))
 
 
 def brute_force_opt(G: Graph, limit: int = 10) -> tuple[float, HCTree]:
-    """Exact minimum Dasgupta cost by exhaustive topology enumeration.
+    """Exact minimum Dasgupta cost by dynamic programming over vertex subsets.
 
-    Enumerates all (2n-3)!! leaf-labeled binary trees, evaluating each via
-    per-subset internal-weight tables, and returns the minimum cost with a
+    In cut form, a tree over S pays |S| times the weight its root cuts
+    plus the costs of its two subtrees, so
+    ``OPT(S) = min over A ∋ min(S) of |S|·w(A, S\\A) + OPT(A) + OPT(S\\A)``:
+    3^n steps against (2n-3)!! topologies. Among equal costs the first
+    minimum over descending A is kept. Returns the minimum cost with a
     witness tree. Refuses graphs larger than ``limit`` vertices.
     """
     n = G.n
@@ -649,47 +578,57 @@ def brute_force_opt(G: Graph, limit: int = 10) -> tuple[float, HCTree]:
         raise ValueError(f"brute force limited to n <= {limit}, got n = {n}")
     if n == 0:
         raise ValueError("empty graph has no clustering tree")
-    if n == 1:
-        b = TreeBuilder()
-        b.leaf(0)
-        return 0.0, b.build()
-    inw = _inner_weight_table(G)
-    pc = _pc_table(n)
-    best = [np.inf, None]
+    inw = _inner_weight_table(G).tolist()
+    full = (1 << n) - 1
+    opt = [0.0] * (full + 1)
+    best_split = [0] * (full + 1)
+    for S in range(1, full + 1):
+        low = S & -S
+        rest = S ^ low
+        if not rest:
+            continue
+        size = S.bit_count()
+        best = np.inf
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            A = low | sub
+            cost = size * (inw[S] - inw[A] - inw[S ^ A]) + opt[A] + opt[S ^ A]
+            if cost < best:
+                best, best_split[S] = cost, A
+        opt[S] = best
+    builder = TreeBuilder()
 
-    def evaluate(m, m1, codes):
-        costs = (pc[m] * (inw[m] - inw[m1] - inw[m ^ m1])).sum(axis=1)
-        # ties keep the last enumerated topology
-        idx = len(costs) - 1 - int(np.argmin(costs[::-1]))
-        if costs[idx] <= best[0]:
-            best[0] = float(costs[idx])
-            best[1] = codes[idx]
+    def build(S: int) -> int:
+        if S & (S - 1) == 0:
+            return builder.leaf(S.bit_length() - 1)
+        A = best_split[S]
+        return builder.internal(build(A), build(S ^ A))
 
-    if n <= _STRUCTURE_CACHE_MAX_N:
-        m, m1, codes = _cached_structures(n)
-        evaluate(m, m1, codes)
-    else:
-        _scan_topologies(n, evaluate)
-    return best[0], _tree_from_code(n, best[1])
+    build(full)
+    return opt[full], builder.build()
 
 
 def all_tree_costs(G: Graph, limit: int = 10) -> np.ndarray:
-    """Dasgupta cost of every leaf-labeled topology, in enumeration order."""
+    """Dasgupta cost of every leaf-labeled topology, in enumeration order.
+
+    The reference that criterion 4 checks the clique identity against;
+    :func:`brute_force_opt` finds the minimum without enumerating.
+    """
     n = G.n
     if n > limit:
         raise ValueError(f"brute force limited to n <= {limit}, got n = {n}")
     if n < 2:
         return np.zeros(1, dtype=np.float64)
     inw = _inner_weight_table(G)
-    pc = _pc_table(n)
+    pc = np.asarray([mask.bit_count() for mask in range(1 << n)])
     parts = []
 
-    def evaluate(m, m1, codes):
+    def evaluate(m, m1):
         parts.append((pc[m] * (inw[m] - inw[m1] - inw[m ^ m1])).sum(axis=1))
 
     if n <= _STRUCTURE_CACHE_MAX_N:
-        m, m1, _ = _cached_structures(n)
-        evaluate(m, m1, None)
+        evaluate(*_cached_structures(n))
     else:
         _scan_topologies(n, evaluate)
     return np.concatenate(parts)

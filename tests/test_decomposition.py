@@ -1,9 +1,16 @@
 """Conductance-driven partition refinement tests."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import wellclust
 
 from wellclust import (
     DecompositionError,
@@ -14,8 +21,11 @@ from wellclust import (
     strong_decomposition,
     termination_report,
 )
-from wellclust.decomposition import split_view
-from wellclust.generators import gen_sbm
+from wellclust.cli import _json_default
+from wellclust.decomposition import PHI_IN_MODES, split_view
+from wellclust.generators import (gen_bridged_two_cluster,
+                                  gen_planted_clique_expander, gen_sbm,
+                                  gen_sbm_planted_cliques)
 from wellclust.metrics import adjusted_rand_index
 from wellclust.spectral import SpectralResult
 
@@ -192,3 +202,65 @@ def test_partition_type_validation():
                                                       np.array([3]),))
     with pytest.raises(ValueError):
         Partition((np.array([0, 1]),), (np.array([2]),))
+
+
+@pytest.fixture(scope="module")
+def audit_corpus():
+    """Stalled, certified and single-cluster runs: SBM 3x300 at p = 0.04
+    and 0.12 (seeds 1-2), the bridged pair, the planted-clique expander and
+    two blocks with planted cliques."""
+    runs = [(gen_sbm([300, 300, 300], p, 0.002, seed)[0], 3)
+            for p in (0.04, 0.12) for seed in (1, 2)]
+    runs.append((gen_bridged_two_cluster(256, 1)[0], 2))
+    runs.append((gen_planted_clique_expander(200, 1)[0], 2))
+    runs.append((gen_sbm_planted_cliques([150, 150], 0.06, 0.002, 0.4, 1)[0],
+                 2))
+    return runs
+
+
+@pytest.mark.parametrize("mode", PHI_IN_MODES)
+def test_loop_report_matches_independent_audit(audit_corpus, mode):
+    """The report strong_decomposition builds from its own loop state, less
+    the run metadata, serializes exactly like a fresh termination_report of
+    the partition (what ``decompose`` prints)."""
+    for G, k in audit_corpus:
+        params = derive_params(G, k, phi_in_mode=mode)
+        partition, report = strong_decomposition(G, k, params)
+        for key in ("iterations", "stalled", "trace_tail"):
+            del report[key]
+        audit = termination_report(G, partition, params, k)
+        assert json.dumps(report, default=_json_default) == \
+            json.dumps(audit, default=_json_default)
+
+
+BROKEN_BOUND_SCRIPT = """
+import sys
+from wellclust import decomposition
+from wellclust.cli import main
+from wellclust.generators import gen_sbm
+from wellclust.graph import save_graph
+
+assert sys.flags.optimize, "run me under python -O"
+decomposition._BOUND_RTOL = -2.0  # every core bound turns negative
+G, _ = gen_sbm([20, 20], 0.5, 0.02, 1)
+try:
+    decomposition.strong_decomposition(G, 2)
+except decomposition.DecompositionError as exc:
+    print("raised", exc)
+save_graph(G, sys.argv[1])
+print("exit", main(["decompose", "--graph", sys.argv[1], "--k", "2"]))
+"""
+
+
+def test_invariant_checks_survive_optimize(tmp_path):
+    src = str(Path(wellclust.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_BOUND_SCRIPT,
+         str(tmp_path / "g.txt")], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("raised core conductance 0 exceeds")
+    assert lines[-1] == "exit 2"
+    assert "numerical failure: core conductance" in proc.stderr

@@ -146,8 +146,13 @@ def forced_prune_graph():
 def test_forced_prune_detaches_and_records():
     G = forced_prune_graph()
     P = np.arange(8)
-    entries, outcomes, _ = _prune_cluster(G, P, 2, 0)
+    entries, outcomes, tree = _prune_cluster(G, P, 2, 0)
     assert outcomes[0] is False
+    # two detachments, then the current root is itself a live critical
+    # node with no live child left: the third test keeps it whole
+    assert outcomes == [False, False, False]
+    crit = critical_nodes(induced_subgraph(G, P), tree)
+    assert outcomes[0] == prune_condition(G, tree, crit, P, 2)
     records = [e.pruned_record for e in entries if e.pruned_record]
     assert len(records) == 2
     assert sorted(r["leaf_count"] for r in records) == [2, 4]

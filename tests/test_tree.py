@@ -1,6 +1,8 @@
 """Hierarchy trees: cost forms, dense branch, critical nodes, merging,
 enumeration oracle, serialization."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,24 @@ def test_brute_force_matches_enumeration():
         costs = all_tree_costs(G)
         assert cost == costs.min()
         assert dasgupta_cost(G, T) == cost
+
+
+def test_brute_force_oracle_on_corpus(small_corpus):
+    """The subset dynamic program's optimum is the minimum over every
+    topology, and its witness tree costs exactly that."""
+    for G in small_corpus:
+        cost, T = brute_force_opt(G)
+        assert cost == all_tree_costs(G).min()
+        assert dasgupta_cost(G, T) == cost
+
+
+def test_brute_force_n10_within_seconds():
+    G = random_connected_graph(10, 7)
+    start = time.perf_counter()
+    cost, T = brute_force_opt(G)
+    assert time.perf_counter() - start < 10.0
+    assert dasgupta_cost(G, T) == cost
+    assert cost <= min(dasgupta_cost(G, random_tree(10, s)) for s in range(50))
 
 
 def test_brute_force_limit():
