@@ -210,7 +210,6 @@ class _ClusterInfo:
     P: np.ndarray
     induced: Graph
     lambda2: float
-    eigs: SpectralResult | None
     sweep_local: np.ndarray | None
     phi_max: float | None
     tree: HCTree | None = None
@@ -223,6 +222,8 @@ class _State:
     def __init__(self, G: Graph, k: int, params: DecompParams,
                  sets: list[np.ndarray] | None = None,
                  cores: list[np.ndarray] | None = None):
+        if params.k != k:
+            raise ValueError(f"k = {k} disagrees with params.k = {params.k}")
         self.G = G
         self.k = k
         self.params = params
@@ -244,7 +245,7 @@ class _State:
             return hit
         induced = induced_subgraph(self.G, P)
         if induced.n < 2:
-            info = _ClusterInfo(P, induced, math.inf, None, None, None)
+            info = _ClusterInfo(P, induced, math.inf, None, None)
         else:
             eigs = smallest_eigenvalues(induced, 2)
             sweep = spectral_partition(induced, eigs=eigs)
@@ -252,7 +253,7 @@ class _State:
             comp = np.setdiff1d(np.arange(induced.n), local, assume_unique=True)
             phi_max = max(set_conductance(induced, local),
                           set_conductance(induced, comp))
-            info = _ClusterInfo(P, induced, float(eigs.eigenvalues[1]), eigs,
+            info = _ClusterInfo(P, induced, float(eigs.eigenvalues[1]),
                                 local, phi_max)
         if len(self._cache) >= 256:
             self._cache.pop(next(iter(self._cache)))

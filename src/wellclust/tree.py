@@ -7,12 +7,16 @@ is a single ascending pass over the node arrays, which keeps the code
 iterative and safe for very deep trees (caterpillars from linkage reach
 depth ~n).
 
-Besides the data structure this module provides the Dasgupta cost in its
-edge form (via offline LCA) and its cut form (via small-to-large leaf-set
-merging), the dense branch / critical node decomposition of a tree, the
-caterpillar combination of a forest, and two test oracles: the exact
-optimum by a dynamic program over vertex subsets, and the cost of every
-topology by exhaustive enumeration.
+Every node's leaves form one contiguous span of the tree's left-to-right
+leaf order, which is computed once, on first use; leaf sets and subtrees
+are read off it. The module provides the Dasgupta cost in its edge form
+(the LCA of two leaves owns the widest gap between consecutive leaves in
+their range, so the edge form is a range maximum over the gaps) and its
+cut form (via small-to-large leaf-set merging), the dense branch /
+critical node decomposition of a tree, the caterpillar combination of a
+forest, the split builder of degree and random trees, and two test
+oracles: the exact optimum by a dynamic program over vertex subsets, and
+the cost of every topology by exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ class HCTree:
     """
 
     __slots__ = ("left", "right", "parent", "leaf_vertex", "leaf_count",
-                 "root", "_euler")
+                 "root", "_span")
 
     def __init__(self, left, right, parent, leaf_vertex, leaf_count, root):
         self.left = left
@@ -74,7 +78,7 @@ class HCTree:
         self.leaf_vertex = leaf_vertex
         self.leaf_count = leaf_count
         self.root = root
-        self._euler = None
+        self._span = None
 
     @property
     def n_nodes(self) -> int:
@@ -87,42 +91,45 @@ class HCTree:
     def is_leaf(self, node: int) -> bool:
         return self.left[node] < 0
 
+    def _leaf_span(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(start, order)``: node N's leaves are the vertices
+        ``order[start[N]:start[N] + leaf_count[N]]``, left subtree first."""
+        if self._span is None:
+            left, right = self.left.tolist(), self.right.tolist()
+            count = self.leaf_count.tolist()
+            start = [0] * self.n_nodes
+            # parents have larger ids, so each start is set before it is read
+            for node in range(self.n_nodes - 1, -1, -1):
+                l = left[node]
+                if l >= 0:
+                    start[l] = start[node]
+                    start[right[node]] = start[node] + count[l]
+            start = np.asarray(start, dtype=np.int64)
+            leaves = self.left < 0
+            order = np.empty(self.n_leaves, dtype=np.int64)
+            order[start[leaves]] = self.leaf_vertex[leaves]
+            self._span = (start, order)
+        return self._span
+
     def leaves_under(self, node: int) -> np.ndarray:
         """Sorted vertex ids of the leaves below ``node`` (inclusive)."""
-        out = []
-        stack = [int(node)]
-        while stack:
-            cur = stack.pop()
-            if self.left[cur] < 0:
-                out.append(int(self.leaf_vertex[cur]))
-            else:
-                stack.append(int(self.left[cur]))
-                stack.append(int(self.right[cur]))
-        out.sort()
-        return np.asarray(out, dtype=np.int64)
+        start, order = self._leaf_span()
+        lo = start[node]
+        return np.sort(order[lo:lo + self.leaf_count[node]])
 
     def subtree(self, node: int) -> "HCTree":
         """Extract ``T[node]`` as a standalone tree (ids renumbered)."""
-        ids = []
-        stack = [int(node)]
-        while stack:
-            cur = stack.pop()
-            ids.append(cur)
-            if self.left[cur] >= 0:
-                stack.append(int(self.left[cur]))
-                stack.append(int(self.right[cur]))
-        ids = np.asarray(sorted(ids), dtype=np.int64)
+        start, _ = self._leaf_span()
+        lo = start[node]
+        # descendants are exactly the nodes whose span lies inside node's
+        ids = np.flatnonzero((start >= lo) & (start + self.leaf_count
+                                              <= lo + self.leaf_count[node]))
         remap = np.full(self.n_nodes, -1, dtype=np.int64)
         remap[ids] = np.arange(ids.size)
         left = np.where(self.left[ids] >= 0, remap[self.left[ids]], -1)
         right = np.where(self.right[ids] >= 0, remap[self.right[ids]], -1)
-        parent = np.full(ids.size, -1, dtype=np.int64)
-        for new_id in range(ids.size):
-            if left[new_id] >= 0:
-                parent[left[new_id]] = new_id
-                parent[right[new_id]] = new_id
-        return HCTree(left, right, parent, self.leaf_vertex[ids].copy(),
-                      self.leaf_count[ids].copy(), ids.size - 1)
+        return _from_children(left, right, self.leaf_vertex[ids].copy(),
+                              self.leaf_count[ids].copy())
 
     def __repr__(self) -> str:
         return f"HCTree(leaves={self.n_leaves}, nodes={self.n_nodes})"
@@ -171,16 +178,22 @@ class TreeBuilder:
             raise ValueError("tree must have exactly one root, the last node added")
         left = np.asarray(self._left, dtype=np.int64)
         right = np.asarray(self._right, dtype=np.int64)
-        leaf_vertex = np.asarray(self._vertex, dtype=np.int64)
-        parent = np.full(n_nodes, -1, dtype=np.int64)
         leaf_count = np.ones(n_nodes, dtype=np.int64)
-        internal = left >= 0
-        parent[left[internal]] = np.flatnonzero(internal)
-        parent[right[internal]] = np.flatnonzero(internal)
         for node in range(n_nodes):
             if left[node] >= 0:
                 leaf_count[node] = leaf_count[left[node]] + leaf_count[right[node]]
-        return HCTree(left, right, parent, leaf_vertex, leaf_count, n_nodes - 1)
+        return _from_children(left, right,
+                              np.asarray(self._vertex, dtype=np.int64), leaf_count)
+
+
+def _from_children(left: np.ndarray, right: np.ndarray, leaf_vertex: np.ndarray,
+                   leaf_count: np.ndarray) -> HCTree:
+    """The HCTree with these child arrays; its root is the last node."""
+    parent = np.full(left.size, -1, dtype=np.int64)
+    internal = np.flatnonzero(left >= 0)
+    parent[left[internal]] = internal
+    parent[right[internal]] = internal
+    return HCTree(left, right, parent, leaf_vertex, leaf_count, left.size - 1)
 
 
 def _check_leaf_bijection(G: Graph, T: HCTree) -> None:
@@ -202,86 +215,38 @@ def node_volumes(G: Graph, T: HCTree) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dasgupta cost, edge form (offline LCA via Euler tour + sparse table)
-
-def _euler_tables(T: HCTree):
-    if T._euler is not None:
-        return T._euler
-    n_nodes = T.n_nodes
-    euler = np.empty(2 * n_nodes - 1, dtype=np.int64)
-    depth = np.empty(2 * n_nodes - 1, dtype=np.int64)
-    first = np.full(n_nodes, -1, dtype=np.int64)
-    pos = 0
-    # stack entries: (node, depth, stage); stage counts completed children
-    stack = [(T.root, 0, 0)]
-    while stack:
-        node, d, stage = stack.pop()
-        euler[pos] = node
-        depth[pos] = d
-        if first[node] < 0:
-            first[node] = pos
-        pos += 1
-        if T.left[node] >= 0 and stage < 2:
-            stack.append((node, d, stage + 1))
-            child = T.left[node] if stage == 0 else T.right[node]
-            stack.append((int(child), d + 1, 0))
-        elif stage == 0:
-            pass  # leaf: single visit
-    # leaves emit one visit, internals three; trim to actual length
-    euler = euler[:pos]
-    depth = depth[:pos]
-    levels = max(1, int(np.floor(np.log2(pos))) + 1)
-    st_depth = np.empty((levels, pos), dtype=np.int64)
-    st_node = np.empty((levels, pos), dtype=np.int64)
-    st_depth[0] = depth
-    st_node[0] = euler
-    span = 1
-    for j in range(1, levels):
-        prev_d = st_depth[j - 1]
-        prev_n = st_node[j - 1]
-        lo = prev_d[:pos - span]
-        hi = prev_d[span:]
-        take_lo = lo <= hi
-        st_depth[j, :pos - span] = np.where(take_lo, lo, hi)
-        st_node[j, :pos - span] = np.where(take_lo, prev_n[:pos - span],
-                                           prev_n[span:])
-        st_depth[j, pos - span:] = prev_d[pos - span:]
-        st_node[j, pos - span:] = prev_n[pos - span:]
-        span *= 2
-    log_table = np.zeros(pos + 1, dtype=np.int64)
-    for i in range(2, pos + 1):
-        log_table[i] = log_table[i // 2] + 1
-    T._euler = (first, st_depth, st_node, log_table)
-    return T._euler
-
-
-def lca_nodes(T: HCTree, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized lowest common ancestor of node-id arrays ``a`` and ``b``."""
-    first, st_depth, st_node, log_table = _euler_tables(T)
-    l = first[a]
-    r = first[b]
-    lo = np.minimum(l, r)
-    hi = np.maximum(l, r)
-    j = log_table[hi - lo + 1]
-    right_start = hi - (1 << j) + 1
-    d1 = st_depth[j, lo]
-    d2 = st_depth[j, right_start]
-    return np.where(d1 <= d2, st_node[j, lo], st_node[j, right_start])
-
+# Dasgupta cost, edge form (LCA as a range maximum over the leaf order)
 
 def dasgupta_cost(G: Graph, T: HCTree) -> float:
     """Edge-form Dasgupta cost: sum over edges of ``w_e * |leaves(lca)|``.
 
-    Self-loops never contribute (a loop has no LCA pair).
+    Each internal node owns the gap between its two children's spans; the
+    LCA of the leaves at positions i < j owns the gap in [i, j) with the
+    most leaves. Self-loops never contribute (a loop has no LCA pair).
     """
     _check_leaf_bijection(G, T)
     if G.m == 0:
         return 0.0
-    leaf_of = np.empty(G.n, dtype=np.int64)
-    leaves = np.flatnonzero(T.left < 0)
-    leaf_of[T.leaf_vertex[leaves]] = leaves
-    lcas = lca_nodes(T, leaf_of[G.edges_u], leaf_of[G.edges_v])
-    return float((G.edges_w * T.leaf_count[lcas]).sum())
+    start, order = T._leaf_span()
+    internal = np.flatnonzero(T.left >= 0)
+    gap_count = np.empty(G.n - 1, dtype=np.int64)
+    gap_count[start[internal] + T.leaf_count[T.left[internal]] - 1] = \
+        T.leaf_count[internal]
+    # rows[j][g] = max of gap_count[g : g + 2**j]
+    rows = [gap_count]
+    while 1 << len(rows) <= gap_count.size:
+        prev, half = rows[-1], 1 << (len(rows) - 1)
+        rows.append(np.maximum(prev[:-half], prev[half:]))
+    pos = np.empty(G.n, dtype=np.int64)
+    pos[order] = np.arange(G.n)
+    lo = np.minimum(pos[G.edges_u], pos[G.edges_v])
+    hi = np.maximum(pos[G.edges_u], pos[G.edges_v])
+    level = np.frexp(hi - lo)[1] - 1  # floor(log2(hi - lo))
+    lca_count = np.empty(G.m, dtype=np.int64)
+    for j, row in enumerate(rows):
+        on = np.flatnonzero(level == j)
+        lca_count[on] = np.maximum(row[lo[on]], row[hi[on] - (1 << j)])
+    return float((G.edges_w * lca_count).sum())
 
 
 def dasgupta_cost_cutform(G: Graph, T: HCTree) -> float:
@@ -635,7 +600,40 @@ def all_tree_costs(G: Graph, limit: int = 10) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Random baseline tree
+# Split builder (degree and random trees)
+
+def _split_tree(leaves: np.ndarray, heavy: Callable) -> HCTree:
+    """Tree over ``leaves`` (left to right) that splits every block of
+    s >= 2 leaves into its first ``heavy(s)`` leaves and the rest.
+
+    Nodes are numbered in post-order: a block of s leaves starting at id
+    b owns ids b..b+2s-2, its root last. ``heavy`` maps an int64 array of
+    block sizes to the sizes of their left parts; blocks are split one
+    depth level at a time.
+    """
+    n = leaves.size
+    left = np.full(2 * n - 1, -1, dtype=np.int64)
+    right = np.full(2 * n - 1, -1, dtype=np.int64)
+    leaf_vertex = np.full(2 * n - 1, -1, dtype=np.int64)
+    leaf_count = np.ones(2 * n - 1, dtype=np.int64)
+    # the blocks of one level: first id b, first leaf position lo, size s
+    b = lo = np.zeros(1, dtype=np.int64)
+    s = np.full(1, n, dtype=np.int64)
+    while True:
+        single = s == 1
+        leaf_vertex[b[single]] = leaves[lo[single]]
+        b, lo, s = b[~single], lo[~single], s[~single]
+        if not b.size:
+            return _from_children(left, right, leaf_vertex, leaf_count)
+        r = heavy(s)
+        root = b + 2 * s - 2
+        left[root] = b + 2 * r - 2
+        right[root] = root - 1
+        leaf_count[root] = s
+        b = np.concatenate([b, b + 2 * r - 1])
+        lo = np.concatenate([lo, lo + r])
+        s = np.concatenate([r, s - r])
+
 
 def random_tree(n: int, seed: int) -> HCTree:
     """Balanced-split tree over a uniformly shuffled leaf order.
@@ -646,20 +644,7 @@ def random_tree(n: int, seed: int) -> HCTree:
     if n < 1:
         raise ValueError("random_tree needs n >= 1")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    perm = rng.permutation(n)
-    builder = TreeBuilder()
-
-    def build(lo: int, hi: int) -> int:
-        size = hi - lo
-        if size == 1:
-            return builder.leaf(int(perm[lo]))
-        mid = lo + (size + 1) // 2
-        l = build(lo, mid)
-        r = build(mid, hi)
-        return builder.internal(l, r)
-
-    build(0, n)
-    return builder.build()
+    return _split_tree(rng.permutation(n), lambda s: (s + 1) // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,14 @@ from wellclust import (
     best_over_k,
     brute_force_opt,
     dasgupta_cost,
+    derive_params,
     hc_with_degrees,
     naive_cluster_merge,
     prune_condition,
     prune_merge,
     run_prune_merge,
+    strong_decomposition,
+    termination_report,
 )
 from wellclust.degree_hc import hc_with_degrees as build_degree_tree
 from wellclust.graph import induced_subgraph
@@ -209,3 +212,17 @@ def test_best_over_k_validation(two_triangles):
         best_over_k(two_triangles, 1)
     with pytest.raises(ValueError):
         best_over_k(five_triangles(), 4)
+
+
+def test_k_must_match_params_k():
+    G, _ = gen_sbm([50, 50, 50], 0.3, 0.002, seed=1)
+    params2 = derive_params(G, 2)
+    partition, _ = strong_decomposition(G, 2, params2)
+    for call in (lambda: run_prune_merge(G, 3, params=params2),
+                 lambda: prune_merge(G, 3, params=params2),
+                 lambda: naive_cluster_merge(G, 3, params=params2),
+                 lambda: strong_decomposition(G, 3, params2),
+                 lambda: termination_report(G, partition, params2, 3)):
+        with pytest.raises(ValueError, match="disagrees with params.k = 2"):
+            call()
+    assert run_prune_merge(G, 3, params=derive_params(G, 3)).partition.r == 3
