@@ -259,6 +259,9 @@ def cmd_compare(args, parser) -> int:
     n_data = sum(1 for r in rows if r["seed"] != "mean")
     print(f"wrote {args.out}: {n_data} data rows + "
           f"{len(rows) - n_data} mean rows")
+    if not any(r["status"] == "ok" for r in rows):
+        print("error: no operation succeeded", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -39,9 +39,17 @@ EXACT_CONDUCTANCE_LIMIT = 20
 def vertex_set(vertices: Iterable[int], n: int) -> np.ndarray:
     """Canonicalize ``vertices`` to a sorted duplicate-free int64 array.
 
-    Raises ``ValueError`` if any id falls outside ``0..n-1``.
+    Raises ``ValueError`` if any id falls outside ``0..n-1``. An integer
+    array that is already strictly increasing is copied, not sorted.
     """
-    arr = np.unique(np.asarray(list(vertices), dtype=np.int64))
+    if (isinstance(vertices, np.ndarray) and vertices.ndim == 1
+            and vertices.dtype.kind in "iu"
+            and np.can_cast(vertices.dtype, np.int64)):
+        arr = np.array(vertices, dtype=np.int64)
+        if not (arr[1:] > arr[:-1]).all():
+            arr = np.unique(arr)
+    else:
+        arr = np.unique(np.asarray(list(vertices), dtype=np.int64))
     if arr.size and (arr[0] < 0 or arr[-1] >= n):
         raise ValueError(f"vertex ids must lie in [0, {n}), got range "
                          f"[{arr[0]}, {arr[-1]}]")

@@ -12,11 +12,12 @@ leaf order, which is computed once, on first use; leaf sets and subtrees
 are read off it. The module provides the Dasgupta cost in its edge form
 (the LCA of two leaves owns the widest gap between consecutive leaves in
 their range, so the edge form is a range maximum over the gaps) and its
-cut form (via small-to-large leaf-set merging), the dense branch /
-critical node decomposition of a tree, the caterpillar combination of a
-forest, the split builder of degree and random trees, and two test
-oracles: the exact optimum by a dynamic program over vertex subsets, and
-the cost of every topology by exhaustive enumeration.
+cut form (each edge's LCA by binary lifting on ``parent``, never the leaf
+order, so the two forms check each other), the dense branch / critical
+node decomposition of a tree, the caterpillar combination of a forest, the
+split builder of degree and random trees, and two test oracles: the exact
+optimum by a dynamic program over vertex subsets, and the cost of every
+topology by exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -253,45 +254,43 @@ def dasgupta_cost_cutform(G: Graph, T: HCTree) -> float:
     """Cut-form Dasgupta cost: sum over internal nodes of
     ``|leaves(N)| * w(leaves(N1), leaves(N2))``.
 
-    Computed by small-to-large merging of leaf sets, an independent route
-    from the LCA-based edge form; the two agree exactly on integer weights.
+    An edge crosses between the children of exactly its endpoints' LCA, so
+    ``w(N1, N2)`` is the weight of the edges whose LCA is N. The LCAs come
+    from binary lifting on ``parent`` (depths and 2^j ancestors by pointer
+    jumping); only ``parent``, the leaf mask of ``left``, ``leaf_vertex``
+    and ``leaf_count`` are read. It shares nothing with the leaf spans and
+    the range maximum of the edge form; the two agree exactly on integer
+    weights. Raises ``ValueError`` if ``parent`` does not reach the root.
     """
     _check_leaf_bijection(G, T)
     if G.m == 0:
         return 0.0
-    comp = np.empty(G.n, dtype=np.int64)
-    members: dict[int, list[int]] = {}
-    for node in np.flatnonzero(T.left < 0):
-        v = int(T.leaf_vertex[node])
-        comp[v] = node
-        members[int(node)] = [v]
-    total = 0.0
-    indptr, nbr, nbrw = G._indptr, G._nbr, G._nbrw
-    for node in range(T.n_nodes):
-        l = int(T.left[node])
-        if l < 0:
-            continue
-        r = int(T.right[node])
-        if T.leaf_count[l] > T.leaf_count[r]:
-            small, large = r, l
-        else:
-            small, large = l, r
-        small_members = members.pop(small)
-        large_members = members[large]
-        cut = 0.0
-        large_label = comp[large_members[0]]
-        for u in small_members:
-            lo, hi = indptr[u], indptr[u + 1]
-            nb = nbr[lo:hi]
-            sel = comp[nb] == large_label
-            if sel.any():
-                cut += nbrw[lo:hi][sel].sum()
-        total += float(T.leaf_count[node]) * cut
-        for u in small_members:
-            comp[u] = large_label
-        large_members.extend(small_members)
-        members[node] = members.pop(large)
-    return float(total)
+    up = T.parent.copy()
+    up[T.root] = T.root
+    if up.min() < 0:
+        raise ValueError("parent array has a second root")
+    depth = (np.arange(T.n_nodes) != T.root).astype(np.int64)
+    jumps = [up]  # jumps[j][x] = the 2**j-th ancestor of x, capped at root
+    while (jumps[-1] != T.root).any():
+        if len(jumps) > (T.n_nodes - 1).bit_length():
+            raise ValueError("parent array does not reach the root")
+        depth = depth + depth[jumps[-1]]
+        jumps.append(jumps[-1][jumps[-1]])
+    leaves = np.flatnonzero(T.left < 0)
+    node_of = np.empty(G.n, dtype=np.int64)
+    node_of[T.leaf_vertex[leaves]] = leaves
+    a, b = node_of[G.edges_u], node_of[G.edges_v]
+    deeper = depth[a] >= depth[b]
+    a, b = np.where(deeper, a, b), np.where(deeper, b, a)
+    gap = depth[a] - depth[b]
+    for j, jump in enumerate(jumps):
+        a = np.where(gap >> j & 1, jump[a], a)
+    for jump in reversed(jumps):
+        move = jump[a] != jump[b]
+        a, b = np.where(move, jump[a], a), np.where(move, jump[b], b)
+    lca = np.where(a == b, a, up[a])
+    cross = np.bincount(lca, weights=G.edges_w, minlength=T.n_nodes)
+    return float(T.leaf_count @ cross)
 
 
 # ---------------------------------------------------------------------------

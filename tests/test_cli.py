@@ -154,6 +154,23 @@ def test_compare_reruns_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_compare_exits_one_when_no_op_succeeds(tmp_path, capsys):
+    # k = 9 exceeds what an 8-vertex graph can split into, so every
+    # prunemerge and naive op raises and becomes an error row
+    out = tmp_path / "fail.csv"
+    code = main(["compare", "--family", "sbm", "--sizes", "4,4", "--p", "0.5",
+                 "--q", "0.1", "--algos", "prunemerge,naive", "--k", "9",
+                 "--seeds", "2", "--threads", "1", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote {out}: 4 data rows + 2 mean rows\n"
+    assert captured.err == "error: no operation succeeded\n"
+    lines = out.read_text().splitlines()
+    assert len(lines) == 7
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == \
+        ["error:ValueError"] * 4 + ["error:empty"] * 2
+
+
 def test_malformed_graph_line_numbered(tmp_path, capsys):
     g = tmp_path / "bad.txt"
     g.write_text("3 2\n0 1\n1 2 1.0\n")

@@ -8,6 +8,7 @@ from wellclust import (build_graph, cut_weight, degree_stats,
                        directed_boundary, graph_conductance_exact,
                        induced_subgraph, induced_with_selfloops, load_graph,
                        save_graph, set_conductance, volume)
+from wellclust.graph import vertex_set
 from conftest import complete_graph, path_graph, star_graph, unit_graph
 
 
@@ -33,6 +34,49 @@ def test_build_rejects_bad_edges():
         build_graph(2, [(0, 0, 1.0)])
     with pytest.raises(ValueError):
         build_graph(2, [(0, 1, 1.0), (1, 0, 2.0)])
+
+
+def _vertex_set_ORACLE(vertices, n):
+    """Test-only ORACLE: ``vertex_set`` before its sorted-array fast path."""
+    arr = np.unique(np.asarray(list(vertices), dtype=np.int64))
+    if arr.size and (arr[0] < 0 or arr[-1] >= n):
+        raise ValueError(f"vertex ids must lie in [0, {n}), got range "
+                         f"[{arr[0]}, {arr[-1]}]")
+    return arr
+
+
+def _outcome(fn, vertices, n):
+    try:
+        return fn(vertices, n)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_vertex_set_fast_path_matches_oracle():
+    rng = np.random.Generator(np.random.Philox(11))
+    n = 50
+    corpus = [np.arange(0), np.arange(n), np.array([7]), np.array([-1, 3]),
+              np.array([3, n]), np.array([n + 5, 2, 2]),
+              np.array([2**63 - 1], dtype=np.uint64)]
+    for _ in range(200):
+        size = int(rng.integers(0, 40))
+        draw = rng.integers(-2, n + 2, size)
+        corpus += [np.sort(draw), np.unique(draw), draw,
+                   np.clip(draw, 0, n - 1)]
+    for arr in list(corpus):
+        for dtype in (np.int8, np.int32, np.uint8, np.uint16, np.uint32,
+                      np.uint64):
+            if arr.size == 0 or (np.iinfo(dtype).min <= arr.min()
+                                 and arr.max() <= np.iinfo(dtype).max):
+                corpus.append(arr.astype(dtype))
+    for arr in corpus:
+        want = _outcome(_vertex_set_ORACLE, arr, n)
+        got = _outcome(vertex_set, arr, n)
+        if isinstance(want, str):
+            assert got == want, arr
+        else:
+            assert got.dtype == np.int64 and np.array_equal(got, want), arr
+            assert not np.shares_memory(got, arr)
 
 
 def test_volume(triangle, dumbbell):

@@ -10,7 +10,7 @@ from wellclust import (TreeBuilder, build_graph, dasgupta_cost,
                        load_tree, random_tree, save_tree,
                        verify_degree_tree_shape)
 
-from conftest import random_connected_graph
+from conftest import _cutform_ORACLE, random_connected_graph
 from test_tree import chain_tree
 
 
@@ -159,4 +159,5 @@ def test_spans_and_edge_cost_on_deep_caterpillar():
     pairs |= {(0, n - 1), (n - 2, n - 1)}
     G = build_graph(n, [(a, b, float(rng.integers(1, 10)))
                         for a, b in sorted(pairs)])
-    assert dasgupta_cost(G, T) == dasgupta_cost_cutform(G, T)
+    assert dasgupta_cost(G, T) == dasgupta_cost_cutform(G, T) \
+        == _cutform_ORACLE(G, T)

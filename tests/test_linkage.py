@@ -1,5 +1,6 @@
 """Agglomerative linkage baseline tests."""
 
+import hashlib
 import time
 import tracemalloc
 
@@ -194,7 +195,29 @@ def _identity_corpus():
     n = 200
     yield unit_graph(n, zip(*np.triu_indices(n, 1)))
     yield unit_graph(n, [(0, v) for v in range(1, n)])
-    yield gen_sbm([300, 300, 300], 0.12, 0.002, 1)[0]
+
+
+TREE_FIELDS = ("left", "right", "parent", "leaf_vertex")
+
+
+def _pinned_sbm():
+    return gen_sbm([300, 300, 300], 0.12, 0.002, 1)[0]
+
+
+def _tree_digest(T):
+    return hashlib.sha256(b"".join(getattr(T, field).tobytes()
+                                   for field in TREE_FIELDS)).hexdigest()
+
+
+# _scan_linkage_ORACLE's trees on _pinned_sbm(), whose O(n^3) scan takes
+# about 15 s on a 2-vCPU host; made by, from the repository root,
+#   PYTHONPATH=src:tests python -c "import test_linkage as t; G = t._pinned_sbm();
+#   print({k: t._tree_digest(t._scan_linkage_ORACLE(G, k)) for k in t.LINKAGE_KINDS})"
+_PINNED_SBM_ORACLE_DIGESTS = {
+    "single": "9dee1104e953fb639e077400ffb02a05beaad639ac07244bcc8319c93d162136",
+    "complete": "3b22ad6a2f706e27d221f1358cfc3c247545b928e26d1ac0959727c1c4769f28",
+    "average": "b9db2db738aee4c995f71bd63c777a0ad1374071e577610b0a9e4160e69a1c6f",
+}
 
 
 def test_cached_linkage_matches_scan_oracle():
@@ -205,9 +228,13 @@ def test_cached_linkage_matches_scan_oracle():
         for kind in LINKAGE_KINDS:
             want = _scan_linkage_ORACLE(G, kind)
             got = linkage(G, kind)
-            for field in ("left", "right", "parent", "leaf_vertex"):
+            for field in TREE_FIELDS:
                 assert np.array_equal(getattr(got, field),
                                       getattr(want, field)), (G.n, kind, field)
+    G = _pinned_sbm()
+    for kind in LINKAGE_KINDS:
+        assert _tree_digest(linkage(G, kind)) == \
+            _PINNED_SBM_ORACLE_DIGESTS[kind], kind
 
 
 def test_linkage_ceiling_raises_before_allocating(tmp_path, capsys):

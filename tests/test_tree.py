@@ -6,13 +6,18 @@ import time
 import numpy as np
 import pytest
 
-from wellclust import (HCTree, TreeBuilder, brute_force_opt,
+from wellclust import (HCTree, TreeBuilder, brute_force_opt, build_graph,
                        caterpillar_merge, critical_nodes, dasgupta_cost,
-                       dasgupta_cost_cutform, dense_branch, load_tree,
-                       random_tree, save_tree)
+                       dasgupta_cost_cutform, dense_branch, hc_with_degrees,
+                       induced_subgraph, induced_with_selfloops, linkage,
+                       load_tree, random_tree, save_tree)
+from wellclust.experiment import checked_cost
+from wellclust.generators import gen_sbm
+from wellclust.linkage import LINKAGE_KINDS
 from wellclust.tree import all_tree_costs, double_factorial_trees, relabel_leaves
-from conftest import (complete_graph, path_graph, random_connected_graph,
-                      star_graph, unit_graph, weighted_graph)
+from conftest import (_cutform_ORACLE, complete_graph, path_graph,
+                      random_connected_graph, star_graph, unit_graph,
+                      weighted_graph)
 
 
 def chain_tree(leaf_vertices):
@@ -76,6 +81,76 @@ def test_cost_forms_agree_on_random_pairs():
         G = random_connected_graph(n, 1000 + seed)
         T = random_tree(n, 2000 + seed)
         assert dasgupta_cost(G, T) == dasgupta_cost_cutform(G, T)
+
+
+def _every_tree_kind(G):
+    return [random_tree(G.n, G.n), hc_with_degrees(G),
+            *(linkage(G, kind) for kind in LINKAGE_KINDS)]
+
+
+def test_cutform_matches_oracle_on_every_tree_kind():
+    for n in range(1, 41):
+        G = (build_graph(1, []) if n == 1
+             else random_connected_graph(n, 3000 + n, max_weight=5))
+        for T in _every_tree_kind(G):
+            assert dasgupta_cost_cutform(G, T) == _cutform_ORACLE(G, T), n
+
+
+def test_cutform_self_loops_contribute_nothing():
+    G = random_connected_graph(30, 7, max_weight=5)
+    for S in (range(0, 30, 2), range(5, 25), [0, 3, 4, 9, 11, 28]):
+        H = induced_with_selfloops(G, S)
+        assert H.self_loops.sum() > 0
+        plain = induced_subgraph(G, S)
+        for T in _every_tree_kind(H):
+            cost = dasgupta_cost_cutform(H, T)
+            assert cost == _cutform_ORACLE(H, T)
+            assert cost == dasgupta_cost_cutform(plain, T)
+
+
+def test_cutform_without_edges():
+    assert dasgupta_cost_cutform(build_graph(1, []), random_tree(1, 0)) == 0.0
+    G = build_graph(5, [])
+    assert dasgupta_cost_cutform(G, random_tree(5, 0)) == 0.0
+    assert _cutform_ORACLE(G, random_tree(5, 0)) == 0.0
+
+
+def _with_parent(T, parent):
+    return HCTree(T.left, T.right, np.asarray(parent, dtype=np.int64),
+                  T.leaf_vertex, T.leaf_count, T.root)
+
+
+def test_cutform_rejects_parent_that_misses_root(path3):
+    T = chain_tree([0, 1, 2])  # parent = [2, 2, 4, 4, -1]
+    for parent in ([2, 2, 0, 4, -1],   # 0 -> 2 -> 0
+                   [2, 2, 2, 4, -1],   # 2 is its own parent
+                   [2, 2, -1, 4, -1]):  # 2 is a second root
+        with pytest.raises(ValueError, match="parent array"):
+            dasgupta_cost_cutform(path3, _with_parent(T, parent))
+
+
+def test_checked_cost_catches_parent_disagreeing_with_children():
+    G = path_graph(4)
+    T = chain_tree([0, 1, 2, 3])  # parent = [2, 2, 4, 4, 6, 6, -1]
+    assert checked_cost(G, T) == 9.0
+    swapped = _with_parent(T, [6, 2, 4, 4, 6, 2, -1])  # leaves 0, 3 swap
+    assert dasgupta_cost(G, swapped) == 9.0
+    assert dasgupta_cost_cutform(G, swapped) == 10.0
+    with pytest.raises(AssertionError, match="cost mismatch"):
+        checked_cost(G, swapped)
+
+
+def test_cutform_speed_guard():
+    # on a 2-vCPU host the small-to-large loop took 0.3-0.4 s here and
+    # binary lifting 0.014-0.02 s
+    G, _ = gen_sbm([3000] * 3, 0.0067, 0.00017, 2)
+    T = hc_with_degrees(G)
+    best = np.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        dasgupta_cost_cutform(G, T)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.15
 
 
 def test_dense_branch_star_trace():
