@@ -17,9 +17,9 @@ from .generators import (GENERATOR_FAMILIES, GenSpec, PlantedLabels,
                          gaussian_kernel_graph, generate, load_labels,
                          save_labels)
 from .graph import (Graph, build_graph, cut_weight, degree_stats,
-                    directed_boundary, graph_conductance_exact,
-                    induced_subgraph, induced_with_selfloops, load_graph,
-                    save_graph, set_conductance, volume)
+                    directed_boundary, induced_subgraph,
+                    induced_with_selfloops, load_graph, save_graph,
+                    set_conductance, volume)
 from .linkage import linkage
 from .metrics import adjusted_rand_index
 from .prune_merge import (PruneMergeResult, best_over_k, naive_cluster_merge,
@@ -42,9 +42,8 @@ __all__ = [
     "caterpillar_merge", "compare_sweep", "critical_nodes", "cut_weight",
     "dasgupta_cost", "dasgupta_cost_cutform", "degree_stats", "dense_branch",
     "derive_params", "directed_boundary", "gaussian_kernel_graph", "generate",
-    "graph_conductance_exact", "hc_with_degrees",
-    "induced_subgraph", "induced_with_selfloops", "laplacian_apply",
-    "linkage", "load_graph", "load_labels", "load_tree",
+    "hc_with_degrees", "induced_subgraph", "induced_with_selfloops",
+    "laplacian_apply", "linkage", "load_graph", "load_labels", "load_tree",
     "naive_cluster_merge", "prune_condition", "prune_merge", "random_tree",
     "relative_conductance", "run_algorithm", "run_prune_merge", "save_graph",
     "save_labels", "save_tree", "set_conductance", "smallest_eigenvalues",

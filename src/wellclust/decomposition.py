@@ -165,7 +165,6 @@ def relative_conductance(G: Graph, S: Iterable[int], P: Iterable[int]) -> float:
 
 def derive_params(G: Graph, k: int, c0: float = 1.0,
                   phi_in_mode: str = "practical", tol: float = DEFAULT_TOL,
-                  iteration_cap: int = DEFAULT_ITERATION_CAP,
                   eigs: SpectralResult | None = None) -> DecompParams:
     """Compute the threshold set for a k-cluster run.
 
@@ -194,12 +193,13 @@ def derive_params(G: Graph, k: int, c0: float = 1.0,
     if phi_in_mode == "practical":
         phi_in = max(phi_in, 2.0 * lambda_k)
     phi_out = 90.0 * c0 * (k + 1) ** 6 * math.sqrt(lambda_k)
-    w_min = G.w_min
-    formula_cap = iteration_cap if w_min is None else \
-        math.ceil(k * G.n * G.total_volume / w_min)
+    max_iterations = DEFAULT_ITERATION_CAP
+    if G.w_min is not None:
+        max_iterations = min(max_iterations,
+                             math.ceil(k * G.n * G.total_volume / G.w_min))
     return DecompParams(k=k, lambda_k=lambda_k, lambda_k1=lambda_k1, c0=c0,
                         rho_star=rho_star, phi_in=phi_in, phi_out=phi_out,
-                        max_iterations=min(iteration_cap, formula_cap),
+                        max_iterations=max_iterations,
                         phi_in_mode=phi_in_mode)
 
 

@@ -191,20 +191,37 @@ def _blocks_of(sizes: Sequence[int]) -> list[np.ndarray]:
     return [np.arange(bounds[i], bounds[i + 1]) for i in range(len(sizes))]
 
 
-def gen_sbm(sizes: Sequence[int], p: float, q: float,
-            seed: int) -> tuple[Graph, PlantedLabels]:
-    """Stochastic block model: Bernoulli(p) inside blocks, Bernoulli(q) across."""
-    p = _check_prob("p", p)
-    q = _check_prob("q", q)
+def _block_graph(sizes: Sequence[int], qmat: np.ndarray, seed: int,
+                 c_p: float | None = None) -> tuple[Graph, PlantedLabels]:
+    """Unit-weight block model over blocks of ``sizes`` with edge
+    probabilities ``qmat``, plus a planted clique of fraction ``c_p`` per
+    block (drawn on the same stream, after the block edges) when given."""
     blocks = _blocks_of(sizes)
-    k = len(blocks)
-    qmat = np.full((k, k), q)
-    np.fill_diagonal(qmat, p)
-    us, vs = _block_model(blocks, qmat, _rng(seed))
+    rng = _rng(seed)
+    us, vs = _block_model(blocks, qmat, rng)
+    cliques: dict[int, np.ndarray] = {}
+    if c_p is not None:
+        cliques, cu, cv = _plant_cliques(blocks, c_p, rng)
+        us, vs = us + cu, vs + cv
     n = sum(len(b) for b in blocks)
     G = _unit_graph(n, np.concatenate(us), np.concatenate(vs))
     clusters = np.concatenate([np.full(len(b), i) for i, b in enumerate(blocks)])
-    return G, PlantedLabels(clusters)
+    return G, PlantedLabels(clusters, cliques)
+
+
+def _sbm_qmat(sizes: Sequence[int], p: float, q: float) -> np.ndarray:
+    """Probabilities ``p`` inside each block and ``q`` across blocks."""
+    p = _check_prob("p", p)
+    q = _check_prob("q", q)
+    qmat = np.full((len(sizes), len(sizes)), q)
+    np.fill_diagonal(qmat, p)
+    return qmat
+
+
+def gen_sbm(sizes: Sequence[int], p: float, q: float,
+            seed: int) -> tuple[Graph, PlantedLabels]:
+    """Stochastic block model: Bernoulli(p) inside blocks, Bernoulli(q) across."""
+    return _block_graph(sizes, _sbm_qmat(sizes, p, q), seed)
 
 
 def _hsbm_qmat(p: float, q_min: float) -> np.ndarray:
@@ -230,10 +247,7 @@ def gen_hsbm(p: float, q_min: float, seed: int,
     p = _check_prob("p", p)
     if q_min < 0 or 3.0 * q_min > 1.0:
         raise ValueError("q_min must satisfy 0 <= 3*q_min <= 1")
-    blocks = _blocks_of([size] * 5)
-    us, vs = _block_model(blocks, _hsbm_qmat(p, q_min), _rng(seed))
-    G = _unit_graph(5 * size, np.concatenate(us), np.concatenate(vs))
-    return G, PlantedLabels(np.repeat(np.arange(5), size))
+    return _block_graph([size] * 5, _hsbm_qmat(p, q_min), seed)
 
 
 def _floor_pow_2_3(n: int) -> int:
@@ -410,19 +424,7 @@ def _plant_cliques(blocks: list[np.ndarray], c_p: float,
 def gen_sbm_planted_cliques(sizes: Sequence[int], p: float, q: float, c_p: float,
                             seed: int) -> tuple[Graph, PlantedLabels]:
     """Block model plus a planted clique on a random c_p-fraction per block."""
-    p = _check_prob("p", p)
-    q = _check_prob("q", q)
-    blocks = _blocks_of(sizes)
-    k = len(blocks)
-    qmat = np.full((k, k), q)
-    np.fill_diagonal(qmat, p)
-    rng = _rng(seed)
-    us, vs = _block_model(blocks, qmat, rng)
-    cliques, cu, cv = _plant_cliques(blocks, c_p, rng)
-    n = sum(len(b) for b in blocks)
-    G = _unit_graph(n, np.concatenate(us + cu), np.concatenate(vs + cv))
-    clusters = np.concatenate([np.full(len(b), i) for i, b in enumerate(blocks)])
-    return G, PlantedLabels(clusters, cliques)
+    return _block_graph(sizes, _sbm_qmat(sizes, p, q), seed, c_p)
 
 
 def gen_sbm_unequal(seed: int, c_p: float,
@@ -441,15 +443,9 @@ def gen_sbm_unequal(seed: int, c_p: float,
     sizes = [int(round(base * scale)) for base in (1900, 900, 200)]
     if any(s < 1 for s in sizes):
         raise ValueError(f"scale {scale} shrinks a block below one vertex")
-    blocks = _blocks_of(sizes)
     qmat = np.full((3, 3), 0.002)
     np.fill_diagonal(qmat, (0.06, 0.06, 0.3))
-    rng = _rng(seed)
-    us, vs = _block_model(blocks, qmat, rng)
-    cliques, cu, cv = _plant_cliques(blocks, c_p, rng)
-    G = _unit_graph(sum(sizes), np.concatenate(us + cu), np.concatenate(vs + cv))
-    clusters = np.concatenate([np.full(len(b), i) for i, b in enumerate(blocks)])
-    return G, PlantedLabels(clusters, cliques)
+    return _block_graph(sizes, qmat, seed, c_p)
 
 
 def _squared_distances(pts: np.ndarray) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Vertices are integers ``0..n-1``. Edges carry strictly positive weights and
 are stored canonically with ``u < v``. Self-loops never appear in the public
-edge list; they are created internally by :func:`induced_with_selfloops` to
-keep vertex degrees stable under subgraph extraction, and they contribute to
-degrees and volumes but never to any cut or cost sum.
+edge list; they come only from a caller's :func:`induced_with_selfloops`,
+which keeps vertex degrees stable under subgraph extraction (no pipeline
+path creates them), and they contribute to degrees and volumes but never to
+any cut or cost sum.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "cut_weight",
     "directed_boundary",
     "set_conductance",
-    "graph_conductance_exact",
     "induced_subgraph",
     "induced_with_selfloops",
     "degree_stats",
@@ -31,9 +31,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-# Exhaustive conductance is an oracle for tests; 2^20 subsets is the ceiling.
-EXACT_CONDUCTANCE_LIMIT = 20
 
 
 def vertex_set(vertices: Iterable[int], n: int) -> np.ndarray:
@@ -240,41 +237,6 @@ def set_conductance(G: Graph, S: Iterable[int]) -> float:
     in_s = _member_mask(G, S)
     crosses = in_s[G.edges_u] != in_s[G.edges_v]
     return float(G.edges_w[crosses].sum()) / vol_s
-
-
-def graph_conductance_exact(G: Graph, chunk: int = 1 << 16) -> float:
-    """Exhaustive graph conductance: min over nonempty proper subsets with
-    ``vol(S) <= vol(V)/2``.
-
-    Intended as a test oracle; refuses graphs with more than
-    ``EXACT_CONDUCTANCE_LIMIT`` vertices (use spectral_partition for an
-    approximation on larger graphs).
-    """
-    n = G.n
-    if n > EXACT_CONDUCTANCE_LIMIT:
-        raise ValueError(
-            f"exhaustive conductance is limited to n <= {EXACT_CONDUCTANCE_LIMIT}; "
-            "use spectral.spectral_partition for larger graphs")
-    if n < 2:
-        return 1.0
-    half_vol = G.total_volume / 2.0
-    bit_cols = np.arange(n, dtype=np.uint64)
-    best = 1.0
-    for start in range(1, (1 << n) - 1, chunk):
-        stop = min(start + chunk, (1 << n) - 1)
-        masks = np.arange(start, stop, dtype=np.uint64)
-        bits = ((masks[:, None] >> bit_cols) & 1).astype(bool)
-        vols = bits.astype(np.float64) @ G.degrees
-        ok = vols <= half_vol
-        if not np.any(ok):
-            continue
-        bits = bits[ok]
-        vols = vols[ok]
-        cuts = ((bits[:, G.edges_u] != bits[:, G.edges_v])
-                * G.edges_w).sum(axis=1)
-        phis = np.where(vols > 0, cuts / np.where(vols > 0, vols, 1.0), 1.0)
-        best = min(best, float(phis.min()))
-    return best
 
 
 def _induce_edges(G: Graph, S: np.ndarray):

@@ -15,16 +15,14 @@ their range, so the edge form is a range maximum over the gaps) and its
 cut form (each edge's LCA by binary lifting on ``parent``, never the leaf
 order, so the two forms check each other), the dense branch / critical
 node decomposition of a tree, the caterpillar combination of a forest, the
-split builder of degree and random trees, and two test oracles: the exact
-optimum by a dynamic program over vertex subsets, and the cost of every
-topology by exhaustive enumeration.
+split builder of degree and random trees, and the exact optimum for small
+graphs by a dynamic program over vertex subsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,8 +40,6 @@ __all__ = [
     "critical_nodes",
     "caterpillar_merge",
     "brute_force_opt",
-    "all_tree_costs",
-    "double_factorial_trees",
     "random_tree",
     "relabel_leaves",
     "save_tree",
@@ -369,23 +365,14 @@ def critical_nodes(G: Graph, T: HCTree) -> CriticalNodes:
 # ---------------------------------------------------------------------------
 # Combining trees
 
-def _copy_into(builder: TreeBuilder, T: HCTree) -> int:
-    remap = np.empty(T.n_nodes, dtype=np.int64)
-    for node in range(T.n_nodes):
-        if T.left[node] < 0:
-            remap[node] = builder.leaf(int(T.leaf_vertex[node]))
-        else:
-            remap[node] = builder.internal(int(remap[T.left[node]]),
-                                           int(remap[T.right[node]]))
-    return int(remap[T.root])
-
-
 def caterpillar_merge(trees: Sequence[HCTree]) -> HCTree:
     """Left fold of the forest: repeatedly join the accumulated tree with
     the next one under a fresh root.
 
     The caller is responsible for ordering (ascending leaf count in the
-    pruning pipeline). Leaf sets must be pairwise disjoint.
+    pruning pipeline). Leaf sets must be pairwise disjoint. Each tree's
+    nodes keep their order, shifted past the nodes before them, and every
+    tree after the first is followed by its join node.
     """
     if not trees:
         raise ValueError("caterpillar_merge needs at least one tree")
@@ -395,12 +382,22 @@ def caterpillar_merge(trees: Sequence[HCTree]) -> HCTree:
                                  for t in trees])
     if np.unique(all_leaves).size != all_leaves.size:
         raise ValueError("trees share leaf vertices")
-    builder = TreeBuilder()
-    acc = _copy_into(builder, trees[0])
-    for t in trees[1:]:
-        nxt = _copy_into(builder, t)
-        acc = builder.internal(acc, nxt)
-    return builder.build()
+    parts = []
+    offset = leaves = 0
+    for i, t in enumerate(trees):
+        shift = np.where(t.left >= 0, offset, 0)
+        parts.append((t.left + shift, t.right + shift, t.leaf_vertex,
+                      t.leaf_count))
+        root = offset + t.root
+        offset += t.n_nodes
+        leaves += t.n_leaves
+        if i:
+            parts.append(([acc], [root], [-1], [leaves]))
+            root = offset
+            offset += 1
+        acc = root
+    left, right, leaf_vertex, leaf_count = map(np.concatenate, zip(*parts))
+    return _from_children(left, right, leaf_vertex, leaf_count)
 
 
 def relabel_leaves(T: HCTree, mapping: np.ndarray) -> HCTree:
@@ -414,16 +411,6 @@ def relabel_leaves(T: HCTree, mapping: np.ndarray) -> HCTree:
 
 # ---------------------------------------------------------------------------
 # Brute-force optimum
-
-def double_factorial_trees(n: int) -> int:
-    """Number of leaf-labeled rooted binary topologies: (2n-3)!!."""
-    if n < 2:
-        return 1
-    out = 1
-    for i in range(1, n):
-        out *= 2 * i - 1
-    return out
-
 
 def _inner_weight_table(G: Graph) -> np.ndarray:
     """inw[mask] = total edge weight inside the vertex subset ``mask``."""
@@ -442,89 +429,6 @@ def _inner_weight_table(G: Graph) -> np.ndarray:
         rest = mask ^ low
         inw[mask] = inw[rest] + rowsum[rest, u]
     return inw
-
-
-def _scan_topologies(n: int, flush: Callable, chunk: int = 1 << 15) -> None:
-    """Enumerate all (2n-3)!! topologies by iterative leaf insertion.
-
-    Leaf ``i`` is attached above any of the ``2i-1`` nodes of the partial
-    tree over leaves ``0..i-1``. For every complete tree, the internal
-    nodes' (subtree mask, left-child mask) pairs are appended to chunk
-    buffers; ``flush(m_rows, m1_rows)`` is called whenever the buffer
-    fills and once at the end.
-    """
-    if n < 2:
-        raise ValueError("need at least two leaves to enumerate topologies")
-    total_nodes = 2 * n - 1
-    mask = [0] * total_nodes
-    parent = [-1] * total_nodes
-    chl = [-1] * total_nodes
-    chr_ = [-1] * total_nodes
-    for i in range(n):
-        mask[i] = 1 << i
-    buf_m: list[list[int]] = []
-    buf_m1: list[list[int]] = []
-
-    def emit():
-        buf_m.append([mask[j] for j in range(n, total_nodes)])
-        buf_m1.append([mask[chl[j]] for j in range(n, total_nodes)])
-        if len(buf_m) >= chunk:
-            flush(np.asarray(buf_m, dtype=np.int64),
-                  np.asarray(buf_m1, dtype=np.int64))
-            buf_m.clear()
-            buf_m1.clear()
-
-    def insert(i: int) -> None:
-        if i == n:
-            emit()
-            return
-        bit = 1 << i
-        newint = n + i - 1
-        for t in range(2 * i - 1):
-            x = t if t < i else n + (t - i)
-            p = parent[x]
-            mask[newint] = mask[x] | bit
-            chl[newint] = x
-            chr_[newint] = i
-            parent[x] = newint
-            parent[i] = newint
-            parent[newint] = p
-            if p != -1:
-                if chl[p] == x:
-                    chl[p] = newint
-                else:
-                    chr_[p] = newint
-                a = p
-                while a != -1:
-                    mask[a] |= bit
-                    a = parent[a]
-            insert(i + 1)
-            if p != -1:
-                if chl[p] == newint:
-                    chl[p] = x
-                else:
-                    chr_[p] = x
-                a = p
-                while a != -1:
-                    mask[a] &= ~bit
-                    a = parent[a]
-            parent[x] = p
-
-    insert(1)
-    if buf_m:
-        flush(np.asarray(buf_m, dtype=np.int64),
-              np.asarray(buf_m1, dtype=np.int64))
-
-
-# Topologies are memoised up to n = 8; larger n are streamed.
-_STRUCTURE_CACHE_MAX_N = 8
-
-
-@lru_cache(maxsize=None)
-def _cached_structures(n: int) -> tuple[np.ndarray, np.ndarray]:
-    parts = []
-    _scan_topologies(n, lambda m, m1: parts.append((m, m1)), chunk=1 << 20)
-    return tuple(np.concatenate(rows) for rows in zip(*parts))
 
 
 def brute_force_opt(G: Graph, limit: int = 10) -> tuple[float, HCTree]:
@@ -571,31 +475,6 @@ def brute_force_opt(G: Graph, limit: int = 10) -> tuple[float, HCTree]:
 
     build(full)
     return opt[full], builder.build()
-
-
-def all_tree_costs(G: Graph, limit: int = 10) -> np.ndarray:
-    """Dasgupta cost of every leaf-labeled topology, in enumeration order.
-
-    The reference that criterion 4 checks the clique identity against;
-    :func:`brute_force_opt` finds the minimum without enumerating.
-    """
-    n = G.n
-    if n > limit:
-        raise ValueError(f"brute force limited to n <= {limit}, got n = {n}")
-    if n < 2:
-        return np.zeros(1, dtype=np.float64)
-    inw = _inner_weight_table(G)
-    pc = np.asarray([mask.bit_count() for mask in range(1 << n)])
-    parts = []
-
-    def evaluate(m, m1):
-        parts.append((pc[m] * (inw[m] - inw[m1] - inw[m ^ m1])).sum(axis=1))
-
-    if n <= _STRUCTURE_CACHE_MAX_N:
-        evaluate(*_cached_structures(n))
-    else:
-        _scan_topologies(n, evaluate)
-    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -82,53 +82,12 @@ def random_connected_graph(n, seed, max_weight=9):
         v = int(order[i])
         edges[(min(u, v), max(u, v))] = int(rng.integers(1, max_weight + 1))
     extra = rng.integers(0, n + 1)
-    for _ in range(int(extra)):
+    for _ in range(int(extra) if n >= 2 else 0):
         u, v = rng.choice(n, size=2, replace=False)
         key = (int(min(u, v)), int(max(u, v)))
         if key not in edges:
             edges[key] = int(rng.integers(1, max_weight + 1))
     return build_graph(n, [(u, v, float(w)) for (u, v), w in edges.items()])
-
-
-def _cutform_ORACLE(G, T):
-    """Test-only ORACLE: the cut-form Dasgupta cost by small-to-large
-    merging of leaf sets, the loop ``dasgupta_cost_cutform`` used before
-    binary lifting. Reads ``left``, ``right``, ``leaf_vertex`` and
-    ``leaf_count``; never ``parent`` or the leaf spans."""
-    if G.m == 0:
-        return 0.0
-    comp = np.empty(G.n, dtype=np.int64)
-    members = {}
-    for node in np.flatnonzero(T.left < 0):
-        v = int(T.leaf_vertex[node])
-        comp[v] = node
-        members[int(node)] = [v]
-    total = 0.0
-    indptr, nbr, nbrw = G._indptr, G._nbr, G._nbrw
-    for node in range(T.n_nodes):
-        l = int(T.left[node])
-        if l < 0:
-            continue
-        r = int(T.right[node])
-        if T.leaf_count[l] > T.leaf_count[r]:
-            small, large = r, l
-        else:
-            small, large = l, r
-        small_members = members.pop(small)
-        large_members = members[large]
-        cut = 0.0
-        large_label = comp[large_members[0]]
-        for u in small_members:
-            lo, hi = indptr[u], indptr[u + 1]
-            sel = comp[nbr[lo:hi]] == large_label
-            if sel.any():
-                cut += nbrw[lo:hi][sel].sum()
-        total += float(T.leaf_count[node]) * cut
-        for u in small_members:
-            comp[u] = large_label
-        large_members.extend(small_members)
-        members[node] = members.pop(large)
-    return float(total)
 
 
 # -- isomorphism-deduplicated corpus of connected graphs, n <= 7 ------------

@@ -1,0 +1,168 @@
+"""Test-only ORACLEs: exhaustive enumerations and the earlier, slower forms
+of library computations. Tests check the library against them; the
+library never imports this module."""
+
+from functools import lru_cache
+
+import numpy as np
+
+from wellclust import TreeBuilder
+
+# Topologies are enumerated and memoised up to this many leaves.
+TOPOLOGY_MAX_N = 8
+# Exhaustive conductance scans 2^n subsets; 2^20 is the ceiling.
+EXACT_CONDUCTANCE_MAX_N = 20
+_SUBSET_CHUNK = 1 << 16
+
+
+def double_factorial_trees(n):
+    """Number of leaf-labeled rooted binary topologies: (2n-3)!!."""
+    out = 1
+    for i in range(1, n):
+        out *= 2 * i - 1
+    return out
+
+
+def _attach(tree, leaf):
+    """Every tree made by hanging ``leaf`` above one node of ``tree``
+    (a leaf is its vertex id, an internal node a pair of subtrees)."""
+    yield (tree, leaf)
+    if isinstance(tree, tuple):
+        yield from ((t, tree[1]) for t in _attach(tree[0], leaf))
+        yield from ((tree[0], t) for t in _attach(tree[1], leaf))
+
+
+def _node_masks(tree, out):
+    """Append ``(leaf mask, left child's leaf mask)`` of each internal node
+    of ``tree`` to ``out``; return the leaf mask of ``tree``."""
+    if not isinstance(tree, tuple):
+        return 1 << tree
+    left = _node_masks(tree[0], out)
+    mask = left | _node_masks(tree[1], out)
+    out.append((mask, left))
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _topologies(n):
+    """``(m, m1)``: row t lists the leaf masks of topology t's internal
+    nodes and of their left children."""
+    trees = [0]
+    for leaf in range(1, n):
+        trees = [t for tree in trees for t in _attach(tree, leaf)]
+    rows = []
+    for tree in trees:
+        rows.append([])
+        _node_masks(tree, rows[-1])
+    return tuple(np.asarray(rows, dtype=np.int64).transpose(2, 0, 1))
+
+
+def all_tree_costs_ORACLE(G):
+    """Dasgupta cost of every leaf-labeled topology over ``G``'s vertices,
+    by enumeration; refuses more than ``TOPOLOGY_MAX_N`` vertices."""
+    n = G.n
+    if n > TOPOLOGY_MAX_N:
+        raise ValueError(f"topology enumeration limited to n <= "
+                         f"{TOPOLOGY_MAX_N}, got n = {n}")
+    if n < 2:
+        return np.zeros(1, dtype=np.float64)
+    subsets = np.arange(1 << n)[:, None]
+    inside = (subsets >> G.edges_u) & (subsets >> G.edges_v) & 1
+    inw = inside @ G.edges_w  # inw[mask] = weight inside the subset
+    size = np.asarray([mask.bit_count() for mask in range(1 << n)])
+    m, m1 = _topologies(n)
+    return (size[m] * (inw[m] - inw[m1] - inw[m ^ m1])).sum(axis=1)
+
+
+def graph_conductance_exact_ORACLE(G):
+    """Exhaustive graph conductance: min over nonempty proper subsets with
+    ``vol(S) <= vol(V)/2``; refuses more than ``EXACT_CONDUCTANCE_MAX_N``
+    vertices."""
+    n = G.n
+    if n > EXACT_CONDUCTANCE_MAX_N:
+        raise ValueError(
+            f"exhaustive conductance is limited to n <= {EXACT_CONDUCTANCE_MAX_N}; "
+            "use spectral.spectral_partition for larger graphs")
+    if n < 2:
+        return 1.0
+    half_vol = G.total_volume / 2.0
+    bit_cols = np.arange(n, dtype=np.uint64)
+    best = 1.0
+    for start in range(1, (1 << n) - 1, _SUBSET_CHUNK):
+        stop = min(start + _SUBSET_CHUNK, (1 << n) - 1)
+        masks = np.arange(start, stop, dtype=np.uint64)
+        bits = ((masks[:, None] >> bit_cols) & 1).astype(bool)
+        vols = bits.astype(np.float64) @ G.degrees
+        ok = vols <= half_vol
+        if not np.any(ok):
+            continue
+        bits = bits[ok]
+        vols = vols[ok]
+        cuts = ((bits[:, G.edges_u] != bits[:, G.edges_v])
+                * G.edges_w).sum(axis=1)
+        phis = np.where(vols > 0, cuts / np.where(vols > 0, vols, 1.0), 1.0)
+        best = min(best, float(phis.min()))
+    return best
+
+
+def _cutform_ORACLE(G, T):
+    """The cut-form Dasgupta cost by small-to-large merging of leaf sets,
+    the loop ``dasgupta_cost_cutform`` used before binary lifting. Reads
+    ``left``, ``right``, ``leaf_vertex`` and ``leaf_count``; never
+    ``parent`` or the leaf spans."""
+    if G.m == 0:
+        return 0.0
+    comp = np.empty(G.n, dtype=np.int64)
+    members = {}
+    for node in np.flatnonzero(T.left < 0):
+        v = int(T.leaf_vertex[node])
+        comp[v] = node
+        members[int(node)] = [v]
+    total = 0.0
+    indptr, nbr, nbrw = G._indptr, G._nbr, G._nbrw
+    for node in range(T.n_nodes):
+        l = int(T.left[node])
+        if l < 0:
+            continue
+        r = int(T.right[node])
+        if T.leaf_count[l] > T.leaf_count[r]:
+            small, large = r, l
+        else:
+            small, large = l, r
+        small_members = members.pop(small)
+        large_members = members[large]
+        cut = 0.0
+        large_label = comp[large_members[0]]
+        for u in small_members:
+            lo, hi = indptr[u], indptr[u + 1]
+            sel = comp[nbr[lo:hi]] == large_label
+            if sel.any():
+                cut += nbrw[lo:hi][sel].sum()
+        total += float(T.leaf_count[node]) * cut
+        for u in small_members:
+            comp[u] = large_label
+        large_members.extend(small_members)
+        members[node] = members.pop(large)
+    return float(total)
+
+
+def _caterpillar_ORACLE(trees):
+    """The left fold of ``caterpillar_merge`` node by node through
+    ``TreeBuilder``: each tree is copied in node order, and each tree
+    after the first is joined to the accumulated tree under a new root."""
+    builder = TreeBuilder()
+
+    def copy(T):
+        ids = []
+        for node in range(T.n_nodes):
+            if T.left[node] < 0:
+                ids.append(builder.leaf(int(T.leaf_vertex[node])))
+            else:
+                ids.append(builder.internal(ids[T.left[node]],
+                                            ids[T.right[node]]))
+        return ids[T.root]
+
+    acc = copy(trees[0])
+    for T in trees[1:]:
+        acc = builder.internal(acc, copy(T))
+    return builder.build()

@@ -1,5 +1,7 @@
 """Seeded graph generator tests: extremes, statistics, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -319,3 +321,46 @@ def test_planted_labels_validation():
         PlantedLabels(np.array([0, 1]), {0: np.array([1])})
     with pytest.raises(ValueError):
         PlantedLabels(np.array([-1, 0]))
+
+
+def _instance_digest(G, labels):
+    h = hashlib.sha256()
+    for a in (G.edges_u, G.edges_v, G.edges_w, labels.clusters):
+        h.update(np.ascontiguousarray(a).tobytes())
+    for cid in sorted(labels.cliques):
+        h.update(np.int64(cid).tobytes() + labels.cliques[cid].tobytes())
+    return h.hexdigest()
+
+
+# Computed on the commit before the four block-model generators shared
+# `_block_graph`, with this file in its tests/ directory, from there:
+#   PYTHONPATH=../src python -c 'import test_generators as t; \
+#     [print(f, s, t._instance_digest(*t.BLOCK_FAMILIES[f](s))) \
+#      for f in t.BLOCK_FAMILIES for s in (0, 7)]'
+BLOCK_FAMILIES = {
+    "sbm": lambda s: gen_sbm([30, 40, 20], 0.3, 0.02, s),
+    "hsbm": lambda s: gen_hsbm(0.3, 0.01, s, size=20),
+    "sbm_planted_cliques":
+        lambda s: gen_sbm_planted_cliques([30, 40], 0.2, 0.02, 0.3, s),
+    "sbm_unequal": lambda s: gen_sbm_unequal(s, 0.2, scale=0.05),
+}
+BLOCK_DIGESTS = {
+    ("sbm", 0): "16e0ae3cbbe737bac104bc30cc30b33362e52dc68bac389616b41465be31960f",
+    ("sbm", 7): "c330ef706633fe3f16070795987746edc95040689e21e7e9d2bb035164d546b6",
+    ("hsbm", 0): "3cd9cd03c6b5e3433caa443115a1f65d749c5b6db3451fa246b994d670c015cc",
+    ("hsbm", 7): "3ee64098f7aaec09dacc8b93efeb9f00812a9d667dc2d3988a34fa31f76f9976",
+    ("sbm_planted_cliques", 0):
+        "7bbcc5e691fda00d2549785d04a2080aae7e9c5f7e6a871a8b30da6f0f7f7237",
+    ("sbm_planted_cliques", 7):
+        "ceb75371ec14dd3ceee8296189065d51dfac51cdd963716182c7c078be221759",
+    ("sbm_unequal", 0):
+        "8e0457ebd1fb27c08c4cca671980016e334cd8f4895fc636f38d029ce018f43a",
+    ("sbm_unequal", 7):
+        "f05a6607ad353f5ad78a5214d3fdc1bec48bdb6db424d11c9b924f543515f9ca",
+}
+
+
+@pytest.mark.parametrize("family, seed", sorted(BLOCK_DIGESTS))
+def test_block_families_pinned(family, seed):
+    G, labels = BLOCK_FAMILIES[family](seed)
+    assert _instance_digest(G, labels) == BLOCK_DIGESTS[family, seed]

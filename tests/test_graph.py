@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from wellclust import (build_graph, cut_weight, degree_stats,
-                       directed_boundary, graph_conductance_exact,
-                       induced_subgraph, induced_with_selfloops, load_graph,
-                       save_graph, set_conductance, volume)
+                       directed_boundary, induced_subgraph,
+                       induced_with_selfloops, load_graph, save_graph,
+                       set_conductance, volume)
 from wellclust.graph import vertex_set
-from conftest import complete_graph, path_graph, star_graph, unit_graph
+from conftest import (complete_graph, path_graph, random_connected_graph,
+                      star_graph, unit_graph)
+from oracles import graph_conductance_exact_ORACLE
 
 
 def test_single_edge_degrees():
@@ -119,15 +121,15 @@ def test_conductance_volume_identity(dumbbell):
 
 
 def test_exact_conductance(dumbbell, k4):
-    assert graph_conductance_exact(dumbbell) == pytest.approx(1 / 7)
-    assert graph_conductance_exact(k4) == pytest.approx(2 / 3)
+    assert graph_conductance_exact_ORACLE(dumbbell) == pytest.approx(1 / 7)
+    assert graph_conductance_exact_ORACLE(k4) == pytest.approx(2 / 3)
     disconnected = unit_graph(4, [(0, 1), (2, 3)])
-    assert graph_conductance_exact(disconnected) == 0.0
+    assert graph_conductance_exact_ORACLE(disconnected) == 0.0
 
 
 def test_exact_conductance_limit():
     with pytest.raises(ValueError, match="spectral"):
-        graph_conductance_exact(path_graph(21))
+        graph_conductance_exact_ORACLE(path_graph(21))
 
 
 def test_induced_subgraph(dumbbell, path3):
@@ -185,3 +187,9 @@ def test_volume_complement_identity():
     S = [0, 3]
     rest = [1, 2, 4]
     assert volume(G, S) + volume(G, rest) == G.total_volume
+
+
+def test_random_connected_graph_single_vertex():
+    for seed in range(20):
+        G = random_connected_graph(1, seed)
+        assert (G.n, G.m) == (1, 0)

@@ -10,7 +10,8 @@ from wellclust import (TreeBuilder, build_graph, dasgupta_cost,
                        load_tree, random_tree, save_tree,
                        verify_degree_tree_shape)
 
-from conftest import _cutform_ORACLE, random_connected_graph
+from conftest import random_connected_graph
+from oracles import _cutform_ORACLE
 from test_tree import chain_tree
 
 

@@ -1,0 +1,48 @@
+"""Checks on the package source itself: invariant checks that survive
+``python -O``, no test code imported by the library, a clean ``__all__``."""
+
+import ast
+import pathlib
+
+import pytest
+
+import wellclust
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wellclust"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_source_modules_found():
+    assert {p.name for p in MODULES} >= {"__init__.py", "tree.py", "graph.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    lines = [node.lineno for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_test_module_imports(path):
+    imported = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+            imported += [alias.name for alias in node.names]
+    bad = [name for name in imported
+           if {"conftest", "oracles"} & set(name.split("."))]
+    assert not bad, f"{path.name} imports {bad}"
+
+
+def test_public_names_resolve_once():
+    names = wellclust.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(wellclust, name)]
+    assert not missing

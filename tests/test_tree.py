@@ -1,5 +1,5 @@
 """Hierarchy trees: cost forms, dense branch, critical nodes, merging,
-enumeration oracle, serialization."""
+exact optimum against the enumeration oracle, serialization."""
 
 import time
 
@@ -14,10 +14,11 @@ from wellclust import (HCTree, TreeBuilder, brute_force_opt, build_graph,
 from wellclust.experiment import checked_cost
 from wellclust.generators import gen_sbm
 from wellclust.linkage import LINKAGE_KINDS
-from wellclust.tree import all_tree_costs, double_factorial_trees, relabel_leaves
-from conftest import (_cutform_ORACLE, complete_graph, path_graph,
-                      random_connected_graph, star_graph, unit_graph,
-                      weighted_graph)
+from wellclust.tree import relabel_leaves
+from conftest import (complete_graph, path_graph, random_connected_graph,
+                      star_graph, unit_graph, weighted_graph)
+from oracles import (_caterpillar_ORACLE, _cutform_ORACLE,
+                     all_tree_costs_ORACLE, double_factorial_trees)
 
 
 def chain_tree(leaf_vertices):
@@ -90,8 +91,7 @@ def _every_tree_kind(G):
 
 def test_cutform_matches_oracle_on_every_tree_kind():
     for n in range(1, 41):
-        G = (build_graph(1, []) if n == 1
-             else random_connected_graph(n, 3000 + n, max_weight=5))
+        G = random_connected_graph(n, 3000 + n, max_weight=5)
         for T in _every_tree_kind(G):
             assert dasgupta_cost_cutform(G, T) == _cutform_ORACLE(G, T), n
 
@@ -247,6 +247,21 @@ def test_caterpillar_merge_rejects_overlap():
         caterpillar_merge([a, b_])
 
 
+def test_caterpillar_merge_matches_builder_oracle():
+    rng = np.random.default_rng(17)
+    for seed in range(300):
+        n = 1 + seed % 39
+        cuts = np.sort(rng.choice(np.arange(1, n), replace=False,
+                                  size=rng.integers(0, min(n, 8))))
+        groups = np.split(rng.permutation(n), cuts)
+        trees = [relabel_leaves(random_tree(g.size, seed + i), g) if i % 2
+                 else chain_tree(g.tolist()) for i, g in enumerate(groups)]
+        T, R = caterpillar_merge(trees), _caterpillar_ORACLE(trees)
+        assert T.root == R.root
+        for field in ("left", "right", "parent", "leaf_vertex", "leaf_count"):
+            assert np.array_equal(getattr(T, field), getattr(R, field)), field
+
+
 def test_relabel_leaves():
     T = chain_tree([0, 1, 2])
     R = relabel_leaves(T, np.array([10, 20, 30]))
@@ -261,7 +276,7 @@ def test_topology_count_formula():
 
 
 def test_all_tree_costs_counts(path3):
-    costs = all_tree_costs(path3)
+    costs = all_tree_costs_ORACLE(path3)
     assert len(costs) == 3
     assert sorted(costs) == [5.0, 5.0, 6.0]
 
@@ -281,7 +296,7 @@ def test_brute_force_path(path3):
 def test_brute_force_k4(k4):
     cost, _ = brute_force_opt(k4)
     assert cost == 20.0
-    assert np.all(all_tree_costs(k4) == 20.0)
+    assert np.all(all_tree_costs_ORACLE(k4) == 20.0)
 
 
 def test_brute_force_star():
@@ -302,7 +317,7 @@ def test_brute_force_matches_enumeration():
     for seed in (1, 2, 3):
         G = random_connected_graph(6, 50 + seed)
         cost, T = brute_force_opt(G)
-        costs = all_tree_costs(G)
+        costs = all_tree_costs_ORACLE(G)
         assert cost == costs.min()
         assert dasgupta_cost(G, T) == cost
 
@@ -312,7 +327,7 @@ def test_brute_force_oracle_on_corpus(small_corpus):
     topology, and its witness tree costs exactly that."""
     for G in small_corpus:
         cost, T = brute_force_opt(G)
-        assert cost == all_tree_costs(G).min()
+        assert cost == all_tree_costs_ORACLE(G).min()
         assert dasgupta_cost(G, T) == cost
 
 
@@ -328,6 +343,12 @@ def test_brute_force_n10_within_seconds():
 def test_brute_force_limit():
     with pytest.raises(ValueError):
         brute_force_opt(path_graph(11))
+
+
+def test_topology_oracle_limit():
+    assert len(all_tree_costs_ORACLE(path_graph(1))) == 1
+    with pytest.raises(ValueError, match="n <= 8"):
+        all_tree_costs_ORACLE(path_graph(9))
 
 
 def test_random_tree_seeded():
