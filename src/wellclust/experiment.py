@@ -152,12 +152,15 @@ def _fmt_float(x: float | None, spec: str) -> str:
 def default_thread_count() -> int:
     """Worker cap: ``WELLCLUST_THREADS`` if set, else up to 8 CPUs."""
     env = os.environ.get("WELLCLUST_THREADS", "").strip()
-    if env:
+    if not env:
+        return min(8, os.cpu_count() or 1)
+    try:
         count = int(env)
-        if count < 1:
-            raise ValueError("WELLCLUST_THREADS must be a positive integer")
-        return count
-    return min(8, os.cpu_count() or 1)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError("WELLCLUST_THREADS must be a positive integer")
+    return count
 
 
 def _instance_rows(point: SweepPoint, seed: int, algos: Sequence[str],
@@ -249,6 +252,8 @@ def compare_sweep(points: Sequence[SweepPoint], algos: Sequence[str],
             raise ValueError(f"unknown algorithm {algo!r}")
     if not points or not algos or not seeds:
         raise ValueError("points, algos, and seeds must all be nonempty")
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be a positive integer")
     n_workers = default_thread_count() if threads is None else threads
     tasks = [(pi, seed) for pi in range(len(points)) for seed in seeds]
 

@@ -90,13 +90,6 @@ class PlantedLabels:
     def n(self) -> int:
         return len(self.clusters)
 
-    @property
-    def n_clusters(self) -> int:
-        return int(self.clusters.max()) + 1
-
-    def cluster_members(self, cid: int) -> np.ndarray:
-        return np.flatnonzero(self.clusters == cid)
-
 
 @dataclass(frozen=True)
 class GenSpec:

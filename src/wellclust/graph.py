@@ -78,7 +78,7 @@ class Graph:
     """
 
     __slots__ = ("n", "edges_u", "edges_v", "edges_w", "self_loops",
-                 "degrees", "source_ids", "_indptr", "_nbr", "_nbrw")
+                 "degrees", "source_ids")
 
     def __init__(self, n: int, edges_u: np.ndarray, edges_v: np.ndarray,
                  edges_w: np.ndarray, self_loops: np.ndarray,
@@ -94,18 +94,6 @@ class Graph:
         np.add.at(deg, edges_v, edges_w)
         deg += self_loops
         self.degrees = deg
-        # CSR-style symmetric adjacency (self-loops excluded) for neighbor scans.
-        src = np.concatenate([edges_u, edges_v])
-        dst = np.concatenate([edges_v, edges_u])
-        wts = np.concatenate([edges_w, edges_w])
-        order = np.argsort(src, kind="stable")
-        counts = np.zeros(n, dtype=np.int64)
-        np.add.at(counts, src, 1)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        self._indptr = indptr
-        self._nbr = dst[order]
-        self._nbrw = wts[order]
 
     @property
     def m(self) -> int:
@@ -120,21 +108,8 @@ class Graph:
         return float(self.edges_w.min()) if self.m else None
 
     @property
-    def w_max(self) -> float | None:
-        return float(self.edges_w.max()) if self.m else None
-
-    @property
     def has_self_loops(self) -> bool:
         return bool(np.any(self.self_loops > 0))
-
-    def neighbors(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbor ids and edge weights of ``u`` (self-loop excluded)."""
-        lo, hi = self._indptr[u], self._indptr[u + 1]
-        return self._nbr[lo:hi], self._nbrw[lo:hi]
-
-    def edge_tuples(self) -> list[tuple[int, int, float]]:
-        return [(int(u), int(v), float(w))
-                for u, v, w in zip(self.edges_u, self.edges_v, self.edges_w)]
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m}, vol={self.total_volume:g})"

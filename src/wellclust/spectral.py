@@ -7,6 +7,10 @@ an implicitly restarted Lanczos iteration on ``2I - L`` (largest-eigenvalue
 form, which converges much faster than interior shifts for this spectrum).
 All randomness is a fixed-key Philox start vector, so results are
 deterministic.
+
+The sweep reads the edge arrays only: an edge enters the prefix sums at the
+later rank of its endpoints, so every prefix cut comes from one bincount
+and one cumulative sum.
 """
 
 from __future__ import annotations
@@ -202,6 +206,9 @@ def spectral_partition(G: Graph, eigs: SpectralResult | None = None) -> SweepCut
     returned set is the prefix or its complement, whichever has
     ``vol <= vol(V)/2``, of minimum conductance. The classical guarantee
     ``phi(S) <= 2 sqrt(phi_G)`` holds for any exact second eigenvector.
+    Each edge enters the prefix at the later rank of its two endpoints, so
+    the cut of prefix ``t`` is its volume minus self-loops minus twice the
+    weight of the edges entered by rank ``t``.
 
     An already-computed :class:`SpectralResult` with k >= 2 can be passed
     to skip the eigensolve.
@@ -218,30 +225,21 @@ def spectral_partition(G: Graph, eigs: SpectralResult | None = None) -> SweepCut
     scaled = np.zeros(n)
     scaled[~isolated] = v[~isolated] / np.sqrt(G.degrees[~isolated])
     order = np.lexsort((np.arange(n), scaled, isolated))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    enter = np.maximum(rank[G.edges_u], rank[G.edges_v])
+    w_in = np.bincount(enter, weights=G.edges_w, minlength=n)
+    deg = G.degrees[order]
+    cut = np.cumsum(deg - G.self_loops[order] - 2.0 * w_in)[:-1]
+    vol = np.cumsum(deg)[:-1]
     total = G.total_volume
-    indptr, nbr, nbrw = G._indptr, G._nbr, G._nbrw
-    placed = np.zeros(n, dtype=bool)
-    loops = G.self_loops
-    best_phi = np.inf
-    best_t = -1
-    cut = 0.0
-    volume = 0.0
-    for t in range(n - 1):
-        u = int(order[t])
-        lo, hi = indptr[u], indptr[u + 1]
-        w_in = nbrw[lo:hi][placed[nbr[lo:hi]]].sum()
-        cut += (G.degrees[u] - loops[u]) - 2.0 * w_in
-        volume += G.degrees[u]
-        placed[u] = True
-        side_vol = min(volume, total - volume) if volume > total / 2 else volume
-        phi = cut / side_vol if side_vol > 0 else 1.0
-        if phi < best_phi:
-            best_phi = phi
-            best_t = t
+    side = np.where(vol > total / 2, np.minimum(vol, total - vol), vol)
+    phi = np.divide(cut, side, out=np.ones(n - 1), where=side > 0)
+    best_t = int(np.argmin(phi))
     prefix = order[:best_t + 1]
     pre_vol = float(G.degrees[prefix].sum())
     if pre_vol <= total / 2:
         chosen = prefix
     else:
         chosen = order[best_t + 1:]
-    return SweepCut(vertex_set(chosen, n), float(best_phi))
+    return SweepCut(vertex_set(chosen, n), float(phi[best_t]))

@@ -85,9 +85,6 @@ class HCTree:
     def n_leaves(self) -> int:
         return int(self.leaf_count[self.root])
 
-    def is_leaf(self, node: int) -> bool:
-        return self.left[node] < 0
-
     def _leaf_span(self) -> tuple[np.ndarray, np.ndarray]:
         """``(start, order)``: node N's leaves are the vertices
         ``order[start[N]:start[N] + leaf_count[N]]``, left subtree first."""
@@ -589,4 +586,7 @@ def load_tree(path) -> HCTree:
             stack.append((node, True))
             stack.append((r, False))
             stack.append((l, False))
+    if len(remap) < len(ids):
+        raise ValueError(f"{len(ids) - len(remap)} dendrogram node(s) "
+                         "unreachable from the root")
     return builder.build()

@@ -6,7 +6,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from wellclust import TreeBuilder
+from wellclust import SweepCut, TreeBuilder, smallest_eigenvalues
+from wellclust.graph import vertex_set
 
 # Topologies are enumerated and memoised up to this many leaves.
 TOPOLOGY_MAX_N = 8
@@ -105,6 +106,65 @@ def graph_conductance_exact_ORACLE(G):
     return best
 
 
+def _csr(G):
+    """``(indptr, nbr, nbrw)``: the symmetric adjacency of ``G`` sorted by
+    source vertex (self-loops excluded), as ``Graph`` once stored it."""
+    n = G.n
+    src = np.concatenate([G.edges_u, G.edges_v])
+    dst = np.concatenate([G.edges_v, G.edges_u])
+    wts = np.concatenate([G.edges_w, G.edges_w])
+    order = np.argsort(src, kind="stable")
+    counts = np.zeros(n, dtype=np.int64)
+    np.add.at(counts, src, 1)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, dst[order], wts[order]
+
+
+def _sweep_ORACLE(G, eigs=None):
+    """The Cheeger sweep vertex by vertex over the adjacency lists, the
+    loop ``spectral_partition`` used before its prefix sums."""
+    n = G.n
+    if n < 2:
+        raise ValueError("sweep cut needs at least 2 vertices")
+    if eigs is None:
+        eigs = smallest_eigenvalues(G, 2)
+    if eigs.eigenvectors.shape[1] < 2:
+        raise ValueError("need at least 2 eigenvectors for the sweep")
+    v = eigs.eigenvectors[:, 1]
+    isolated = G.degrees == 0
+    scaled = np.zeros(n)
+    scaled[~isolated] = v[~isolated] / np.sqrt(G.degrees[~isolated])
+    order = np.lexsort((np.arange(n), scaled, isolated))
+    total = G.total_volume
+    indptr, nbr, nbrw = _csr(G)
+    placed = np.zeros(n, dtype=bool)
+    loops = G.self_loops
+    best_phi = np.inf
+    best_t = -1
+    cut = 0.0
+    volume = 0.0
+    for t in range(n - 1):
+        u = int(order[t])
+        lo, hi = indptr[u], indptr[u + 1]
+        w_in = nbrw[lo:hi][placed[nbr[lo:hi]]].sum()
+        cut += (G.degrees[u] - loops[u]) - 2.0 * w_in
+        volume += G.degrees[u]
+        placed[u] = True
+        side_vol = min(volume, total - volume) if volume > total / 2 else volume
+        phi = cut / side_vol if side_vol > 0 else 1.0
+        if phi < best_phi:
+            best_phi = phi
+            best_t = t
+    prefix = order[:best_t + 1]
+    pre_vol = float(G.degrees[prefix].sum())
+    if pre_vol <= total / 2:
+        chosen = prefix
+    else:
+        chosen = order[best_t + 1:]
+    return SweepCut(vertex_set(chosen, n), float(best_phi))
+
+
 def _cutform_ORACLE(G, T):
     """The cut-form Dasgupta cost by small-to-large merging of leaf sets,
     the loop ``dasgupta_cost_cutform`` used before binary lifting. Reads
@@ -119,7 +179,7 @@ def _cutform_ORACLE(G, T):
         comp[v] = node
         members[int(node)] = [v]
     total = 0.0
-    indptr, nbr, nbrw = G._indptr, G._nbr, G._nbrw
+    indptr, nbr, nbrw = _csr(G)
     for node in range(T.n_nodes):
         l = int(T.left[node])
         if l < 0:

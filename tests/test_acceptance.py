@@ -49,7 +49,8 @@ from wellclust.tree import (brute_force_opt, caterpillar_merge,
                             critical_nodes, dasgupta_cost,
                             dasgupta_cost_cutform, random_tree,
                             relabel_leaves)
-from oracles import all_tree_costs_ORACLE, double_factorial_trees
+from oracles import (all_tree_costs_ORACLE, double_factorial_trees,
+                     graph_conductance_exact_ORACLE)
 
 
 def record(num, ok, detail):
@@ -57,24 +58,6 @@ def record(num, ok, detail):
     conftest.ACCEPTANCE_LINES.append(line)
     print(line)
     return line
-
-
-def exhaustive_conductance(G):
-    """Minimum conductance over all vertex subsets of at most half the
-    total volume, by direct enumeration (n <= ~14)."""
-    n, deg, vol = G.n, G.degrees, G.total_volume
-    W = np.zeros((n, n))
-    for u, v, w in zip(G.edges_u, G.edges_v, G.edges_w):
-        W[u, v] = W[v, u] = w
-    best = np.inf
-    for mask in range(1, (1 << n) - 1):
-        inside = [v for v in range(n) if mask >> v & 1]
-        vs = deg[inside].sum()
-        if vs == 0 or vs > vol / 2:
-            continue
-        outside = [v for v in range(n) if not mask >> v & 1]
-        best = min(best, W[np.ix_(inside, outside)].sum() / vs)
-    return best
 
 
 def structured_graphs():
@@ -143,7 +126,7 @@ def test_criterion_03_small_graph_oracle_bounds(small_corpus):
     viol_lower = []
     viol_upper = []
     for G in small_corpus:
-        phi = exhaustive_conductance(G)
+        phi = graph_conductance_exact_ORACLE(G)
         opt, _ = brute_force_opt(G)
         cost_deg = dasgupta_cost(G, hc_with_degrees(G))
         deg, vol = G.degrees, G.total_volume
@@ -191,7 +174,7 @@ def test_criterion_05_cheeger_sandwich(small_corpus):
     violations = []
     for G in graphs:
         lam2 = max(0.0, float(smallest_eigenvalues(G, 2).eigenvalues[1]))
-        phi = exhaustive_conductance(G)
+        phi = graph_conductance_exact_ORACLE(G)
         cut = spectral_partition(G)
         lower_ok = lam2 / 2 <= phi + 1e-6
         upper_ok = phi <= math.sqrt(2 * lam2) + 1e-6

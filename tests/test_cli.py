@@ -191,6 +191,33 @@ def test_malformed_tree_line_numbered(tmp_path, capsys):
     assert f"{t}:2:" in capsys.readouterr().err
 
 
+def test_unreachable_tree_nodes_exit_one(tmp_path, capsys):
+    # leaves 2 and 3 hang under the 2-cycle 5 <-> 6, which root 4 never reaches
+    g = tmp_path / "g.txt"
+    g.write_text("2 1\n0 1 1.0\n")
+    t = tmp_path / "t.txt"
+    t.write_text("leaf 0 0\nleaf 1 1\n4 0 1\nleaf 2 2\nleaf 3 3\n"
+                 "5 6 2\n6 5 3\n")
+    assert main(["cost", str(g), str(t)]) == 1
+    assert capsys.readouterr().err == \
+        "error: 4 dendrogram node(s) unreachable from the root\n"
+
+
+def test_thread_count_errors_exit_one(tmp_path, capsys, monkeypatch):
+    args = ["compare", "--family", "sbm", "--sizes", "4,4", "--p", "0.5",
+            "--q", "0.1", "--algos", "degrees", "--seeds", "1",
+            "--out", str(tmp_path / "cmp.csv")]
+    assert main(args + ["--threads", "-3"]) == 1
+    assert capsys.readouterr().err == \
+        "error: threads must be a positive integer\n"
+    for env in ("0", "abc"):
+        monkeypatch.setenv("WELLCLUST_THREADS", env)
+        assert main(args) == 1
+        assert capsys.readouterr().err == \
+            "error: WELLCLUST_THREADS must be a positive integer\n"
+    assert not (tmp_path / "cmp.csv").exists()
+
+
 def test_missing_file_exit_one(tmp_path, capsys):
     code = main(["run", "--graph", str(tmp_path / "absent.txt"),
                  "--algo", "degrees"])

@@ -154,6 +154,18 @@ def test_thread_count_env_override(monkeypatch):
     assert default_thread_count() >= 1
 
 
+def test_thread_count_must_be_a_positive_integer(monkeypatch):
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads must be a positive"):
+            compare_sweep(SMALL_POINTS[:1], ("degrees",), (1,),
+                          threads=threads)
+    for env in ("0", "-2", "abc", "1.5"):
+        monkeypatch.setenv("WELLCLUST_THREADS", env)
+        with pytest.raises(ValueError, match="WELLCLUST_THREADS must be a "
+                                             "positive integer"):
+            default_thread_count()
+
+
 def test_checked_cost_matches_direct(k4):
     T = run_algorithm(k4, "degrees").tree
     assert checked_cost(k4, T) == dasgupta_cost(k4, T)

@@ -1,10 +1,16 @@
 """Normalized-Laplacian operator, eigensolver, and sweep-cut tests."""
 
+import time
+
 import numpy as np
 import pytest
 
 from wellclust import (
+    Graph,
     SpectralConvergenceError,
+    build_graph,
+    gaussian_kernel_graph,
+    induced_with_selfloops,
     laplacian_apply,
     set_conductance,
     smallest_eigenvalues,
@@ -18,7 +24,8 @@ from conftest import (
     random_connected_graph,
     unit_graph,
 )
-from oracles import graph_conductance_exact_ORACLE
+from wellclust.generators import gen_bridged_two_cluster, gen_sbm
+from oracles import _sweep_ORACLE, graph_conductance_exact_ORACLE
 
 
 def dense_laplacian(G):
@@ -189,3 +196,73 @@ def test_cheeger_sandwich_small_graphs():
         phi = graph_conductance_exact_ORACLE(G)
         assert lam2 / 2 <= phi + 1e-6
         assert phi <= np.sqrt(2 * lam2) + 1e-6
+
+
+def _reweighted(G, w):
+    return Graph(G.n, G.edges_u, G.edges_v, w, G.self_loops)
+
+
+def _sweep_corpus():
+    """Unit, integer and non-integer weighted graphs, self-loops, isolated
+    vertices and edgeless graphs, dense (n <= 64) and Lanczos sizes."""
+    rng = np.random.Generator(np.random.Philox(0xC0DE))
+    graphs = []
+    for seed in range(1, 11):
+        graphs.append(gen_sbm([10, 10], 0.5, 0.1, seed)[0])
+        graphs.append(gen_sbm([40, 40, 40], 0.3, 0.02, seed)[0])
+        graphs.append(random_connected_graph(30, 1100 + seed))
+    for seed in (1, 2, 3):
+        graphs.append(gen_bridged_two_cluster(64, seed)[0])
+    for G in list(graphs):
+        graphs.append(_reweighted(G, np.exp(rng.uniform(-14, 14, G.m))))
+        graphs.append(_reweighted(G, 0.1 * rng.integers(1, 30, G.m)))
+    for seed in range(4):
+        centers = rng.normal(0.0, 4.0, size=(3, 2))
+        pts = centers[rng.integers(0, 3, 50)] + rng.normal(size=(50, 2))
+        graphs.append(gaussian_kernel_graph(pts, 0.5 + 0.5 * seed))
+    for G in list(graphs):
+        if G.n >= 20 and rng.random() < 0.3:
+            S = rng.choice(G.n, size=G.n // 2, replace=False)
+            graphs.append(induced_with_selfloops(G, S))
+    for seed in (40, 41, 42):
+        G = random_connected_graph(12, seed)
+        edges = list(zip(G.edges_u.tolist(), G.edges_v.tolist(),
+                         G.edges_w.tolist()))
+        graphs.append(build_graph(G.n + 3, edges))
+    graphs += [build_graph(2, []), build_graph(5, []),
+               unit_graph(6, [(1, 2), (2, 4)])]
+    return graphs
+
+
+def test_sweep_matches_oracle():
+    graphs = _sweep_corpus()
+    assert len(graphs) >= 130
+    for G in graphs:
+        eigs = smallest_eigenvalues(G, 2)
+        cut = spectral_partition(G, eigs)
+        ref = _sweep_ORACLE(G, eigs)
+        assert np.array_equal(cut.set, ref.set), G
+        integral = all(np.array_equal(a, np.round(a))
+                       for a in (G.edges_w, G.self_loops))
+        if integral:
+            assert cut.conductance == ref.conductance, G
+        else:
+            # a prefix cut is a difference of volumes, so both forms round
+            # to within eps * vol(V) of each other, not to eps * cut
+            gap = abs(cut.conductance - ref.conductance)
+            assert (gap <= 1e-12 * ref.conductance
+                    or gap * G.degrees[cut.set].sum()
+                    <= 1e-12 * G.total_volume), G
+
+
+def test_sweep_speed_guard():
+    # on a 2-vCPU host the per-vertex loop took 56 ms and the prefix sums
+    # 1.9 ms on this graph
+    G, _ = gen_sbm([3000, 3000, 3000], 0.0067, 0.00017, 1)
+    eigs = smallest_eigenvalues(G, 2)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        spectral_partition(G, eigs)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.020, times
