@@ -183,6 +183,9 @@ def cmd_run(args, parser) -> int:
     if args.json:
         payload = {"algo": args.algo, "cost": outcome.cost, "k": outcome.k,
                    "ms": outcome.ms}
+        if outcome.result is not None:
+            payload["r"] = outcome.result.partition.r
+            payload["stalled"] = outcome.result.decomposition_report["stalled"]
         print(json.dumps(payload, default=_json_default))
     else:
         print(format(outcome.cost, ".12g"))

@@ -203,6 +203,16 @@ def derive_params(G: Graph, k: int, c0: float = 1.0,
                         phi_in_mode=phi_in_mode)
 
 
+def _per_state(method):
+    """Memoise ``method(state, *args)`` until the state's next ``apply_*``."""
+    def memoized(state, *args):
+        key = (method.__name__, *args)
+        if key not in state._memo:
+            state._memo[key] = method(state, *args)
+        return state._memo[key]
+    return memoized
+
+
 @dataclass
 class _ClusterInfo:
     """Cached spectral view of one cluster's induced subgraph."""
@@ -231,7 +241,7 @@ class _State:
         self.sets: list[np.ndarray] = sets if sets is not None else [allv]
         self.cores: list[np.ndarray] = cores if cores is not None else [allv.copy()]
         self._cache: dict[bytes, _ClusterInfo] = {}
-        self._labels: np.ndarray | None = None
+        self._memo: dict[tuple, object] = {}
         self.trace: list[dict] = []
         self.iterations = 0
 
@@ -249,12 +259,11 @@ class _State:
         else:
             eigs = smallest_eigenvalues(induced, 2)
             sweep = spectral_partition(induced, eigs=eigs)
-            local = np.sort(np.asarray(sweep.set, dtype=np.int64))
-            comp = np.setdiff1d(np.arange(induced.n), local, assume_unique=True)
-            phi_max = max(set_conductance(induced, local),
-                          set_conductance(induced, comp))
+            comp = np.setdiff1d(np.arange(induced.n), sweep.set,
+                                assume_unique=True)
+            phi_max = max(sweep.conductance, set_conductance(induced, comp))
             info = _ClusterInfo(P, induced, float(eigs.eigenvalues[1]),
-                                local, phi_max)
+                                sweep.set, phi_max)
         if len(self._cache) >= 256:
             self._cache.pop(next(iter(self._cache)))
         self._cache[key] = info
@@ -274,13 +283,9 @@ class _State:
     def r(self) -> int:
         return len(self.sets)
 
+    @_per_state
     def labels(self) -> np.ndarray:
-        if self._labels is None:
-            self._labels = _cluster_labels(self.sets, self.G.n)
-        return self._labels
-
-    def _dirty(self) -> None:
-        self._labels = None
+        return _cluster_labels(self.sets, self.G.n)
 
     def total_cross(self) -> float:
         lab = self.labels()
@@ -325,6 +330,7 @@ class _State:
         others = np.delete(cross, i)
         return bool(others.size and others.max() > cross[i])
 
+    @_per_state
     def cond2_candidates(self) -> list[tuple[int, np.ndarray]]:
         """Clusters passing the inner sweep test, in ascending-lambda2 order,
         paired with the candidate set (swapped so vol(S∩core) stays small)."""
@@ -376,7 +382,7 @@ class _State:
             self.cores[i] = new_core
         self.sets.append(removed.copy())
         self.cores.append(removed.copy())
-        self._dirty()
+        self._memo.clear()
         _require(self.r == old_r + 1, "split did not add a cluster")
         self._record(tag, i, split_size=int(removed.size))
         self._check_invariants()
@@ -386,6 +392,7 @@ class _State:
         _require(0 < new_core.size < self.cores[i].size,
                  "core shrink must strictly reduce a nonempty core")
         self.cores[i] = new_core
+        self._memo.clear()
         self._record(tag, i, core_size=int(new_core.size))
         self._check_invariants()
         return tag
@@ -395,7 +402,7 @@ class _State:
         before = self.total_cross()
         self.sets[i] = np.setdiff1d(self.sets[i], moved, assume_unique=True)
         self.sets[j] = np.union1d(self.sets[j], moved)
-        self._dirty()
+        self._memo.clear()
         after = self.total_cross()
         _require(after < before, "mass move failed to reduce cross weight "
                  "(%.6g -> %.6g)", before, after)
@@ -492,6 +499,7 @@ class _Candidate:
         return self.state.apply_move(self.i, self.view.s_minus, target, tag=tag)
 
 
+@_per_state
 def _critical_candidates(state: _State, i: int,
                          ) -> list[tuple[np.ndarray, _Candidate]]:
     """One candidate per critical node of cluster i's degree tree, in their
@@ -670,6 +678,7 @@ def termination_report(G: Graph, partition: Partition, params: DecompParams,
                          w_minus_in >= w_minus_out / (k + 1) - 1e-12,
             })
         clusters.append(entry)
+    state._memo.clear()  # memoised candidates refer back to the state
     return {
         "r": r,
         "k": k,

@@ -24,7 +24,8 @@ from .generators import GenSpec, PlantedLabels, generate
 from .graph import Graph
 from .linkage import linkage
 from .metrics import adjusted_rand_index
-from .prune_merge import best_over_k, naive_cluster_merge, run_prune_merge
+from .prune_merge import (PruneMergeResult, best_over_k, naive_cluster_merge,
+                          run_prune_merge)
 from .tree import HCTree, dasgupta_cost, dasgupta_cost_cutform, random_tree
 
 ALGORITHMS = ("degrees", "prunemerge", "naive", "single", "complete",
@@ -38,7 +39,8 @@ _COST_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """A single algorithm run on a single graph instance."""
+    """A single algorithm run on a single graph instance; ``result`` is the
+    pipeline record of a single-k ``prunemerge`` run."""
 
     algo: str
     tree: HCTree
@@ -46,6 +48,7 @@ class RunOutcome:
     k: int | None = None
     ari: float | None = None
     ms: float | None = None
+    result: PruneMergeResult | None = None
 
 
 def checked_cost(G: Graph, T: HCTree) -> float:
@@ -76,6 +79,7 @@ def run_algorithm(G: Graph, algo: str, k: int = 2, seed: int = 0,
     start = time.perf_counter() if timing else None
     ari: float | None = None
     k_used: int | None = None
+    result = None
     if algo == "degrees":
         tree = hc_with_degrees(G)
     elif algo == "prunemerge":
@@ -101,7 +105,7 @@ def run_algorithm(G: Graph, algo: str, k: int = 2, seed: int = 0,
         ms = (time.perf_counter() - start) * 1000.0
     cost = checked_cost(G, tree)
     return RunOutcome(algo=algo, tree=tree, cost=cost, k=k_used, ari=ari,
-                      ms=ms)
+                      ms=ms, result=result)
 
 
 @dataclass(frozen=True)
@@ -176,11 +180,17 @@ def _instance_rows(point: SweepPoint, seed: int, algos: Sequence[str],
         G = labels = None
     order = [] if G is None else list(algos)
     if "prunemerge" in order:
-        # run first so its cost is available as the normalization base
+        # run first: its cost is the normalization base, and naive reuses it
         order.remove("prunemerge")
         order.insert(0, "prunemerge")
     for algo in order:
         try:
+            record = getattr(outcomes.get("prunemerge"), "result", None)
+            if algo == "naive" and record is not None:  # fold already made
+                tree = record.naive_tree
+                outcomes[algo] = RunOutcome(algo, tree, checked_cost(G, tree),
+                                            k=k, ms=0.0 if timing else None)
+                continue
             outcomes[algo] = run_algorithm(
                 G, algo, k=k, seed=seed, best_k_max=best_k_max,
                 labels=labels, c0=c0, phi_in_mode=phi_in_mode, timing=timing)

@@ -49,7 +49,8 @@ class PruneMergeResult:
     ``pool_sizes`` is the merge order (ascending leaf counts);
     ``pruned`` holds one record per detached critical subtree with the
     leaf count of its parent in the final tree; ``condition_trace`` is
-    the per-cluster sequence of boundary-test outcomes.
+    the per-cluster sequence of boundary-test outcomes; ``naive_tree`` is
+    what :func:`naive_cluster_merge` builds from the same partition.
     """
 
     tree: HCTree
@@ -59,6 +60,7 @@ class PruneMergeResult:
     pool_sizes: tuple[int, ...]
     pruned: tuple[dict, ...]
     condition_trace: tuple[tuple[bool, ...], ...]
+    naive_tree: HCTree
 
 
 def prune_condition(G: Graph, T: HCTree, crit: CriticalNodes | tuple[int, ...],
@@ -169,10 +171,12 @@ def run_prune_merge(G: Graph, k: int, params: DecompParams | None = None,
     partition, report = strong_decomposition(G, k, params)
     pool: list[_PoolEntry] = []
     traces: list[tuple[bool, ...]] = []
+    whole: list[HCTree] = []
     for i, P in enumerate(partition.sets):
-        entries, outcomes, _ = _prune_cluster(G, P, k, i)
+        entries, outcomes, unpruned = _prune_cluster(G, P, k, i)
         pool.extend(entries)
         traces.append(tuple(outcomes))
+        whole.append(unpruned)
     tree = _merge_pool(G, pool)
     return PruneMergeResult(
         tree=tree, partition=partition, params=params,
@@ -180,7 +184,8 @@ def run_prune_merge(G: Graph, k: int, params: DecompParams | None = None,
         pool_sizes=tuple(int(e.leaves.size) for e in pool),
         pruned=tuple(e.pruned_record for e in pool
                      if e.pruned_record is not None),
-        condition_trace=tuple(traces))
+        condition_trace=tuple(traces),
+        naive_tree=_fold_whole(G, partition.sets, whole))
 
 
 def _merge_pool(G: Graph, pool: list[_PoolEntry]) -> HCTree:
@@ -221,11 +226,15 @@ def naive_cluster_merge(G: Graph, k: int, params: DecompParams | None = None,
     if params is None:
         params = derive_params(G, k, c0=c0, phi_in_mode=phi_in_mode)
     partition, _ = strong_decomposition(G, k, params)
-    pool = []
-    for i, P in enumerate(partition.sets):
-        tree = hc_with_degrees(induced_subgraph(G, P))
-        pool.append(_PoolEntry(P.copy(), relabel_leaves(tree, P), i, None))
-    return _merge_pool(G, pool)
+    return _fold_whole(G, partition.sets, [
+        hc_with_degrees(induced_subgraph(G, P)) for P in partition.sets])
+
+
+def _fold_whole(G: Graph, sets: tuple, trees: list[HCTree]) -> HCTree:
+    """The naive merge: whole cluster trees, on local ids, folded ascending
+    by size."""
+    return _merge_pool(G, [_PoolEntry(P, relabel_leaves(T, P), i, None)
+                           for i, (P, T) in enumerate(zip(sets, trees))])
 
 
 def best_over_k(G: Graph, k_max: int, c0: float = 1.0,

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .graph import Graph, vertex_set
+from .graph import Graph, set_conductance, vertex_set
 
 __all__ = [
     "SpectralResult",
@@ -208,7 +208,8 @@ def spectral_partition(G: Graph, eigs: SpectralResult | None = None) -> SweepCut
     ``phi(S) <= 2 sqrt(phi_G)`` holds for any exact second eigenvector.
     Each edge enters the prefix at the later rank of its two endpoints, so
     the cut of prefix ``t`` is its volume minus self-loops minus twice the
-    weight of the edges entered by rank ``t``.
+    weight of the edges entered by rank ``t``. These differences of volumes
+    pick the cut; the conductance returned is measured on the chosen set.
 
     An already-computed :class:`SpectralResult` with k >= 2 can be passed
     to skip the eigensolve.
@@ -236,10 +237,8 @@ def spectral_partition(G: Graph, eigs: SpectralResult | None = None) -> SweepCut
     side = np.where(vol > total / 2, np.minimum(vol, total - vol), vol)
     phi = np.divide(cut, side, out=np.ones(n - 1), where=side > 0)
     best_t = int(np.argmin(phi))
-    prefix = order[:best_t + 1]
-    pre_vol = float(G.degrees[prefix].sum())
-    if pre_vol <= total / 2:
-        chosen = prefix
-    else:
+    chosen = order[:best_t + 1]
+    if float(G.degrees[chosen].sum()) > total / 2:
         chosen = order[best_t + 1:]
-    return SweepCut(vertex_set(chosen, n), float(phi[best_t]))
+    chosen = vertex_set(chosen, n)
+    return SweepCut(chosen, set_conductance(G, chosen))

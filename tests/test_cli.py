@@ -94,6 +94,29 @@ def test_run_json_with_best_over_k(tmp_path):
     assert payload == {"algo": "prunemerge", "cost": 16.0, "k": 2, "ms": None}
 
 
+@pytest.mark.parametrize("family, k, r, stalled", [
+    (["bridged_two_cluster", "--n", "256"], "2", 1, True),
+    (["sbm", "--sizes", "50,50,50", "--p", "0.3", "--q", "0.002"], "3", 3,
+     False),
+])
+def test_run_json_reports_partition(tmp_path, capsys, family, k, r, stalled):
+    g = str(tmp_path / "g.txt")
+    assert main(["generate", "--family", *family, "--seed", "1",
+                 "--out", g]) == 0
+    capsys.readouterr()
+    assert main(["run", "--graph", g, "--algo", "prunemerge", "--k", k]) == 0
+    plain = capsys.readouterr().out
+    assert main(["run", "--graph", g, "--algo", "prunemerge", "--k", k,
+                 "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["r"] == r and payload["stalled"] is stalled
+    assert plain == format(payload["cost"], ".12g") + "\n"
+    assert main(["run", "--graph", g, "--algo", "naive", "--k", k,
+                 "--json"]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == \
+        {"algo", "cost", "k", "ms"}
+
+
 def test_sweep_command(tmp_path):
     g = tmp_path / "g.txt"
     g.write_text(TWO_TRIANGLES)

@@ -1,6 +1,7 @@
 """Conductance-driven partition refinement tests."""
 
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -21,7 +22,8 @@ from wellclust import (
     termination_report,
 )
 from wellclust.cli import _json_default
-from wellclust.decomposition import PHI_IN_MODES, split_view
+from wellclust.decomposition import (PHI_IN_MODES, _critical_candidates,
+                                     _State, split_view)
 from wellclust.generators import (gen_bridged_two_cluster,
                                   gen_planted_clique_expander, gen_sbm,
                                   gen_sbm_planted_cliques)
@@ -231,6 +233,51 @@ def test_loop_report_matches_independent_audit(audit_corpus, mode):
         audit = termination_report(G, partition, params, k)
         assert json.dumps(report, default=_json_default) == \
             json.dumps(audit, default=_json_default)
+
+
+@pytest.mark.parametrize("sets, cores, apply", [
+    ([[0, 1, 2, 3, 4, 5]], [[0, 1, 2, 3, 4, 5]],
+     lambda st: st.apply_split(0, np.array([3, 4, 5]), np.array([0, 1, 2]),
+                               "split")),
+    ([[0, 1, 2], [3, 4, 5]], [[0, 1, 2], [3, 4, 5]],
+     lambda st: st.apply_core_shrink(0, np.array([0, 1]), "shrink")),
+    ([[0, 1, 2, 3], [4, 5]], [[0, 1, 2], [4, 5]],
+     lambda st: st.apply_move(0, np.array([3]), 1, "move")),
+])
+def test_every_apply_clears_the_candidate_memo(dumbbell, sets, cores, apply):
+    """Candidates are measured once per partition state, so the report can
+    reuse the loop's last pass; any change of sets or cores drops them."""
+    # a loose rho_star keeps the core-conductance invariant out of the way
+    params = dataclasses.replace(derive_params(dumbbell, 2), rho_star=10.0)
+    state = _State(dumbbell, 2, params,
+                   sets=[np.array(P) for P in sets],
+                   cores=[np.array(C) for C in cores])
+    cands, cond2 = _critical_candidates(state, 0), state.cond2_candidates()
+    assert cands and _critical_candidates(state, 0) is cands
+    assert state.cond2_candidates() is cond2
+    apply(state)
+    fresh = _critical_candidates(state, 0)
+    assert fresh is not cands and state.cond2_candidates() is not cond2
+    for _, cand in fresh:
+        assert np.array_equal(cand.P, state.sets[0])
+        assert np.array_equal(cand.core, state.cores[0])
+    assert np.array_equal(state.labels(), Partition(
+        tuple(state.sets), tuple(state.cores)).labels)
+
+
+def test_runs_leave_no_reference_cycles():
+    """Memoised candidates refer back to their state; the memo must not
+    outlive a run, or every state waits for the cycle collector."""
+    G = gen_sbm([40, 40, 40], 0.3, 0.02, 1)[0]
+    params = derive_params(G, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        partition, _ = strong_decomposition(G, 3, params)
+        termination_report(G, partition, params, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 BROKEN_BOUND_SCRIPT = """

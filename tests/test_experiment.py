@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wellclust import experiment
 from wellclust.experiment import (
     ALGORITHMS,
     CSV_FIELDS,
@@ -169,3 +170,61 @@ def test_thread_count_must_be_a_positive_integer(monkeypatch):
 def test_checked_cost_matches_direct(k4):
     T = run_algorithm(k4, "degrees").tree
     assert checked_cost(k4, T) == dasgupta_cost(k4, T)
+
+
+# the four families of the small_sweep benchmark workload
+SWEEP_FAMILIES = [
+    SweepPoint("sbm", {"sizes": [50, 50, 50], "p": 0.3, "q": 0.002}),
+    SweepPoint("sbm_planted_cliques", {"sizes": [100, 100, 100], "p": 0.06,
+                                       "q": 0.002, "c_p": 0.4}),
+    SweepPoint("planted_clique_expander", {"n": 256}),
+    SweepPoint("bridged_two_cluster", {"n": 256}),
+]
+
+
+def _naive_calls(monkeypatch):
+    calls = []
+    original = experiment.naive_cluster_merge
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "naive_cluster_merge", counted)
+    return calls
+
+
+def _by_key(rows, algo):
+    return {(r["family"], r["params"], r["seed"]): r for r in rows
+            if r["algo"] == algo}
+
+
+@pytest.mark.parametrize("points, k, best_k_max, reuses", [
+    (SWEEP_FAMILIES, 3, None, True),
+    (SWEEP_FAMILIES[:1], 3, 4, False),
+    ([SweepPoint("sbm", {"sizes": [4, 4], "p": 1.0, "q": 0.1})], 9, None,
+     False),
+])
+def test_naive_rows_reuse_prunemerge_run(monkeypatch, points, k, best_k_max,
+                                         reuses):
+    kw = dict(points=points, seeds=(1, 2, 3), k=k, best_k_max=best_k_max,
+              threads=1)
+    calls = _naive_calls(monkeypatch)
+    pair = compare_sweep(algos=("prunemerge", "naive"), **kw)
+    assert len(calls) == (0 if reuses else 3 * len(points))
+    alone = compare_sweep(algos=("naive",), **kw)
+    prune = _by_key(compare_sweep(algos=("prunemerge",), **kw), "prunemerge")
+    assert _by_key(pair, "prunemerge") == prune
+    naive = _by_key(alone, "naive")
+    assert len(naive) == 4 * len(points)
+    for key, row in _by_key(pair, "naive").items():
+        # norm_cost is the only column that depends on the other rows
+        assert {**row, "norm_cost": ""} == naive[key]
+        if prune[key]["status"] == "ok" and row["status"] == "ok":
+            assert float(row["norm_cost"]) == pytest.approx(
+                float(row["cost"]) / float(prune[key]["cost"]), rel=1e-9)
+        elif key[2] != "mean":
+            assert row["norm_cost"] == ""
+    if k == 9:
+        assert {r["status"] for r in pair} == {"error:ValueError",
+                                               "error:empty"}

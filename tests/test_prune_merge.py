@@ -1,5 +1,6 @@
 """Cluster-prune-merge pipeline tests."""
 
+import importlib
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from wellclust import (
     strong_decomposition,
     termination_report,
 )
+from wellclust.decomposition import Partition
 from wellclust.degree_hc import hc_with_degrees as build_degree_tree
 from wellclust.graph import induced_subgraph
 from wellclust.prune_merge import _merge_pool, _PoolEntry, _prune_cluster
@@ -182,6 +184,43 @@ def test_forced_prune_parent_sizes_in_final_tree():
     assert by_size[4]["parent_final_leaves"] == 8
     for r in records:
         assert r["parent_final_leaves"] <= 12 * 2 * r["leaf_count"]
+
+
+def _same_tree(a, b):
+    return a.root == b.root and all(
+        np.array_equal(getattr(a, f), getattr(b, f))
+        for f in ("left", "right", "parent", "leaf_vertex", "leaf_count"))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_sbm([50, 50, 50], 0.3, 0.002, 1)[0],
+    lambda: gen_sbm([300] * 3, 0.04, 0.002, 1)[0],     # stalls with r = 1
+    lambda: random_connected_graph(20, 7),
+    lambda: gen_sbm([10, 10, 10], 0.6, 0.05, 2)[0],
+])
+def test_naive_tree_is_the_naive_fold(make):
+    G = make()
+    res = run_prune_merge(G, 3)
+    assert not res.pruned
+    assert _same_tree(res.naive_tree, naive_cluster_merge(G, 3))
+    assert _same_tree(res.naive_tree, res.tree)
+
+
+def test_naive_tree_keeps_detached_subtrees_in_place(monkeypatch):
+    # the decomposition never isolates the crafted cluster by itself, so
+    # both pipelines are handed the partition the prune test rejects
+    G = forced_prune_graph()
+    sets = (np.arange(8), np.arange(8, 28))
+    # (the package's prune_merge attribute is the function of that name)
+    module = importlib.import_module("wellclust.prune_merge")
+    monkeypatch.setattr(module, "strong_decomposition",
+                        lambda G, k, params: (Partition(sets, sets),
+                                              {"stalled": False}))
+    res = run_prune_merge(G, 2)
+    assert len(res.pruned) == 4   # two subtrees detached from each cluster
+    assert _same_tree(res.naive_tree, naive_cluster_merge(G, 2))
+    assert not _same_tree(res.naive_tree, res.tree)
+    assert dasgupta_cost(G, res.naive_tree) != dasgupta_cost(G, res.tree)
 
 
 def test_best_over_k_two_components(two_triangles):

@@ -242,6 +242,8 @@ def test_sweep_matches_oracle():
         cut = spectral_partition(G, eigs)
         ref = _sweep_ORACLE(G, eigs)
         assert np.array_equal(cut.set, ref.set), G
+        # measured on the chosen set, not taken from the prefix sums
+        assert cut.conductance == set_conductance(G, cut.set), G
         integral = all(np.array_equal(a, np.round(a))
                        for a in (G.edges_w, G.self_loops))
         if integral:
