@@ -16,6 +16,7 @@ and the inner-conductance certificates) use the cluster's own edges.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -507,8 +508,9 @@ def _critical_candidates(state: _State, i: int,
     info = state.tree_of(i)
     if info.crit is None:
         return []
+    owner = weakref.proxy(state)  # the state's memo keeps them: no cycle
     locals_ = [info.tree.leaves_under(node) for node in info.crit.nodes]
-    return [(local, _Candidate(state, i, info.P[local])) for local in locals_]
+    return [(local, _Candidate(owner, i, info.P[local])) for local in locals_]
 
 
 def _move_noncore(state: _State, i: int) -> str | None:
@@ -678,7 +680,6 @@ def termination_report(G: Graph, partition: Partition, params: DecompParams,
                          w_minus_in >= w_minus_out / (k + 1) - 1e-12,
             })
         clusters.append(entry)
-    state._memo.clear()  # memoised candidates refer back to the state
     return {
         "r": r,
         "k": k,

@@ -65,13 +65,16 @@ def run_algorithm(G: Graph, algo: str, k: int = 2, seed: int = 0,
                   best_k_max: int | None = None,
                   labels: PlantedLabels | None = None,
                   c0: float = 1.0, phi_in_mode: str = "practical",
-                  timing: bool = False) -> RunOutcome:
+                  timing: bool = False,
+                  _pipeline: PruneMergeResult | None = None) -> RunOutcome:
     """Run one algorithm on ``G`` and return its tree, cost, and metadata.
 
     ``k`` feeds the decomposition-based algorithms; ``seed`` only matters
     for ``random``.  ``best_k_max`` switches ``prunemerge`` to trying every
     k up to that bound and keeping the cheapest tree.  ``labels``, when
     given, scores the prunemerge partition against the planted clustering.
+    ``_pipeline``, a single-k ``prunemerge`` record of the same inputs,
+    lets ``naive`` fold its cluster trees instead of decomposing again.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of "
@@ -94,7 +97,8 @@ def run_algorithm(G: Graph, algo: str, k: int = 2, seed: int = 0,
                 ari = adjusted_rand_index(labels.clusters,
                                           result.partition.labels)
     elif algo == "naive":
-        tree = naive_cluster_merge(G, k, c0=c0, phi_in_mode=phi_in_mode)
+        tree = naive_cluster_merge(G, k, c0=c0, phi_in_mode=phi_in_mode) \
+            if _pipeline is None else _pipeline.naive_tree(G)
         k_used = k
     elif algo == "random":
         tree = random_tree(G.n, seed)
@@ -185,15 +189,10 @@ def _instance_rows(point: SweepPoint, seed: int, algos: Sequence[str],
         order.insert(0, "prunemerge")
     for algo in order:
         try:
-            record = getattr(outcomes.get("prunemerge"), "result", None)
-            if algo == "naive" and record is not None:  # fold already made
-                tree = record.naive_tree
-                outcomes[algo] = RunOutcome(algo, tree, checked_cost(G, tree),
-                                            k=k, ms=0.0 if timing else None)
-                continue
             outcomes[algo] = run_algorithm(
                 G, algo, k=k, seed=seed, best_k_max=best_k_max,
-                labels=labels, c0=c0, phi_in_mode=phi_in_mode, timing=timing)
+                labels=labels, c0=c0, phi_in_mode=phi_in_mode, timing=timing,
+                _pipeline=getattr(outcomes.get("prunemerge"), "result", None))
         except Exception as exc:  # noqa: BLE001  (row-level error reporting)
             outcomes[algo] = exc
     base = outcomes.get("prunemerge")

@@ -49,8 +49,9 @@ class PruneMergeResult:
     ``pool_sizes`` is the merge order (ascending leaf counts);
     ``pruned`` holds one record per detached critical subtree with the
     leaf count of its parent in the final tree; ``condition_trace`` is
-    the per-cluster sequence of boundary-test outcomes; ``naive_tree`` is
-    what :func:`naive_cluster_merge` builds from the same partition.
+    the per-cluster sequence of boundary-test outcomes; ``whole`` holds
+    each cluster's unpruned degree tree on local ids, and
+    :meth:`naive_tree` folds them as :func:`naive_cluster_merge` does.
     """
 
     tree: HCTree
@@ -60,7 +61,10 @@ class PruneMergeResult:
     pool_sizes: tuple[int, ...]
     pruned: tuple[dict, ...]
     condition_trace: tuple[tuple[bool, ...], ...]
-    naive_tree: HCTree
+    whole: tuple[HCTree, ...]
+
+    def naive_tree(self, G: Graph) -> HCTree:
+        return _fold_whole(G, self.partition.sets, self.whole)
 
 
 def prune_condition(G: Graph, T: HCTree, crit: CriticalNodes | tuple[int, ...],
@@ -169,14 +173,9 @@ def run_prune_merge(G: Graph, k: int, params: DecompParams | None = None,
     if params is None:
         params = derive_params(G, k, c0=c0, phi_in_mode=phi_in_mode)
     partition, report = strong_decomposition(G, k, params)
-    pool: list[_PoolEntry] = []
-    traces: list[tuple[bool, ...]] = []
-    whole: list[HCTree] = []
-    for i, P in enumerate(partition.sets):
-        entries, outcomes, unpruned = _prune_cluster(G, P, k, i)
-        pool.extend(entries)
-        traces.append(tuple(outcomes))
-        whole.append(unpruned)
+    clusters = [_prune_cluster(G, P, k, i)
+                for i, P in enumerate(partition.sets)]
+    pool = [entry for entries, _, _ in clusters for entry in entries]
     tree = _merge_pool(G, pool)
     return PruneMergeResult(
         tree=tree, partition=partition, params=params,
@@ -184,8 +183,8 @@ def run_prune_merge(G: Graph, k: int, params: DecompParams | None = None,
         pool_sizes=tuple(int(e.leaves.size) for e in pool),
         pruned=tuple(e.pruned_record for e in pool
                      if e.pruned_record is not None),
-        condition_trace=tuple(traces),
-        naive_tree=_fold_whole(G, partition.sets, whole))
+        condition_trace=tuple(tuple(out) for _, out, _ in clusters),
+        whole=tuple(unpruned for _, _, unpruned in clusters))
 
 
 def _merge_pool(G: Graph, pool: list[_PoolEntry]) -> HCTree:

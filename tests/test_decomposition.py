@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 import wellclust
 
+from wellclust import decomposition
 from wellclust import (
     DecompositionError,
     Partition,
@@ -265,17 +267,28 @@ def test_every_apply_clears_the_candidate_memo(dumbbell, sets, cores, apply):
         tuple(state.sets), tuple(state.cores)).labels)
 
 
-def test_runs_leave_no_reference_cycles():
-    """Memoised candidates refer back to their state; the memo must not
-    outlive a run, or every state waits for the cycle collector."""
-    G = gen_sbm([40, 40, 40], 0.3, 0.02, 1)[0]
+def test_runs_free_their_state_by_reference_counting(monkeypatch):
+    """Memoised candidates are kept by their state; they must not keep it
+    alive in turn, or every state waits for the cycle collector."""
+    made = []
+
+    class Watched(_State):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(decomposition, "_State", Watched)
+    G = gen_sbm([30, 30, 30], 0.5, 0.01, 1)[0]
     params = derive_params(G, 3)
-    gc.collect()
     gc.disable()
     try:
-        partition, _ = strong_decomposition(G, 3, params)
+        partition, report = strong_decomposition(G, 3, params)
+        assert report["iterations"] >= 2
         termination_report(G, partition, params, 3)
-        assert gc.collect() == 0
+        with pytest.raises(DecompositionError, match="no fixed point"):
+            strong_decomposition(
+                G, 3, dataclasses.replace(params, max_iterations=1))
+        assert len(made) == 3 and all(ref() is None for ref in made)
     finally:
         gc.enable()
 

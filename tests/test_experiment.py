@@ -228,3 +228,20 @@ def test_naive_rows_reuse_prunemerge_run(monkeypatch, points, k, best_k_max,
     if k == 9:
         assert {r["status"] for r in pair} == {"error:ValueError",
                                                "error:empty"}
+
+
+def test_reusing_naive_row_is_its_own_timed_op(monkeypatch):
+    """A reusing naive row is still one run_algorithm call, timed on the
+    fold it adds, so its tree and latency stay observable per op."""
+    calls = []
+    original = experiment.run_algorithm
+
+    def counted(G, algo, **kwargs):
+        calls.append((algo, kwargs["_pipeline"] is not None))
+        return original(G, algo, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_algorithm", counted)
+    rows = compare_sweep(SWEEP_FAMILIES[:1], ("naive", "prunemerge"), (1, 2),
+                         k=3, timing="wall", threads=1)
+    assert calls == [("prunemerge", False), ("naive", True)] * 2
+    assert all(float(r["ms"]) > 0 for r in rows if r["algo"] == "naive")
