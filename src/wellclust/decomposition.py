@@ -318,6 +318,7 @@ class _State:
         lams = np.asarray([self.info(i).lambda2 for i in range(self.r)])
         return [int(i) for i in np.lexsort((np.arange(self.r), lams))]
 
+    @_per_state
     def cond1_cross(self, i: int) -> np.ndarray | None:
         """Cross weights of P_i \\ core_i, or None when the set is empty."""
         D = np.setdiff1d(self.sets[i], self.cores[i], assume_unique=True)

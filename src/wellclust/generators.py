@@ -42,6 +42,8 @@ __all__ = [
 REGULAR_BASE_DEGREE = 8
 EXPANDER_MIN_LAMBDA2 = 0.1
 KERNEL_WEIGHT_FLOOR = 1e-12
+# Uniforms drawn per call in a block-model pair set.
+_DRAW_CHUNK = 1 << 20
 
 GENERATOR_FAMILIES = (
     "sbm",
@@ -146,7 +148,10 @@ def _check_prob(name: str, value: float) -> float:
 
 def _bernoulli_block(rng: np.random.Generator, A: np.ndarray, B: np.ndarray,
                      prob: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bernoulli(prob) over A x B (or the i<j pairs of A when B is A)."""
+    """Bernoulli(prob) over A x B (or the i<j pairs of A when B is A).
+
+    Uniforms come ``_DRAW_CHUNK`` at a time, consuming the stream exactly as
+    one whole draw would, so memory follows the edges, not the pairs."""
     intra = B is A
     count = len(A) * (len(A) - 1) // 2 if intra else len(A) * len(B)
     if count == 0 or prob == 0.0:
@@ -154,10 +159,15 @@ def _bernoulli_block(rng: np.random.Generator, A: np.ndarray, B: np.ndarray,
     if prob >= 1.0:
         idx = np.arange(count)
     else:
-        idx = np.flatnonzero(rng.random(count) < prob)
+        idx = np.concatenate([
+            np.flatnonzero(rng.random(min(_DRAW_CHUNK, count - lo)) < prob) + lo
+            for lo in range(0, count, _DRAW_CHUNK)])
     if intra:
-        iu, iv = np.triu_indices(len(A), 1)
-        return A[iu[idx]], A[iv[idx]]
+        # intra pairs are numbered row by row, as np.triu_indices does
+        rows = np.arange(len(A) - 1)
+        first = rows * (2 * len(A) - rows - 1) // 2
+        i = np.searchsorted(first, idx, "right") - 1
+        return A[i], A[idx - first[i] + i + 1]
     return A[idx // len(B)], B[idx % len(B)]
 
 

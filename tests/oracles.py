@@ -226,3 +226,20 @@ def _caterpillar_ORACLE(trees):
     for T in trees[1:]:
         acc = builder.internal(acc, copy(T))
     return builder.build()
+
+
+def _bernoulli_block_ORACLE(rng, A, B, prob):
+    """The whole-array form of ``generators._bernoulli_block``: one uniform
+    per pair in a single draw, and ``np.triu_indices`` for intra pairs."""
+    intra = B is A
+    count = len(A) * (len(A) - 1) // 2 if intra else len(A) * len(B)
+    if count == 0 or prob == 0.0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if prob >= 1.0:
+        idx = np.arange(count)
+    else:
+        idx = np.flatnonzero(rng.random(count) < prob)
+    if intra:
+        iu, iv = np.triu_indices(len(A), 1)
+        return A[iu[idx]], A[iv[idx]]
+    return A[idx // len(B)], B[idx % len(B)]

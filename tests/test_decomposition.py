@@ -24,15 +24,15 @@ from wellclust import (
     termination_report,
 )
 from wellclust.cli import _json_default
-from wellclust.decomposition import (PHI_IN_MODES, _critical_candidates,
-                                     _State, split_view)
+from wellclust.decomposition import (PHI_IN_MODES, _Candidate,
+                                     _critical_candidates, _State, split_view)
 from wellclust.generators import (gen_bridged_two_cluster,
                                   gen_planted_clique_expander, gen_sbm,
                                   gen_sbm_planted_cliques)
 from wellclust.metrics import adjusted_rand_index
 from wellclust.spectral import SpectralResult
 
-from conftest import unit_graph
+from conftest import DUMBBELL_EDGES, unit_graph
 from oracles import graph_conductance_exact_ORACLE
 
 
@@ -265,6 +265,90 @@ def test_every_apply_clears_the_candidate_memo(dumbbell, sets, cores, apply):
         assert np.array_equal(cand.core, state.cores[0])
     assert np.array_equal(state.labels(), Partition(
         tuple(state.sets), tuple(state.cores)).labels)
+
+
+def test_loop_report_reuses_the_last_cross_weights(monkeypatch):
+    """The loop's last ``_move_noncore`` pass measured every cluster's cross
+    weights on the exit state, so its report measures none; an outside
+    audit of the same partition measures them on a fresh state. The loop
+    starts at a fixed point where pendant 6 is outside its cluster's core."""
+    G = unit_graph(7, DUMBBELL_EDGES + [(0, 6)])
+    start = ([np.array([0, 1, 2, 6]), np.array([3, 4, 5])],
+             [np.array([0, 1, 2]), np.array([3, 4, 5])])
+
+    class FixedPoint(_State):
+        def __init__(self, G, k, params, sets=None, cores=None):
+            super().__init__(G, k, params,
+                             *(start if sets is None else (sets, cores)))
+
+    calls = []
+    real_cross = _State.cross_weights
+    monkeypatch.setattr(_State, "cross_weights",
+                        lambda state, D: calls.append(D) or real_cross(state, D))
+    monkeypatch.setattr(decomposition, "_State", FixedPoint)
+    real_report = decomposition.termination_report
+    in_report = []
+
+    def counted_report(*args, **kwargs):
+        before = len(calls)
+        out = real_report(*args, **kwargs)
+        in_report.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(decomposition, "termination_report", counted_report)
+    # no cond2 candidates, and core halves too dense to split
+    params = dataclasses.replace(derive_params(G, 2), phi_in=0.0, rho_star=0.2)
+    partition, report = strong_decomposition(G, 2, params)
+    assert report["iterations"] == 0
+    assert set_lists(partition) == [[0, 1, 2, 6], [3, 4, 5]]
+    assert calls and in_report == [0]
+    audit = decomposition.termination_report(G, partition, params, 2)
+    assert in_report[1] > 0
+    for key in ("iterations", "stalled", "trace_tail"):
+        del report[key]
+    assert json.dumps(report, default=_json_default) == \
+        json.dumps(audit, default=_json_default)
+
+
+def _shrink_state(G, sets, cores):
+    # a loose rho_star keeps the core-conductance invariant out of the way
+    params = dataclasses.replace(derive_params(G, 2), rho_star=10.0)
+    return _State(G, 2, params, sets=[np.array(P) for P in sets],
+                  cores=[np.array(C) for C in cores])
+
+
+@pytest.mark.parametrize("edges, n, P, core, S, kept", [
+    # K4 {0..3} with three edges to non-core 7 (phi 1/4, vol 16) against
+    # the triangle {4,5,6} (phi 1/7, vol 7): lower conductance wins.
+    ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5),
+      (4, 6), (5, 6), (0, 7), (1, 7), (2, 7)], 8,
+     range(8), range(7), [0, 1, 2, 3], [4, 5, 6]),
+    # triangle {0,1,2} (1/7, vol 7) against K4 {3..6} with one edge to
+    # non-core 7 (2/14, vol 14): equal conductance, larger volume wins.
+    ([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (3, 6), (4, 5),
+      (4, 6), (5, 6), (6, 7)], 8,
+     range(8), range(7), [0, 1, 2], [3, 4, 5, 6]),
+    # the dumbbell's triangles: equal conductance and volume, so the lower
+    # minimum vertex id wins whichever half S names.
+    ([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)], 6,
+     range(6), range(6), [3, 4, 5], [0, 1, 2]),
+    ([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)], 6,
+     range(6), range(6), [0, 1, 2], [0, 1, 2]),
+])
+def test_shrink_core_tie_rules(edges, n, P, core, S, kept):
+    state = _shrink_state(unit_graph(n, edges), [list(P)], [list(core)])
+    cand = _Candidate(state, 0, np.array(S))
+    assert cand.shrink_core("core-shrink") == "core-shrink"
+    assert state.cores[0].tolist() == kept
+    assert state.trace[-1]["branch"] == "core-shrink"
+
+
+def test_core_shrink_must_shrink(dumbbell):
+    state = _shrink_state(dumbbell, [range(6)], [range(6)])
+    for core in (np.arange(6), np.arange(7), np.array([], dtype=np.int64)):
+        with pytest.raises(DecompositionError, match="strictly reduce"):
+            state.apply_core_shrink(0, core, "core-shrink")
+    assert state.cores[0].tolist() == list(range(6)) and not state.trace
 
 
 def test_runs_free_their_state_by_reference_counting(monkeypatch):

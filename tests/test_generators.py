@@ -1,11 +1,13 @@
 """Seeded graph generator tests: extremes, statistics, determinism."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from wellclust import GenSpec, PlantedLabels, generate, load_labels, save_labels
+from wellclust import (GenSpec, PlantedLabels, generate, generators,
+                       load_labels, save_labels)
 from wellclust.generators import (
     gaussian_kernel_graph,
     gen_bridged_two_cluster,
@@ -15,6 +17,7 @@ from wellclust.generators import (
     gen_sbm_planted_cliques,
     gen_sbm_unequal,
 )
+from oracles import _bernoulli_block_ORACLE
 
 
 def adjacency_set(G):
@@ -364,3 +367,37 @@ BLOCK_DIGESTS = {
 def test_block_families_pinned(family, seed):
     G, labels = BLOCK_FAMILIES[family](seed)
     assert _instance_digest(G, labels) == BLOCK_DIGESTS[family, seed]
+
+
+def _stream_state(rng):
+    state = rng.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["buffer"].tolist(),
+            state["buffer_pos"])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, generators._DRAW_CHUNK])
+def test_chunked_bernoulli_block_matches_whole_draw(monkeypatch, chunk):
+    monkeypatch.setattr(generators, "_DRAW_CHUNK", chunk)
+    for sizes in ([1], [2], [2, 1], [13, 1], [9, 14], [31], [400]):
+        blocks = [np.arange(s) + 5 for s in sizes]
+        A, B = blocks[0], blocks[-1]
+        for prob in (0.0, 1e-4, 0.3, 1.0):
+            ours, theirs = generators._rng(11), generators._rng(11)
+            got = generators._bernoulli_block(ours, A, B, prob)
+            want = _bernoulli_block_ORACLE(theirs, A, B, prob)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            assert _stream_state(ours) == _stream_state(theirs)
+            # The next draw continues the stream at the same position.
+            assert ours.random() == theirs.random()
+
+
+def test_block_generation_memory_follows_edges():
+    tracemalloc.start()
+    try:
+        G, _ = gen_sbm([3000] * 3, 0.0067, 0.00017, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.m > 0
+    assert peak < 24 * 2**20, f"traced generation peak {peak / 2**20:.1f} MB"
