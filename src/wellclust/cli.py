@@ -256,8 +256,7 @@ def cmd_compare(args, parser) -> int:
         parser.error("--seeds must be at least 1")
     rows = compare_sweep(points, algos, seeds=range(1, args.seeds + 1),
                          k=args.k, best_k_max=args.best_over_k, c0=args.c0,
-                         phi_in_mode=args.phi_in_mode, timing=args.timing,
-                         threads=args.threads)
+                         phi_in_mode=args.phi_in_mode, timing=args.timing)
     write_csv(rows, args.out)
     n_data = sum(1 for r in rows if r["seed"] != "mean")
     print(f"wrote {args.out}: {n_data} data rows + "
@@ -335,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--phi-in-mode", dest="phi_in_mode",
                        choices=PHI_IN_MODES, default="practical")
     p_cmp.add_argument("--timing", choices=("none", "wall"), default="none")
-    p_cmp.add_argument("--threads", type=int)
     p_cmp.add_argument("--out", required=True)
     p_cmp.set_defaults(func=cmd_compare)
     return parser

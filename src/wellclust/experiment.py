@@ -11,9 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -158,17 +156,12 @@ def _fmt_float(x: float | None, spec: str) -> str:
 
 
 def default_thread_count() -> int:
-    """Worker cap: ``WELLCLUST_THREADS`` if set, else up to 8 CPUs."""
-    env = os.environ.get("WELLCLUST_THREADS", "").strip()
-    if not env:
-        return min(8, os.cpu_count() or 1)
-    try:
-        count = int(env)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError("WELLCLUST_THREADS must be a positive integer")
-    return count
+    """Always 1: the sweep runs on the calling thread.
+
+    Kept only because the benchmark record reads it as ``pool_threads``;
+    it goes with the next change to ``perfbench/`` (ROADMAP item 1).
+    """
+    return 1
 
 
 def _instance_rows(point: SweepPoint, seed: int, algos: Sequence[str],
@@ -245,14 +238,15 @@ def _mean_rows(point: SweepPoint, algos: Sequence[str],
 def compare_sweep(points: Sequence[SweepPoint], algos: Sequence[str],
                   seeds: Sequence[int], k: int = 2,
                   best_k_max: int | None = None, c0: float = 1.0,
-                  phi_in_mode: str = "practical", timing: str = "none",
-                  threads: int | None = None) -> list[dict[str, str]]:
+                  phi_in_mode: str = "practical",
+                  timing: str = "none") -> list[dict[str, str]]:
     """Run every algorithm on every seeded instance of every point.
 
     Returns the CSV rows (dicts keyed by :data:`CSV_FIELDS`): data rows
     grouped by point, then seed, then the caller's algorithm order,
-    followed by one mean row per (point, algorithm).  Workers only affect
-    wall time, never row order.
+    followed by one mean row per (point, algorithm).  Instances run one
+    after another on the calling thread, so with ``timing="wall"`` a
+    row's ``ms`` is the wall time of that op alone.
     """
     if timing not in ("none", "wall"):
         raise ValueError("timing must be 'none' or 'wall'")
@@ -261,30 +255,13 @@ def compare_sweep(points: Sequence[SweepPoint], algos: Sequence[str],
             raise ValueError(f"unknown algorithm {algo!r}")
     if not points or not algos or not seeds:
         raise ValueError("points, algos, and seeds must all be nonempty")
-    if threads is not None and threads < 1:
-        raise ValueError("threads must be a positive integer")
-    n_workers = default_thread_count() if threads is None else threads
-    tasks = [(pi, seed) for pi in range(len(points)) for seed in seeds]
-
-    def work(task):
-        pi, seed = task
-        return _instance_rows(points[pi], seed, algos, k, best_k_max, c0,
-                              phi_in_mode, timing == "wall")
-
-    if n_workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(work, tasks))
-    else:
-        results = [work(t) for t in tasks]
-    by_point: dict[int, list[list[dict[str, str]]]] = {}
-    for (pi, _), rows in zip(tasks, results):
-        by_point.setdefault(pi, []).append(rows)
-    out: list[dict[str, str]] = []
-    for pi in range(len(points)):
-        for per_seed in by_point[pi]:
-            out.extend(per_seed)
-    for pi in range(len(points)):
-        out.extend(_mean_rows(points[pi], algos, by_point[pi]))
+    by_point = [[_instance_rows(point, seed, algos, k, best_k_max, c0,
+                                phi_in_mode, timing == "wall")
+                 for seed in seeds] for point in points]
+    out = [row for per_point in by_point for per_seed in per_point
+           for row in per_seed]
+    for point, per_point in zip(points, by_point):
+        out.extend(_mean_rows(point, algos, per_point))
     return out
 
 

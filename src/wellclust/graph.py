@@ -10,7 +10,6 @@ any cut or cost sum.
 
 from __future__ import annotations
 
-import logging
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,8 +28,6 @@ __all__ = [
     "save_graph",
     "load_graph",
 ]
-
-log = logging.getLogger(__name__)
 
 
 def vertex_set(vertices: Iterable[int], n: int) -> np.ndarray:
@@ -198,7 +195,7 @@ def set_conductance(G: Graph, S: Iterable[int]) -> float:
 
     Conventions keeping the value total: the empty set has conductance 1,
     the full vertex set has conductance 0, and a nonempty set of volume 0
-    (isolated vertices) returns 1 with a logged warning.
+    (isolated vertices) returns 1.
     """
     S = vertex_set(S, G.n)
     if S.size == 0:
@@ -207,7 +204,6 @@ def set_conductance(G: Graph, S: Iterable[int]) -> float:
         return 0.0
     vol_s = float(G.degrees[S].sum())
     if vol_s == 0.0:
-        log.warning("conductance of a volume-0 set; returning 1 by convention")
         return 1.0
     in_s = _member_mask(G, S)
     crosses = in_s[G.edges_u] != in_s[G.edges_v]

@@ -158,7 +158,7 @@ def test_compare_sweeps_cartesian_grid(tmp_path):
     out = tmp_path / "cmp.csv"
     code = main(["compare", "--family", "sbm", "--sizes", "8,8",
                  "--p", "0.4,0.6", "--q", "0.1", "--algos", "degrees,single",
-                 "--seeds", "2", "--out", str(out), "--threads", "1"])
+                 "--seeds", "2", "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 13
@@ -173,7 +173,7 @@ def test_compare_reruns_byte_identical(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b), "--threads", "2"]) == 0
+    assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -183,7 +183,7 @@ def test_compare_exits_one_when_no_op_succeeds(tmp_path, capsys):
     out = tmp_path / "fail.csv"
     code = main(["compare", "--family", "sbm", "--sizes", "4,4", "--p", "0.5",
                  "--q", "0.1", "--algos", "prunemerge,naive", "--k", "9",
-                 "--seeds", "2", "--threads", "1", "--out", str(out)])
+                 "--seeds", "2", "--out", str(out)])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == f"wrote {out}: 4 data rows + 2 mean rows\n"
@@ -224,21 +224,6 @@ def test_unreachable_tree_nodes_exit_one(tmp_path, capsys):
     assert main(["cost", str(g), str(t)]) == 1
     assert capsys.readouterr().err == \
         "error: 4 dendrogram node(s) unreachable from the root\n"
-
-
-def test_thread_count_errors_exit_one(tmp_path, capsys, monkeypatch):
-    args = ["compare", "--family", "sbm", "--sizes", "4,4", "--p", "0.5",
-            "--q", "0.1", "--algos", "degrees", "--seeds", "1",
-            "--out", str(tmp_path / "cmp.csv")]
-    assert main(args + ["--threads", "-3"]) == 1
-    assert capsys.readouterr().err == \
-        "error: threads must be a positive integer\n"
-    for env in ("0", "abc"):
-        monkeypatch.setenv("WELLCLUST_THREADS", env)
-        assert main(args) == 1
-        assert capsys.readouterr().err == \
-            "error: WELLCLUST_THREADS must be a positive integer\n"
-    assert not (tmp_path / "cmp.csv").exists()
 
 
 def test_missing_file_exit_one(tmp_path, capsys):

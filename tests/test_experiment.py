@@ -1,5 +1,7 @@
 """Sweep harness tests: row layout, normalization, failure rows, determinism."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from wellclust.experiment import (
     SweepPoint,
     checked_cost,
     compare_sweep,
-    default_thread_count,
     format_params,
     rows_to_csv,
     run_algorithm,
@@ -119,13 +120,27 @@ def test_algorithm_failure_leaves_others_running():
     assert by[("prunemerge", "mean")]["status"] == "error:empty"
 
 
-def test_csv_bytes_reproducible_across_threads():
+def test_csv_bytes_reproducible_across_reruns():
     kw = dict(points=SMALL_POINTS, algos=FOUR_ALGOS, seeds=(1, 2, 3))
-    first = rows_to_csv(compare_sweep(**kw, threads=1))
-    again = rows_to_csv(compare_sweep(**kw, threads=1))
-    parallel = rows_to_csv(compare_sweep(**kw, threads=4))
-    assert first == again == parallel
+    first = rows_to_csv(compare_sweep(**kw))
+    again = rows_to_csv(compare_sweep(**kw))
+    assert first == again
     assert first.splitlines()[0] == ",".join(CSV_FIELDS)
+
+
+def test_sweep_runs_on_the_calling_thread(monkeypatch):
+    threads = []
+    original = experiment.run_algorithm
+
+    def recorded(G, algo, **kwargs):
+        threads.append(threading.get_ident())
+        return original(G, algo, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_algorithm", recorded)
+    before = threading.active_count()
+    compare_sweep(SMALL_POINTS, ("degrees", "random"), seeds=(1, 2, 3))
+    assert threads == [threading.get_ident()] * 18
+    assert threading.active_count() == before
 
 
 def test_mean_row_averages_costs():
@@ -143,28 +158,6 @@ def test_sweep_validation():
         compare_sweep(SMALL_POINTS[:1], ("ward",), (1,))
     with pytest.raises(ValueError, match="nonempty"):
         compare_sweep(SMALL_POINTS[:1], ("degrees",), ())
-
-
-def test_thread_count_env_override(monkeypatch):
-    monkeypatch.setenv("WELLCLUST_THREADS", "3")
-    assert default_thread_count() == 3
-    monkeypatch.setenv("WELLCLUST_THREADS", "0")
-    with pytest.raises(ValueError):
-        default_thread_count()
-    monkeypatch.delenv("WELLCLUST_THREADS")
-    assert default_thread_count() >= 1
-
-
-def test_thread_count_must_be_a_positive_integer(monkeypatch):
-    for threads in (0, -3):
-        with pytest.raises(ValueError, match="threads must be a positive"):
-            compare_sweep(SMALL_POINTS[:1], ("degrees",), (1,),
-                          threads=threads)
-    for env in ("0", "-2", "abc", "1.5"):
-        monkeypatch.setenv("WELLCLUST_THREADS", env)
-        with pytest.raises(ValueError, match="WELLCLUST_THREADS must be a "
-                                             "positive integer"):
-            default_thread_count()
 
 
 def test_checked_cost_matches_direct(k4):
@@ -207,8 +200,7 @@ def _by_key(rows, algo):
 ])
 def test_naive_rows_reuse_prunemerge_run(monkeypatch, points, k, best_k_max,
                                          reuses):
-    kw = dict(points=points, seeds=(1, 2, 3), k=k, best_k_max=best_k_max,
-              threads=1)
+    kw = dict(points=points, seeds=(1, 2, 3), k=k, best_k_max=best_k_max)
     calls = _naive_calls(monkeypatch)
     pair = compare_sweep(algos=("prunemerge", "naive"), **kw)
     assert len(calls) == (0 if reuses else 3 * len(points))
@@ -242,6 +234,6 @@ def test_reusing_naive_row_is_its_own_timed_op(monkeypatch):
 
     monkeypatch.setattr(experiment, "run_algorithm", counted)
     rows = compare_sweep(SWEEP_FAMILIES[:1], ("naive", "prunemerge"), (1, 2),
-                         k=3, timing="wall", threads=1)
+                         k=3, timing="wall")
     assert calls == [("prunemerge", False), ("naive", True)] * 2
     assert all(float(r["ms"]) > 0 for r in rows if r["algo"] == "naive")

@@ -1,6 +1,8 @@
 """Graph primitives: construction, volume/cut/conductance arithmetic,
 induced subgraphs, file round-trips."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,14 @@ def test_set_conductance(k4, dumbbell):
     assert set_conductance(dumbbell, [0, 1, 2]) == pytest.approx(1 / 7)
     assert set_conductance(k4, []) == 1.0
     assert set_conductance(k4, range(4)) == 0.0
+
+
+def test_volume_zero_set_conductance_is_silent(caplog):
+    # vertices 3 and 4 are isolated: their set has volume 0
+    G = build_graph(5, [(0, 1, 1.0), (1, 2, 1.0)])
+    with caplog.at_level(logging.DEBUG):
+        assert set_conductance(G, [3, 4]) == 1.0
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 def test_conductance_volume_identity(dumbbell):

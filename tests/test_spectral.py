@@ -24,7 +24,9 @@ from conftest import (
     random_connected_graph,
     unit_graph,
 )
-from wellclust.generators import gen_bridged_two_cluster, gen_sbm
+from wellclust.generators import (GenSpec, gen_bridged_two_cluster, gen_sbm,
+                                  generate)
+from wellclust.spectral import DEFAULT_TOL
 from oracles import _sweep_ORACLE, graph_conductance_exact_ORACLE
 
 
@@ -97,6 +99,18 @@ def test_eigenvalues_disconnected_zero_multiplicity():
     G = unit_graph(4, [(0, 1), (2, 3)])
     res = smallest_eigenvalues(G, 2)
     assert abs(res.eigenvalues[1]) <= 1e-8
+
+
+@pytest.mark.xfail(strict=True, reason="Lanczos skips the second zero "
+                   "eigenvalue of this 3-component graph")
+def test_iterative_finds_repeated_zero_eigenvalue():
+    # components of 297, 2 and 1 vertices; the two with edges give
+    # lambda_1 = lambda_2 = 0, which k = 4 and the dense path both find
+    G, _ = generate(GenSpec("sbm_planted_cliques", {
+        "sizes": [100, 100, 100], "p": 0.06, "q": 0.002, "c_p": 0.4}, 28))
+    assert (G.n, G.m) == (300, 3155)
+    res = smallest_eigenvalues(G, 2, method="iterative")
+    assert res.eigenvalues[1] <= DEFAULT_TOL
 
 
 def test_eigenvalue_invariants_and_rayleigh():
