@@ -19,7 +19,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .graph import (Graph, cut_weight, induced_subgraph, set_conductance,
                     vertex_set, volume)
 from .spectral import (DEFAULT_TOL, SpectralResult, smallest_eigenvalues,
                        spectral_partition)
-from .tree import CriticalNodes, HCTree, critical_nodes
+from .tree import HCTree, critical_nodes
 
 __all__ = [
     "DecompositionError",
@@ -214,17 +214,48 @@ def _per_state(method):
     return memoized
 
 
+class _Critical(NamedTuple):
+    """One critical node N of a cluster tree on P, measured."""
+
+    node: int
+    w_out: float    # w(N, V \ P) in G
+    vol_in: float   # vol(N) in G[P]
+
+
+def _measure_critical(G: Graph, P: np.ndarray, induced: Graph, T: HCTree,
+                      nodes: tuple[int, ...]) -> tuple[_Critical, ...]:
+    outside = np.setdiff1d(np.arange(G.n), P, assume_unique=True)
+    locals_ = [T.leaves_under(node) for node in nodes]
+    return tuple(_Critical(int(node), cut_weight(G, P[local], outside),
+                           float(induced.degrees[local].sum()))
+                 for node, local in zip(nodes, locals_))
+
+
 @dataclass
 class _ClusterInfo:
-    """Cached spectral view of one cluster's induced subgraph."""
+    """Cached view of one cluster; tree and critical nodes on first use."""
 
+    G: Graph
     P: np.ndarray
     induced: Graph
     lambda2: float
     sweep_local: np.ndarray | None
     phi_max: float | None
-    tree: HCTree | None = None
-    crit: CriticalNodes | None = None
+
+    @cached_property
+    def tree(self) -> HCTree:
+        return hc_with_degrees(self.induced)
+
+    @cached_property
+    def crit(self) -> tuple[int, ...]:
+        """The critical nodes of ``tree``; none for a single vertex."""
+        return critical_nodes(self.induced, self.tree).nodes \
+            if self.induced.n >= 2 else ()
+
+    @cached_property
+    def critical(self) -> tuple[_Critical, ...]:
+        return _measure_critical(self.G, self.P, self.induced, self.tree,
+                                 self.crit)
 
 
 class _State:
@@ -256,26 +287,18 @@ class _State:
             return hit
         induced = induced_subgraph(self.G, P)
         if induced.n < 2:
-            info = _ClusterInfo(P, induced, math.inf, None, None)
+            info = _ClusterInfo(self.G, P, induced, math.inf, None, None)
         else:
             eigs = smallest_eigenvalues(induced, 2)
             sweep = spectral_partition(induced, eigs=eigs)
             comp = np.setdiff1d(np.arange(induced.n), sweep.set,
                                 assume_unique=True)
             phi_max = max(sweep.conductance, set_conductance(induced, comp))
-            info = _ClusterInfo(P, induced, float(eigs.eigenvalues[1]),
-                                sweep.set, phi_max)
+            info = _ClusterInfo(self.G, P, induced,
+                                float(eigs.eigenvalues[1]), sweep.set, phi_max)
         if len(self._cache) >= 256:
             self._cache.pop(next(iter(self._cache)))
         self._cache[key] = info
-        return info
-
-    def tree_of(self, i: int) -> _ClusterInfo:
-        info = self.info(i)
-        if info.tree is None and info.induced.n >= 1:
-            info.tree = hc_with_degrees(info.induced)
-            if info.induced.n >= 2:
-                info.crit = critical_nodes(info.induced, info.tree)
         return info
 
     # -- bookkeeping --------------------------------------------------------
@@ -506,11 +529,9 @@ def _critical_candidates(state: _State, i: int,
                          ) -> list[tuple[np.ndarray, _Candidate]]:
     """One candidate per critical node of cluster i's degree tree, in their
     canonical order, each with the node's leaves as local ids."""
-    info = state.tree_of(i)
-    if info.crit is None:
-        return []
+    info = state.info(i)
     owner = weakref.proxy(state)  # the state's memo keeps them: no cycle
-    locals_ = [info.tree.leaves_under(node) for node in info.crit.nodes]
+    locals_ = [info.tree.leaves_under(node) for node in info.crit]
     return [(local, _Candidate(owner, i, info.P[local])) for local in locals_]
 
 
@@ -565,6 +586,13 @@ def _scan_late_refinements(state: _State) -> str | None:
     return None
 
 
+class _Decomposition(tuple):
+    """The ``(partition, report)`` pair every caller unpacks, carrying the
+    final clusters' views (partition order) for the prune stage."""
+
+    views: tuple[_ClusterInfo, ...]
+
+
 def strong_decomposition(G: Graph, k: int, params: DecompParams | None = None,
                          c0: float = 1.0, phi_in_mode: str = "practical",
                          ) -> tuple[Partition, dict]:
@@ -613,7 +641,9 @@ def strong_decomposition(G: Graph, k: int, params: DecompParams | None = None,
     report["iterations"] = state.iterations
     report["stalled"] = stalled
     report["trace_tail"] = state.trace[-20:]
-    return partition, report
+    out = _Decomposition((partition, report))
+    out.views = tuple(state.info(i) for i in range(state.r))
+    return out
 
 
 def termination_report(G: Graph, partition: Partition, params: DecompParams,
@@ -639,7 +669,7 @@ def termination_report(G: Graph, partition: Partition, params: DecompParams,
         P, core = state.sets[i], state.cores[i]
         cross = state.cond1_cross(i)
         while_1 = while_1 or state.cond1_fires(cross, i)
-        info = state.tree_of(i)
+        info = state.info(i)
         entry = {
             "size": int(P.size),
             "core_size": int(core.size),
@@ -654,10 +684,10 @@ def termination_report(G: Graph, partition: Partition, params: DecompParams,
             "critical_nodes": [],
         }
         outside = np.setdiff1d(np.arange(G.n), P, assume_unique=True)
-        for local, cand in _critical_candidates(state, i):
+        for (local, cand), crit in zip(_critical_candidates(state, i),
+                                       info.critical):
             s_minus = cand.view.s_minus
-            a3_lhs = cut_weight(G, P[local], outside)
-            a3_rhs = 6.0 * (k + 1) * float(info.induced.degrees[local].sum())
+            a3_lhs, a3_rhs = crit.w_out, 6.0 * (k + 1) * crit.vol_in
             w_minus_in = cut_weight(
                 G, s_minus, np.setdiff1d(P, s_minus, assume_unique=True))
             w_minus_out = cut_weight(G, s_minus, outside)

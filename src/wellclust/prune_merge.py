@@ -1,7 +1,8 @@
 """Cluster-then-prune pipeline assembling a full hierarchy from cores.
 
-Three phases. *Partition* runs the conductance decomposition. *Prune*
-builds the degree-ordered tree of each cluster and walks its dense branch
+Three phases. *Partition* runs the conductance decomposition, which also
+builds the degree-ordered tree of each final cluster and measures its
+critical nodes. *Prune* takes each such tree and walks its dense branch
 from the top: at every step a boundary test decides whether the remaining
 tree is kept intact or the critical subtree hanging off the current root
 is detached into a shared pool. Subtrees whose leaves carry a lot of
@@ -24,13 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import (DecompParams, Partition, _require, derive_params,
+from .decomposition import (DecompParams, Partition, _ClusterInfo, _Critical,
+                            _measure_critical, _require, derive_params,
                             strong_decomposition)
-from .degree_hc import hc_with_degrees
-from .graph import Graph, cut_weight, induced_subgraph, vertex_set
+from .graph import Graph, induced_subgraph, vertex_set
 from .spectral import DEFAULT_TOL, smallest_eigenvalues
-from .tree import (CriticalNodes, HCTree, caterpillar_merge, critical_nodes,
-                   dasgupta_cost, relabel_leaves)
+from .tree import (CriticalNodes, HCTree, caterpillar_merge, dasgupta_cost,
+                   relabel_leaves)
 
 __all__ = [
     "PruneMergeResult",
@@ -50,7 +51,8 @@ class PruneMergeResult:
     ``pruned`` holds one record per detached critical subtree with the
     leaf count of its parent in the final tree; ``condition_trace`` is
     the per-cluster sequence of boundary-test outcomes; ``whole`` holds
-    each cluster's unpruned degree tree on local ids, and
+    each cluster's unpruned degree tree on local ids, as the decomposition
+    built it, and
     :meth:`naive_tree` folds them as :func:`naive_cluster_merge` does.
     """
 
@@ -85,25 +87,7 @@ def prune_condition(G: Graph, T: HCTree, crit: CriticalNodes | tuple[int, ...],
     return _keeps_whole(G.n, k, T, live, T.root)
 
 
-@dataclass(frozen=True)
-class _Critical:
-    node: int
-    w_out: float    # w(N, V \ P) in G
-    vol_in: float   # vol(N) in G[P]
-
-
-def _measure_critical(G: Graph, P: np.ndarray, induced: Graph, T: HCTree,
-                      nodes: tuple[int, ...]) -> list[_Critical]:
-    outside = np.setdiff1d(np.arange(G.n), P, assume_unique=True)
-    out = []
-    for node in nodes:
-        local = T.leaves_under(node)
-        out.append(_Critical(int(node), cut_weight(G, P[local], outside),
-                             float(induced.degrees[local].sum())))
-    return out
-
-
-def _keeps_whole(n: int, k: int, T: HCTree, live: list[_Critical],
+def _keeps_whole(n: int, k: int, T: HCTree, live: tuple[_Critical, ...],
                  root: int) -> bool:
     """The prune inequality over the live critical nodes of T below
     ``root``; a node at ``root`` counts as its own parent."""
@@ -119,51 +103,41 @@ def _keeps_whole(n: int, k: int, T: HCTree, live: list[_Critical],
 class _PoolEntry:
     leaves: np.ndarray      # global vertex ids, sorted
     tree: HCTree            # leaf labels already global
-    cluster: int
     pruned_record: dict | None  # set for detached critical subtrees only
 
 
-def _prune_cluster(G: Graph, P: np.ndarray, k: int, cluster: int,
-                   ) -> tuple[list[_PoolEntry], list[bool], HCTree]:
-    """Prune one cluster's tree; returns pool entries in detach order (the
-    kept remainder last), the condition-test outcomes, and the unpruned tree."""
-    induced = induced_subgraph(G, P)
-    tree = hc_with_degrees(induced)
-    if induced.n < 2:
-        return [_PoolEntry(P.copy(), relabel_leaves(tree, P), cluster, None)], \
-            [], tree
-    live = _measure_critical(G, P, induced, tree,
-                             critical_nodes(induced, tree).nodes)
+def _prune_cluster(G: Graph, view: _ClusterInfo, k: int, cluster: int,
+                   ) -> tuple[list[_PoolEntry], list[bool]]:
+    """Prune one cluster's tree, with the critical nodes the decomposition
+    measured on it; returns pool entries in detach order (the kept
+    remainder last) and the condition-test outcomes."""
+    P, tree, live = view.P, view.tree, view.critical
 
     def pooled(node: int, record: dict | None) -> _PoolEntry:
         glob = P[tree.leaves_under(node)]
-        return _PoolEntry(glob, relabel_leaves(tree.subtree(node), P),
-                          cluster, record)
+        return _PoolEntry(glob, relabel_leaves(tree.subtree(node), P), record)
 
     root = tree.root
     entries: list[_PoolEntry] = []
     outcomes: list[bool] = []
-    while True:
-        keep = not live or _keeps_whole(G.n, k, tree, live, root)
+    while live:  # a one-vertex cluster has no critical node and no test
+        keep = _keeps_whole(G.n, k, tree, live, root)
         outcomes.append(keep)
-        if keep:
-            entries.append(pooled(root, None))
-            break
         children = [c for c in live if int(tree.parent[c.node]) == root]
-        if not children:
-            # the descent bottomed out on a critical root; keep it whole
-            entries.append(pooled(root, None))
+        if keep or not children:
+            # kept, or the descent bottomed out on a critical root
             break
         victim = min(children,
                      key=lambda c: (int(tree.leaf_count[c.node]), c.node))
-        live.remove(victim)
+        live = tuple(c for c in live if c is not victim)
         node = victim.node
         record = {"cluster": cluster, "node": node,
                   "leaf_count": int(tree.leaf_count[node])}
         entries.append(pooled(node, record))
         left, right = int(tree.left[root]), int(tree.right[root])
         root = right if left == node else left
-    return entries, outcomes, tree
+    entries.append(pooled(root, None))
+    return entries, outcomes
 
 
 def run_prune_merge(G: Graph, k: int, params: DecompParams | None = None,
@@ -172,10 +146,10 @@ def run_prune_merge(G: Graph, k: int, params: DecompParams | None = None,
     """Run the full pipeline and keep every intermediate the tests audit."""
     if params is None:
         params = derive_params(G, k, c0=c0, phi_in_mode=phi_in_mode)
-    partition, report = strong_decomposition(G, k, params)
-    clusters = [_prune_cluster(G, P, k, i)
-                for i, P in enumerate(partition.sets)]
-    pool = [entry for entries, _, _ in clusters for entry in entries]
+    partition, report = decomposition = strong_decomposition(G, k, params)
+    views = decomposition.views
+    clusters = [_prune_cluster(G, view, k, i) for i, view in enumerate(views)]
+    pool = [entry for entries, _ in clusters for entry in entries]
     tree = _merge_pool(G, pool)
     return PruneMergeResult(
         tree=tree, partition=partition, params=params,
@@ -183,8 +157,8 @@ def run_prune_merge(G: Graph, k: int, params: DecompParams | None = None,
         pool_sizes=tuple(int(e.leaves.size) for e in pool),
         pruned=tuple(e.pruned_record for e in pool
                      if e.pruned_record is not None),
-        condition_trace=tuple(tuple(out) for _, out, _ in clusters),
-        whole=tuple(unpruned for _, _, unpruned in clusters))
+        condition_trace=tuple(tuple(out) for _, out in clusters),
+        whole=tuple(view.tree for view in views))
 
 
 def _merge_pool(G: Graph, pool: list[_PoolEntry]) -> HCTree:
@@ -194,19 +168,14 @@ def _merge_pool(G: Graph, pool: list[_PoolEntry]) -> HCTree:
     covered = np.concatenate([e.leaves for e in pool])
     _require(np.array_equal(np.sort(covered), np.arange(G.n)),
              "pooled subtrees stopped partitioning the vertex set")
-    sizes = np.array([e.leaves.size for e in pool], dtype=np.int64)
-    prefix = np.cumsum(sizes)
+    prefix = np.cumsum([e.leaves.size for e in pool])
     for j, e in enumerate(pool):
         if e.pruned_record is None:
             continue
-        if len(pool) == 1:
-            parent = int(sizes[0])
-        else:
-            parent = int(prefix[1] if j == 0 else prefix[j])
+        # j's parent in the fold spans entries 0..max(j, 1), or j if alone
+        parent = int(prefix[min(max(j, 1), len(pool) - 1)])
         e.pruned_record["parent_final_leaves"] = parent
         e.pruned_record["pool_index"] = j
-    if len(pool) == 1:
-        return pool[0].tree
     return caterpillar_merge([e.tree for e in pool])
 
 
@@ -224,16 +193,15 @@ def naive_cluster_merge(G: Graph, k: int, params: DecompParams | None = None,
     whenever that run detaches no critical subtree."""
     if params is None:
         params = derive_params(G, k, c0=c0, phi_in_mode=phi_in_mode)
-    partition, _ = strong_decomposition(G, k, params)
-    return _fold_whole(G, partition.sets, [
-        hc_with_degrees(induced_subgraph(G, P)) for P in partition.sets])
+    partition, _ = decomposition = strong_decomposition(G, k, params)
+    return _fold_whole(G, partition.sets, [v.tree for v in decomposition.views])
 
 
 def _fold_whole(G: Graph, sets: tuple, trees: list[HCTree]) -> HCTree:
     """The naive merge: whole cluster trees, on local ids, folded ascending
     by size."""
-    return _merge_pool(G, [_PoolEntry(P, relabel_leaves(T, P), i, None)
-                           for i, (P, T) in enumerate(zip(sets, trees))])
+    return _merge_pool(G, [_PoolEntry(P, relabel_leaves(T, P), None)
+                           for P, T in zip(sets, trees)])
 
 
 def best_over_k(G: Graph, k_max: int, c0: float = 1.0,

@@ -127,7 +127,7 @@ def smallest_eigenvalues(G: Graph, k: int, tol: float = DEFAULT_TOL,
     max_iter : int, optional
         Iteration cap for the Lanczos path (default ``10 * n * k``).
     method : {"auto", "dense", "iterative"}
-        "auto" picks dense for ``n <= 64``.
+        "auto" picks dense for ``n <= 64`` or ``k == n``.
 
     Raises
     ------
@@ -144,7 +144,8 @@ def smallest_eigenvalues(G: Graph, k: int, tol: float = DEFAULT_TOL,
         max_iter = 10 * n * k
     if method not in ("auto", "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
-    use_dense = method == "dense" or (method == "auto" and n <= DENSE_LIMIT)
+    use_dense = method == "dense" or \
+        (method == "auto" and (n <= DENSE_LIMIT or k == n))
     if method == "iterative" and k >= n:
         raise ValueError("iterative path needs k < n")
     N = _normalized_adjacency(G)

@@ -31,8 +31,8 @@ from conftest import (
     unit_graph,
     weighted_graph,
 )
-from wellclust.decomposition import (derive_params, strong_decomposition,
-                                     termination_report)
+from wellclust.decomposition import (_State, derive_params,
+                                     strong_decomposition, termination_report)
 from wellclust.degree_hc import hc_with_degrees
 from wellclust.experiment import ALGORITHMS, run_algorithm
 from wellclust.generators import (gen_bridged_two_cluster,
@@ -367,10 +367,14 @@ def forced_prune_pool():
         edges.append((x, x + 1, 1.0))
     G = weighted_graph(28, edges)
     cluster = np.arange(8)
-    entries, _, _ = _prune_cluster(G, cluster, 2, 0)
     ext = np.arange(8, 28)
+    # the cluster's view, with its tree and critical nodes, as the
+    # decomposition hands it to the prune stage
+    view = _State(G, 2, derive_params(G, 2), sets=[cluster, ext],
+                  cores=[cluster, ext]).info(0)
+    entries, _ = _prune_cluster(G, view, 2, 0)
     ext_tree = relabel_leaves(hc_with_degrees(induced_subgraph(G, ext)), ext)
-    pool = entries + [_PoolEntry(ext, ext_tree, 1, None)]
+    pool = entries + [_PoolEntry(ext, ext_tree, None)]
     _merge_pool(G, pool)
     return [e.pruned_record for e in pool if e.pruned_record], 2
 

@@ -8,7 +8,7 @@ import pytest
 
 from wellclust.cli import main
 from wellclust.graph import load_graph
-from wellclust.spectral import SpectralConvergenceError
+from wellclust.spectral import SpectralConvergenceError, smallest_eigenvalues
 from wellclust.tree import dasgupta_cost, load_tree
 
 PATH3_GRAPH = "3 2\n0 1 1.0\n1 2 1.0\n"
@@ -135,6 +135,25 @@ def test_spectrum_command(tmp_path):
     values = [float(r[1]) for r in rows]
     assert values[0] <= 1e-8 and values[1] <= 1e-8
     assert values[2] == pytest.approx(1.5, abs=1e-9)
+
+
+def test_all_eigenpairs_of_a_large_graph(tmp_path):
+    """On a graph above the dense size limit, ``spectrum --k n`` and
+    ``--best-over-k n-1`` (which needs all n pairs) use the dense solver,
+    since the Lanczos path cannot return k = n pairs."""
+    n = 70
+    g = tmp_path / "path.txt"
+    g.write_text(f"{n} {n - 1}\n" +
+                 "".join(f"{i} {i + 1} 1.0\n" for i in range(n - 1)))
+    code, out, err = run_cli("spectrum", "--graph", str(g), "--k", str(n))
+    assert code == 0, err
+    dense = smallest_eigenvalues(load_graph(str(g)), n, method="dense")
+    assert out == "".join(f"{i} {dense.eigenvalues[i]:.12g} "
+                          f"{dense.residuals[i]:.3g}\n" for i in range(n))
+    code, out, err = run_cli("run", "--graph", str(g), "--algo",
+                             "prunemerge", "--best-over-k", str(n - 1))
+    assert code == 0, err
+    assert float(out) > 0
 
 
 def test_decompose_json_payload(tmp_path):

@@ -20,17 +20,22 @@ from wellclust import (
     Partition,
     derive_params,
     relative_conductance,
+    run_prune_merge,
     strong_decomposition,
     termination_report,
 )
 from wellclust.cli import _json_default
 from wellclust.decomposition import (PHI_IN_MODES, _Candidate,
                                      _critical_candidates, _State, split_view)
+from wellclust.degree_hc import hc_with_degrees
 from wellclust.generators import (gen_bridged_two_cluster,
                                   gen_planted_clique_expander, gen_sbm,
                                   gen_sbm_planted_cliques)
+from wellclust.graph import cut_weight, induced_subgraph
 from wellclust.metrics import adjusted_rand_index
+from wellclust.prune_merge import prune_condition
 from wellclust.spectral import SpectralResult
+from wellclust.tree import critical_nodes
 
 from conftest import DUMBBELL_EDGES, unit_graph
 from oracles import graph_conductance_exact_ORACLE
@@ -237,6 +242,33 @@ def test_loop_report_matches_independent_audit(audit_corpus, mode):
             json.dumps(audit, default=_json_default)
 
 
+def test_report_measures_critical_nodes_like_the_oracles(audit_corpus):
+    """The report's boundary inequality and the prune stage read one
+    measurement of each critical node; it must equal an independent cut
+    and volume, and the first prune outcome must equal prune_condition on
+    a freshly built tree."""
+    for G, k in audit_corpus:
+        result = run_prune_merge(G, k)
+        for P, entry, outcomes in zip(result.partition.sets,
+                                      result.decomposition_report["clusters"],
+                                      result.condition_trace):
+            induced = induced_subgraph(G, P)
+            T = hc_with_degrees(induced)
+            if P.size < 2:
+                assert entry["critical_nodes"] == [] and outcomes == ()
+                continue
+            crit = critical_nodes(induced, T)
+            outside = np.setdiff1d(np.arange(G.n), P)
+            assert len(entry["critical_nodes"]) == len(crit.nodes)
+            for node, measured in zip(crit.nodes, entry["critical_nodes"]):
+                local = T.leaves_under(node)
+                assert measured["leaves"] == local.size
+                assert measured["a3_lhs"] == cut_weight(G, P[local], outside)
+                assert measured["a3_rhs"] == \
+                    6.0 * (k + 1) * induced.degrees[local].sum()
+            assert outcomes[0] == prune_condition(G, T, crit, P, k)
+
+
 @pytest.mark.parametrize("sets, cores, apply", [
     ([[0, 1, 2, 3, 4, 5]], [[0, 1, 2, 3, 4, 5]],
      lambda st: st.apply_split(0, np.array([3, 4, 5]), np.array([0, 1, 2]),
@@ -369,10 +401,12 @@ def test_runs_free_their_state_by_reference_counting(monkeypatch):
         partition, report = strong_decomposition(G, 3, params)
         assert report["iterations"] >= 2
         termination_report(G, partition, params, 3)
+        # the prune stage keeps the final cluster views, not their state
+        assert run_prune_merge(G, 3, params).partition.r == partition.r
         with pytest.raises(DecompositionError, match="no fixed point"):
             strong_decomposition(
                 G, 3, dataclasses.replace(params, max_iterations=1))
-        assert len(made) == 3 and all(ref() is None for ref in made)
+        assert len(made) == 4 and all(ref() is None for ref in made)
     finally:
         gc.enable()
 

@@ -1,5 +1,6 @@
 """Cluster-prune-merge pipeline tests."""
 
+import collections
 import importlib
 import math
 
@@ -19,7 +20,7 @@ from wellclust import (
     strong_decomposition,
     termination_report,
 )
-from wellclust.decomposition import Partition
+from wellclust.decomposition import Partition, _Decomposition, _State
 from wellclust.degree_hc import hc_with_degrees as build_degree_tree
 from wellclust.graph import induced_subgraph
 from wellclust.prune_merge import _merge_pool, _PoolEntry, _prune_cluster
@@ -148,10 +149,26 @@ def forced_prune_graph():
     return weighted_graph(28, edges)
 
 
+FORCED_SETS = (np.arange(8), np.arange(8, 28))
+
+
+def forced_decomposition(G, k, params=None):
+    """strong_decomposition's return had it settled on the crafted
+    partition FORCED_SETS: the pair, plus each cluster's view."""
+    state = _State(G, k, params or derive_params(G, k),
+                   sets=list(FORCED_SETS), cores=list(FORCED_SETS))
+    out = _Decomposition((Partition(FORCED_SETS, FORCED_SETS),
+                          {"stalled": False}))
+    out.views = tuple(state.info(i) for i in range(state.r))
+    return out
+
+
 def test_forced_prune_detaches_and_records():
     G = forced_prune_graph()
     P = np.arange(8)
-    entries, outcomes, tree = _prune_cluster(G, P, 2, 0)
+    view = forced_decomposition(G, 2).views[0]
+    entries, outcomes = _prune_cluster(G, view, 2, 0)
+    tree = view.tree
     assert outcomes[0] is False
     # two detachments, then the current root is itself a live critical
     # node with no live child left: the third test keeps it whole
@@ -168,12 +185,11 @@ def test_forced_prune_detaches_and_records():
 
 def test_forced_prune_parent_sizes_in_final_tree():
     G = forced_prune_graph()
-    P = np.arange(8)
-    entries, _, _ = _prune_cluster(G, P, 2, 0)
+    entries, _ = _prune_cluster(G, forced_decomposition(G, 2).views[0], 2, 0)
     ext = np.arange(8, 28)
     ind = induced_subgraph(G, ext)
     pool = entries + [_PoolEntry(ext, relabel_leaves(build_degree_tree(ind),
-                                                     ext), 1, None)]
+                                                     ext), None)]
     T = _merge_pool(G, pool)
     assert T.n_leaves == 28
     records = [e.pruned_record for e in pool if e.pruned_record]
@@ -210,17 +226,41 @@ def test_naive_tree_keeps_detached_subtrees_in_place(monkeypatch):
     # the decomposition never isolates the crafted cluster by itself, so
     # both pipelines are handed the partition the prune test rejects
     G = forced_prune_graph()
-    sets = (np.arange(8), np.arange(8, 28))
     # (the package's prune_merge attribute is the function of that name)
     module = importlib.import_module("wellclust.prune_merge")
-    monkeypatch.setattr(module, "strong_decomposition",
-                        lambda G, k, params: (Partition(sets, sets),
-                                              {"stalled": False}))
+    monkeypatch.setattr(module, "strong_decomposition", forced_decomposition)
     res = run_prune_merge(G, 2)
     assert len(res.pruned) == 4   # two subtrees detached from each cluster
     assert _same_tree(res.naive_tree(G), naive_cluster_merge(G, 2))
     assert not _same_tree(res.naive_tree(G), res.tree)
     assert dasgupta_cost(G, res.naive_tree(G)) != dasgupta_cost(G, res.tree)
+
+
+def test_pipeline_builds_no_cluster_view_twice(monkeypatch):
+    """Prune and the standalone naive fold take each final cluster's
+    induced graph, degree tree and critical nodes from the decomposition,
+    so a whole run builds exactly what the decomposition alone builds."""
+    G, _ = gen_sbm([30, 30, 30], 0.5, 0.01, 1)
+    calls = collections.Counter()
+    for module in (importlib.import_module("wellclust.decomposition"),
+                   importlib.import_module("wellclust.prune_merge")):
+        for name in ("hc_with_degrees", "critical_nodes", "induced_subgraph"):
+            if hasattr(module, name):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, _f=real,
+                                    _n=name, **kw: calls.update([_n])
+                                    or _f(*a, **kw))
+
+    def counted(run):
+        calls.clear()
+        run()
+        return dict(calls)
+
+    alone = counted(lambda: strong_decomposition(G, 3))
+    assert sorted(alone) == ["critical_nodes", "hc_with_degrees",
+                             "induced_subgraph"]
+    assert counted(lambda: run_prune_merge(G, 3)) == alone
+    assert counted(lambda: naive_cluster_merge(G, 3)) == alone
 
 
 def test_best_over_k_two_components(two_triangles):

@@ -155,6 +155,16 @@ def test_iterative_nonconvergence_reports_residuals():
     assert exc.value.eigenvalues is not None
 
 
+def test_all_pairs_take_the_dense_path_above_its_size_limit():
+    G = path_graph(70)
+    auto = smallest_eigenvalues(G, 70)
+    dense = smallest_eigenvalues(G, 70, method="dense")
+    assert np.array_equal(auto.eigenvalues, dense.eigenvalues)
+    assert np.array_equal(auto.eigenvectors, dense.eigenvectors)
+    with pytest.raises(ValueError, match="iterative path needs k < n"):
+        smallest_eigenvalues(G, 70, method="iterative")
+
+
 def test_sweep_two_components(two_triangles):
     cut = spectral_partition(two_triangles)
     assert cut.conductance == 0.0
