@@ -17,9 +17,8 @@ from .generators import (GENERATOR_FAMILIES, GenSpec, PlantedLabels,
                          gaussian_kernel_graph, generate, load_labels,
                          save_labels)
 from .graph import (Graph, build_graph, cut_weight, degree_stats,
-                    directed_boundary, induced_subgraph,
-                    induced_with_selfloops, load_graph, save_graph,
-                    set_conductance, volume)
+                    induced_subgraph, induced_with_selfloops, load_graph,
+                    save_graph, set_conductance, volume)
 from .linkage import linkage
 from .metrics import adjusted_rand_index
 from .prune_merge import (PruneMergeResult, best_over_k, naive_cluster_merge,
@@ -41,7 +40,7 @@ __all__ = [
     "adjusted_rand_index", "best_over_k", "brute_force_opt", "build_graph",
     "caterpillar_merge", "compare_sweep", "critical_nodes", "cut_weight",
     "dasgupta_cost", "dasgupta_cost_cutform", "degree_stats", "dense_branch",
-    "derive_params", "directed_boundary", "gaussian_kernel_graph", "generate",
+    "derive_params", "gaussian_kernel_graph", "generate",
     "hc_with_degrees", "induced_subgraph", "induced_with_selfloops",
     "laplacian_apply", "linkage", "load_graph", "load_labels", "load_tree",
     "naive_cluster_merge", "prune_condition", "prune_merge", "random_tree",

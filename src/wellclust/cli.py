@@ -100,6 +100,8 @@ def _load_points(path: str) -> list[list[float]]:
             if not parts:
                 continue
             try:
+                if points and len(parts) != len(points[0]):
+                    raise ValueError
                 points.append([float(tok) for tok in parts])
             except ValueError:
                 raise ValueError(

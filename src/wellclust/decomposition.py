@@ -24,8 +24,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .degree_hc import hc_with_degrees
-from .graph import (Graph, cut_weight, induced_subgraph, set_conductance,
-                    vertex_set, volume)
+from .graph import (Graph, induced_subgraph, set_conductance, vertex_set,
+                    volume)
 from .spectral import (DEFAULT_TOL, SpectralResult, smallest_eigenvalues,
                        spectral_partition)
 from .tree import HCTree, critical_nodes
@@ -34,8 +34,6 @@ __all__ = [
     "DecompositionError",
     "Partition",
     "DecompParams",
-    "SplitView",
-    "split_view",
     "relative_conductance",
     "derive_params",
     "strong_decomposition",
@@ -121,27 +119,21 @@ class DecompParams:
     phi_in_mode: str
 
 
-@dataclass(frozen=True)
-class SplitView:
-    """The four-way split of a cluster P by a candidate set S and the core C:
-    ``s_plus = S∩C``, ``s_minus = S\\C``, ``s_plus_bar = C\\S``,
-    ``s_minus_bar = P\\(S∪C)``."""
+def _boundary(G: Graph, S: np.ndarray, P: np.ndarray) -> tuple[float, float]:
+    """``(w(S, P\\S), w(S, V\\P))`` for ``S ⊆ P``, in one edge pass.
 
-    s_plus: np.ndarray
-    s_minus: np.ndarray
-    s_plus_bar: np.ndarray
-    s_minus_bar: np.ndarray
-
-
-def split_view(S: np.ndarray, P: np.ndarray, core: np.ndarray) -> SplitView:
-    S = np.asarray(S, dtype=np.int64)
-    return SplitView(
-        s_plus=np.intersect1d(S, core, assume_unique=True),
-        s_minus=np.setdiff1d(S, core, assume_unique=True),
-        s_plus_bar=np.setdiff1d(core, S, assume_unique=True),
-        s_minus_bar=np.setdiff1d(np.setdiff1d(P, core, assume_unique=True),
-                                 S, assume_unique=True),
-    )
+    Each sum takes the edges :func:`~wellclust.graph.cut_weight` takes, in
+    edge order, so both agree with it to the last digit.
+    """
+    in_s = np.zeros(G.n, dtype=bool)
+    in_s[S] = True
+    in_p = np.zeros(G.n, dtype=bool)
+    in_p[P] = True
+    u, v = G.edges_u, G.edges_v
+    crosses = in_s[u] != in_s[v]
+    inside = in_p[u] & in_p[v]
+    return (float(G.edges_w[crosses & inside].sum()),
+            float(G.edges_w[crosses & ~inside].sum()))
 
 
 def relative_conductance(G: Graph, S: Iterable[int], P: Iterable[int]) -> float:
@@ -149,6 +141,8 @@ def relative_conductance(G: Graph, S: Iterable[int], P: Iterable[int]) -> float:
 
     ``w(S -> P) / ((vol(P\\S)/vol(P)) * w(S -> V\\P))``; degenerate
     denominators (S empty or all of P, P without outgoing edges) give 1.
+    Both weights come from :func:`_boundary`, which sums the edges
+    ``cut_weight`` would, in the same order, so they match it digit for digit.
     """
     S = vertex_set(S, G.n)
     P = vertex_set(P, G.n)
@@ -156,16 +150,14 @@ def relative_conductance(G: Graph, S: Iterable[int], P: Iterable[int]) -> float:
         raise ValueError("S must be a subset of P")
     vol_p = float(G.degrees[P].sum())
     vol_rest = vol_p - float(G.degrees[S].sum())
-    outside = np.setdiff1d(np.arange(G.n), P, assume_unique=True)
-    w_out = cut_weight(G, S, outside)
+    w_in, w_out = _boundary(G, S, P)
     if vol_p == 0.0 or vol_rest == 0.0 or w_out == 0.0:
         return 1.0
-    w_in = cut_weight(G, S, np.setdiff1d(P, S, assume_unique=True))
     return w_in / ((vol_rest / vol_p) * w_out)
 
 
 def derive_params(G: Graph, k: int, c0: float = 1.0,
-                  phi_in_mode: str = "practical", tol: float = DEFAULT_TOL,
+                  phi_in_mode: str = "practical",
                   eigs: SpectralResult | None = None) -> DecompParams:
     """Compute the threshold set for a k-cluster run.
 
@@ -183,12 +175,13 @@ def derive_params(G: Graph, k: int, c0: float = 1.0,
     if eigs is None or len(eigs.eigenvalues) < k + 1:
         eigs = smallest_eigenvalues(G, k + 1)
     lambda_k = max(0.0, float(eigs.eigenvalues[k - 1]))
-    if lambda_k <= tol:
+    if lambda_k <= DEFAULT_TOL:
         lambda_k = 0.0
     lambda_k1 = float(eigs.eigenvalues[k])
-    if lambda_k1 <= tol:
+    if lambda_k1 <= DEFAULT_TOL:
         raise ValueError(f"graph has at least {k + 1} near-disconnected "
-                         f"parts (lambda_{k + 1} = {lambda_k1:.3g} <= {tol:g})")
+                         f"parts (lambda_{k + 1} = {lambda_k1:.3g} <= "
+                         f"{DEFAULT_TOL:g})")
     rho_star = min(lambda_k1 / 10.0, 30.0 * c0 * (k + 1) ** 5 * math.sqrt(lambda_k))
     phi_in = lambda_k1 / (140.0 * (k + 1) ** 2)
     if phi_in_mode == "practical":
@@ -224,9 +217,8 @@ class _Critical(NamedTuple):
 
 def _measure_critical(G: Graph, P: np.ndarray, induced: Graph, T: HCTree,
                       nodes: tuple[int, ...]) -> tuple[_Critical, ...]:
-    outside = np.setdiff1d(np.arange(G.n), P, assume_unique=True)
     locals_ = [T.leaves_under(node) for node in nodes]
-    return tuple(_Critical(int(node), cut_weight(G, P[local], outside),
+    return tuple(_Critical(int(node), _boundary(G, P[local], P)[1],
                            float(induced.degrees[local].sum()))
                  for node, local in zip(nodes, locals_))
 
@@ -445,39 +437,42 @@ class _State:
 
 class _Candidate:
     """Cluster i split by a candidate set S (a sweep cut or the leaves of a
-    critical node) and its core. Every measurement the refinement
-    predicates read is computed on first use and at most once."""
+    critical node) and its core C: ``s_plus = S∩C``, ``s_minus = S\\C``,
+    ``s_plus_bar = C\\S``. Every measurement the refinement predicates
+    read is computed on first use and at most once."""
 
     def __init__(self, state: _State, i: int, S: np.ndarray):
         self.state, self.G, self.i = state, state.G, i
         self.P, self.core = state.sets[i], state.cores[i]
-        self.view = split_view(S, self.P, self.core)
+        self.s_plus = np.intersect1d(S, self.core, assume_unique=True)
+        self.s_minus = np.setdiff1d(S, self.core, assume_unique=True)
+        self.s_plus_bar = np.setdiff1d(self.core, S, assume_unique=True)
 
     @cached_property
     def phi_plus(self) -> float:
-        return set_conductance(self.G, self.view.s_plus)
+        return set_conductance(self.G, self.s_plus)
 
     @cached_property
     def phi_plus_bar(self) -> float:
-        return set_conductance(self.G, self.view.s_plus_bar)
+        return set_conductance(self.G, self.s_plus_bar)
 
     @cached_property
     def rel_plus(self) -> float:
-        return relative_conductance(self.G, self.view.s_plus, self.core)
+        return relative_conductance(self.G, self.s_plus, self.core)
 
     @cached_property
     def plus_is_small(self) -> bool:
         """vol(S∩C) <= vol(C)/2, where the late core shrink applies."""
-        return volume(self.G, self.view.s_plus) <= volume(self.G, self.core) / 2.0
+        return volume(self.G, self.s_plus) <= volume(self.G, self.core) / 2.0
 
     @cached_property
     def minus_is_small(self) -> bool:
         """vol(S\\C) <= vol(P)/2, where the late move applies."""
-        return volume(self.G, self.view.s_minus) <= volume(self.G, self.P) / 2.0
+        return volume(self.G, self.s_minus) <= volume(self.G, self.P) / 2.0
 
     @cached_property
     def cross_minus(self) -> np.ndarray:
-        return self.state.cross_weights(self.view.s_minus)
+        return self.state.cross_weights(self.s_minus)
 
     @cached_property
     def splits_core(self) -> bool:
@@ -498,17 +493,17 @@ class _Candidate:
     @cached_property
     def moves_late(self) -> bool:
         """Late move test (if_8)."""
-        return bool(self.view.s_minus.size) and self.minus_is_small and \
+        return bool(self.s_minus.size) and self.minus_is_small and \
             self.moves_rest
 
     def split_core(self, tag: str) -> str:
-        return self.state.apply_split(self.i, removed=self.view.s_plus_bar,
-                                      new_core=self.view.s_plus, tag=tag)
+        return self.state.apply_split(self.i, removed=self.s_plus_bar,
+                                      new_core=self.s_plus, tag=tag)
 
     def shrink_core(self, tag: str) -> str:
         """Keep the lower-conductance core half; ties go to the larger
         volume, then the lower minimum vertex id."""
-        a, b = self.view.s_plus, self.view.s_plus_bar
+        a, b = self.s_plus, self.s_plus_bar
         if self.phi_plus != self.phi_plus_bar:
             keep = a if self.phi_plus < self.phi_plus_bar else b
         else:
@@ -521,7 +516,7 @@ class _Candidate:
 
     def move_rest(self, tag: str) -> str:
         target = self.state.move_target(self.cross_minus, self.i)
-        return self.state.apply_move(self.i, self.view.s_minus, target, tag=tag)
+        return self.state.apply_move(self.i, self.s_minus, target, tag=tag)
 
 
 @_per_state
@@ -549,19 +544,18 @@ def _try_refine(state: _State, i: int, S: np.ndarray) -> str | None:
     first that fires and name it, or return None."""
     G = state.G
     cand = _Candidate(state, i, S)
-    view = cand.view
     if cand.splits_core:
         return cand.split_core("split-core-half")
-    rel_plus_bar = relative_conductance(G, view.s_plus_bar, state.cores[i])
+    rel_plus_bar = relative_conductance(G, cand.s_plus_bar, state.cores[i])
     if min(cand.rel_plus, rel_plus_bar) <= state.rel_threshold():
         return cand.shrink_core("core-shrink")
-    if set_conductance(G, view.s_minus) <= state.split_threshold():
-        return state.apply_split(i, removed=view.s_minus, new_core=None,
+    if set_conductance(G, cand.s_minus) <= state.split_threshold():
+        return state.apply_split(i, removed=cand.s_minus, new_core=None,
                                  tag="split-outside-core")
     fired = _move_noncore(state, i)
     if fired:
         return fired
-    if view.s_minus.size and cand.moves_rest:
+    if cand.s_minus.size and cand.moves_rest:
         return cand.move_rest("move-sweep-rest")
     return None
 
@@ -683,14 +677,10 @@ def termination_report(G: Graph, partition: Partition, params: DecompParams,
             "inner_target": params.phi_in ** 2 / 4.0,
             "critical_nodes": [],
         }
-        outside = np.setdiff1d(np.arange(G.n), P, assume_unique=True)
         for (local, cand), crit in zip(_critical_candidates(state, i),
                                        info.critical):
-            s_minus = cand.view.s_minus
             a3_lhs, a3_rhs = crit.w_out, 6.0 * (k + 1) * crit.vol_in
-            w_minus_in = cut_weight(
-                G, s_minus, np.setdiff1d(P, s_minus, assume_unique=True))
-            w_minus_out = cut_weight(G, s_minus, outside)
+            w_minus_in, w_minus_out = _boundary(G, cand.s_minus, P)
             # node first, so every node's predicate is evaluated
             if_6 = cand.splits_core or if_6
             if_7 = cand.shrinks_core_late or if_7

@@ -253,24 +253,13 @@ def gen_hsbm(p: float, q_min: float, seed: int,
     return _block_graph([size] * 5, _hsbm_qmat(p, q_min), seed)
 
 
-def _floor_pow_2_3(n: int) -> int:
-    """Exact floor(n^(2/3)) without float cube-root error."""
-    target = n * n
-    s = max(1, int(round(target ** (1.0 / 3.0))))
-    while s * s * s > target:
-        s -= 1
-    while (s + 1) ** 3 <= target:
-        s += 1
-    return s
-
-
-def _floor_pow_11_10(n: int) -> int:
-    """Exact floor(n^1.1); float powers misround at powers of 2^10."""
-    target = n**11
-    t = max(1, int(n ** 1.1))
-    while t**10 > target:
+def _floor_power(n: int, p: int, q: int) -> int:
+    """Exact floor(n^(p/q)); the float guess misrounds near exact powers."""
+    target = n**p
+    t = max(1, int(round(n ** (p / q))))
+    while t**q > target:
         t -= 1
-    while (t + 1) ** 10 <= target:
+    while (t + 1) ** q <= target:
         t += 1
     return t
 
@@ -354,7 +343,7 @@ def _planted_clique_expander(n: int, rng: np.random.Generator) -> tuple[Graph, n
     if n < 27:
         raise ValueError("planted-clique construction needs n >= 27")
     base = _random_regular(n, REGULAR_BASE_DEGREE, rng, EXPANDER_MIN_LAMBDA2)
-    s = _floor_pow_2_3(n)
+    s = _floor_power(n, 2, 3)
     # Vertex ids of the regular base are exchangeable; the clique takes 0..s-1.
     clique = np.arange(s)
     iu, iv = np.triu_indices(s, 1)
@@ -389,7 +378,7 @@ def gen_bridged_two_cluster(n: int, seed: int) -> tuple[Graph, PlantedLabels]:
     G1, clique1 = _planted_clique_expander(n, _rng(seed, 1))
     G2, clique2 = _planted_clique_expander(n, _rng(seed, 2))
     s = len(clique1)
-    bridges = _floor_pow_11_10(n)
+    bridges = _floor_power(n, 11, 10)
     if bridges > s * s:
         raise ValueError(f"floor(n^1.1) = {bridges} exceeds the {s * s} "
                          f"available clique pairs at n = {n}")
@@ -505,23 +494,26 @@ def save_labels(path: str, labels: PlantedLabels) -> None:
 def load_labels(path: str) -> PlantedLabels:
     rows = []
     with open(path, encoding="ascii") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
                 continue
-            if len(parts) not in (2, 3):
-                raise ValueError(f"malformed label line: {line.rstrip()!r}")
-            rows.append([int(x) for x in parts])
+            width = len(rows[0]) if rows else len(parts)
+            try:
+                if len(parts) != width or width not in (2, 3):
+                    raise ValueError
+                rows.append([int(x) for x in parts])
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: bad label line {line!r}") from None
     if not rows:
-        raise ValueError("empty label file")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("inconsistent label columns")
+        raise ValueError(f"{path}: empty label file")
     arr = np.asarray(rows, dtype=np.int64)
     order = np.argsort(arr[:, 0])
     arr = arr[order]
     if not np.array_equal(arr[:, 0], np.arange(len(arr))):
-        raise ValueError("label file must cover vertices 0..n-1 exactly once")
+        raise ValueError(
+            f"{path}: label file must cover vertices 0..n-1 exactly once")
     clusters = arr[:, 1]
     cliques: dict[int, np.ndarray] = {}
     if width == 3:

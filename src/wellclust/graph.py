@@ -20,7 +20,6 @@ __all__ = [
     "build_graph",
     "volume",
     "cut_weight",
-    "directed_boundary",
     "set_conductance",
     "induced_subgraph",
     "induced_with_selfloops",
@@ -69,23 +68,18 @@ class Graph:
         :func:`induced_with_selfloops`).
     degrees : ndarray
         ``degree(u) = sum of incident edge weights + self_loops[u]``.
-    source_ids : ndarray or None
-        When the graph was induced from another graph, ``source_ids[i]`` is
-        the id vertex ``i`` had in the outermost original graph.
     """
 
     __slots__ = ("n", "edges_u", "edges_v", "edges_w", "self_loops",
-                 "degrees", "source_ids")
+                 "degrees")
 
     def __init__(self, n: int, edges_u: np.ndarray, edges_v: np.ndarray,
-                 edges_w: np.ndarray, self_loops: np.ndarray,
-                 source_ids: np.ndarray | None = None):
+                 edges_w: np.ndarray, self_loops: np.ndarray):
         self.n = int(n)
         self.edges_u = edges_u
         self.edges_v = edges_v
         self.edges_w = edges_w
         self.self_loops = self_loops
-        self.source_ids = source_ids
         deg = np.zeros(n, dtype=np.float64)
         np.add.at(deg, edges_u, edges_w)
         np.add.at(deg, edges_v, edges_w)
@@ -179,17 +173,6 @@ def cut_weight(G: Graph, S: Iterable[int], T: Iterable[int]) -> float:
     return float(G.edges_w[crosses].sum())
 
 
-def directed_boundary(G: Graph, S: Iterable[int], T: Iterable[int]) -> float:
-    """Weight leaving ``S`` into ``T``: ``cut_weight(S, T \\ S)``.
-
-    Unlike :func:`cut_weight`, overlap between the two sets is allowed.
-    """
-    S = vertex_set(S, G.n)
-    T = vertex_set(T, G.n)
-    T_minus_S = np.setdiff1d(T, S, assume_unique=True)
-    return cut_weight(G, S, T_minus_S)
-
-
 def set_conductance(G: Graph, S: Iterable[int]) -> float:
     """Conductance ``w(S, V\\S) / vol(S)``.
 
@@ -218,23 +201,19 @@ def _induce_edges(G: Graph, S: np.ndarray):
     eu = relabel[G.edges_u[keep]]
     ev = relabel[G.edges_v[keep]]
     ew = G.edges_w[keep].copy()
-    src = G.source_ids[S] if G.source_ids is not None else S.copy()
-    return eu, ev, ew, src
+    return eu, ev, ew
 
 
 def induced_subgraph(G: Graph, S: Iterable[int]) -> Graph:
     """``G[S]``: edges inside ``S`` only, vertices relabeled to ``0..|S|-1``.
 
-    Degrees are recomputed within ``S`` and no self-loops are added. The
-    returned graph's ``source_ids`` maps local ids back to the ids of the
-    outermost original graph.
+    Degrees are recomputed within ``S`` and no self-loops are added.
     """
     S = vertex_set(S, G.n)
     if S.size == 0:
         raise ValueError("cannot induce a subgraph on the empty set")
-    eu, ev, ew, src = _induce_edges(G, S)
-    return Graph(S.size, eu, ev, ew, np.zeros(S.size, dtype=np.float64),
-                 source_ids=src)
+    eu, ev, ew = _induce_edges(G, S)
+    return Graph(S.size, eu, ev, ew, np.zeros(S.size, dtype=np.float64))
 
 
 def induced_with_selfloops(G: Graph, S: Iterable[int]) -> Graph:
@@ -247,7 +226,7 @@ def induced_with_selfloops(G: Graph, S: Iterable[int]) -> Graph:
     S = vertex_set(S, G.n)
     if S.size == 0:
         raise ValueError("cannot induce a subgraph on the empty set")
-    eu, ev, ew, src = _induce_edges(G, S)
+    eu, ev, ew = _induce_edges(G, S)
     inner = np.zeros(S.size, dtype=np.float64)
     np.add.at(inner, eu, ew)
     np.add.at(inner, ev, ew)
@@ -256,7 +235,7 @@ def induced_with_selfloops(G: Graph, S: Iterable[int]) -> Graph:
     loops[np.abs(loops) < 1e-12 * np.maximum(G.degrees[S], 1.0)] = 0.0
     if np.any(loops < 0):
         raise AssertionError("negative self-loop weight; degree bookkeeping broke")
-    return Graph(S.size, eu, ev, ew, loops, source_ids=src)
+    return Graph(S.size, eu, ev, ew, loops)
 
 
 def degree_stats(G: Graph) -> tuple[float, float, float, float]:
@@ -285,10 +264,12 @@ def save_graph(G: Graph, path) -> None:
 def load_graph(path) -> Graph:
     """Read the edge-list format written by :func:`save_graph`."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: expected header 'n m'")
-        n, m = int(header[0]), int(header[1])
+        header = fh.readline()
+        try:
+            n, m = (int(tok) for tok in header.split())
+        except ValueError:
+            raise ValueError(
+                f"{path}:1: expected header 'n m', got {header!r}") from None
         edges = []
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()

@@ -205,8 +205,7 @@ def _fold_whole(G: Graph, sets: tuple, trees: list[HCTree]) -> HCTree:
 
 
 def best_over_k(G: Graph, k_max: int, c0: float = 1.0,
-                phi_in_mode: str = "practical", tol: float = DEFAULT_TOL,
-                ) -> tuple[int, HCTree]:
+                phi_in_mode: str = "practical") -> tuple[int, HCTree]:
     """Try every k in 2..k_max and keep the cheapest tree (ties: smallest k).
 
     k values whose (k+1)-th eigenvalue sits at numerical zero are skipped:
@@ -220,7 +219,7 @@ def best_over_k(G: Graph, k_max: int, c0: float = 1.0,
     best: tuple[float, int, HCTree] | None = None
     tried = 0
     for k in range(2, k_max + 1):
-        if k + 1 > G.n or float(eigs.eigenvalues[k]) <= tol:
+        if k + 1 > G.n or float(eigs.eigenvalues[k]) <= DEFAULT_TOL:
             continue
         tried += 1
         params = derive_params(G, k, c0=c0, phi_in_mode=phi_in_mode, eigs=eigs)

@@ -221,6 +221,10 @@ def test_malformed_graph_line_numbered(tmp_path, capsys):
     code = main(["cost", str(g), str(t)])
     assert code == 1
     assert f"{g}:2:" in capsys.readouterr().err
+    g.write_text("a b\n0 1 1.0\n")
+    code = main(["run", "--graph", str(g), "--algo", "degrees"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {g}:1: ")
 
 
 def test_malformed_tree_line_numbered(tmp_path, capsys):
@@ -231,6 +235,16 @@ def test_malformed_tree_line_numbered(tmp_path, capsys):
     code = main(["cost", str(g), str(t)])
     assert code == 1
     assert f"{t}:2:" in capsys.readouterr().err
+
+
+def test_ragged_points_line_numbered(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0 0\n1 1\n2 2 2\n")
+    code = main(["generate", "--family", "gaussian_kernel", "--points-file",
+                 str(pts), "--sigma", "1.0", "--seed", "1",
+                 "--out", str(tmp_path / "g.txt")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {pts}:3: ")
 
 
 def test_unreachable_tree_nodes_exit_one(tmp_path, capsys):

@@ -26,7 +26,7 @@ from wellclust import (
 )
 from wellclust.cli import _json_default
 from wellclust.decomposition import (PHI_IN_MODES, _Candidate,
-                                     _critical_candidates, _State, split_view)
+                                     _critical_candidates, _State)
 from wellclust.degree_hc import hc_with_degrees
 from wellclust.generators import (gen_bridged_two_cluster,
                                   gen_planted_clique_expander, gen_sbm,
@@ -37,7 +37,7 @@ from wellclust.prune_merge import prune_condition
 from wellclust.spectral import SpectralResult
 from wellclust.tree import critical_nodes
 
-from conftest import DUMBBELL_EDGES, unit_graph
+from conftest import DUMBBELL_EDGES, cycle_graph, unit_graph
 from oracles import graph_conductance_exact_ORACLE
 
 
@@ -59,17 +59,17 @@ def test_relative_conductance_conventions(two_triangles):
         relative_conductance(two_triangles, [0, 3], [0, 1, 2])
 
 
-def test_split_view_partitions_cluster():
+def test_candidate_partitions_cluster():
+    G = cycle_graph(8)
     P = np.arange(8)
     core = np.array([0, 1, 2, 3])
-    S = np.array([2, 3, 4])
-    view = split_view(S, P, core)
-    assert sorted(np.concatenate([view.s_plus, view.s_plus_bar]).tolist()) \
+    state = _State(G, 2, derive_params(G, 2), sets=[P], cores=[core])
+    cand = _Candidate(state, 0, np.array([2, 3, 4]))
+    assert sorted(np.concatenate([cand.s_plus, cand.s_plus_bar]).tolist()) \
         == core.tolist()
-    rest = np.concatenate([view.s_minus, view.s_minus_bar])
-    assert sorted(rest.tolist()) == [4, 5, 6, 7]
-    assert view.s_plus.tolist() == [2, 3]
-    assert view.s_minus.tolist() == [4]
+    assert cand.s_plus.tolist() == [2, 3]
+    assert cand.s_plus_bar.tolist() == [0, 1]
+    assert cand.s_minus.tolist() == [4]
 
 
 def fixed_eigs(n, values):

@@ -1,6 +1,7 @@
 """Seeded graph generator tests: extremes, statistics, determinism."""
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -307,16 +308,17 @@ def test_labels_roundtrip_plain(tmp_path):
 
 
 def test_labels_load_validation(tmp_path):
+    """Every error names the file, and the line when one line is at fault."""
     bad = tmp_path / "bad.txt"
-    bad.write_text("0 0\n2 1\n")
-    with pytest.raises(ValueError):
-        load_labels(str(bad))
-    bad.write_text("0 0 1 9\n")
-    with pytest.raises(ValueError):
-        load_labels(str(bad))
-    bad.write_text("")
-    with pytest.raises(ValueError):
-        load_labels(str(bad))
+    prefix = re.escape(str(bad))
+    for text, where in [("0 0\n2 1\n", ""),       # vertex 1 missing
+                        ("0 0 1 9\n", ":1"),       # too many columns
+                        ("0 0\n1 x\n", ":2"),      # not an integer
+                        ("0 0 1\n1 1\n", ":2"),    # columns change
+                        ("", "")]:
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=rf"^{prefix}{where}: "):
+            load_labels(str(bad))
 
 
 def test_planted_labels_validation():

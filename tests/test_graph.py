@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from wellclust import (build_graph, cut_weight, degree_stats,
-                       directed_boundary, induced_subgraph,
-                       induced_with_selfloops, load_graph, save_graph,
-                       set_conductance, volume)
+                       induced_subgraph, induced_with_selfloops, load_graph,
+                       save_graph, set_conductance, volume)
 from wellclust.graph import vertex_set
 from conftest import (complete_graph, path_graph, random_connected_graph,
                       star_graph, unit_graph)
@@ -101,12 +100,6 @@ def test_cut_weight(triangle, dumbbell):
 def test_cut_weight_symmetry(dumbbell):
     S, T = [0, 2, 4], [1, 3]
     assert cut_weight(dumbbell, S, T) == cut_weight(dumbbell, T, S)
-
-
-def test_directed_boundary(triangle, dumbbell):
-    assert directed_boundary(triangle, [0, 1], [1, 2]) == 2.0
-    assert directed_boundary(triangle, [0, 1], [0, 1]) == 0.0
-    assert directed_boundary(dumbbell, [2], range(6)) == 3.0
 
 
 def test_set_conductance(k4, dumbbell):

@@ -263,6 +263,24 @@ def test_pipeline_builds_no_cluster_view_twice(monkeypatch):
     assert counted(lambda: naive_cluster_merge(G, 3)) == alone
 
 
+def test_pipeline_and_report_call_no_cut_weight(monkeypatch):
+    """The decomposition, the prune stage and the termination report take
+    every boundary weight from one edge pass per set, never from
+    cut_weight."""
+    G, _ = gen_sbm([30, 30, 30], 0.5, 0.01, 1)
+    calls = []
+    for name in ("graph", "decomposition", "prune_merge"):
+        module = importlib.import_module(f"wellclust.{name}")
+        if hasattr(module, "cut_weight"):
+            monkeypatch.setattr(module, "cut_weight",
+                                lambda *a, _f=module.cut_weight, **kw:
+                                calls.append(a) or _f(*a, **kw))
+    result = run_prune_merge(G, 3)
+    report = termination_report(G, result.partition, result.params, 3)
+    assert any(c["critical_nodes"] for c in report["clusters"])
+    assert calls == []
+
+
 def test_best_over_k_two_components(two_triangles):
     k, T = best_over_k(two_triangles, 4)
     assert k == 2
