@@ -22,7 +22,7 @@ from .graph import (Graph, build_graph, cut_weight, degree_stats,
 from .linkage import linkage
 from .metrics import adjusted_rand_index
 from .prune_merge import (PruneMergeResult, best_over_k, naive_cluster_merge,
-                          prune_condition, prune_merge, run_prune_merge)
+                          prune_condition, run_prune_merge)
 from .spectral import (SpectralConvergenceError, SpectralResult, SweepCut,
                        laplacian_apply, smallest_eigenvalues,
                        spectral_partition)
@@ -43,7 +43,7 @@ __all__ = [
     "derive_params", "gaussian_kernel_graph", "generate",
     "hc_with_degrees", "induced_subgraph", "induced_with_selfloops",
     "laplacian_apply", "linkage", "load_graph", "load_labels", "load_tree",
-    "naive_cluster_merge", "prune_condition", "prune_merge", "random_tree",
+    "naive_cluster_merge", "prune_condition", "random_tree",
     "relative_conductance", "run_algorithm", "run_prune_merge", "save_graph",
     "save_labels", "save_tree", "set_conductance", "smallest_eigenvalues",
     "spectral_partition", "strong_decomposition", "termination_report",

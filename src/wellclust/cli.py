@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -100,9 +101,12 @@ def _load_points(path: str) -> list[list[float]]:
             if not parts:
                 continue
             try:
-                if points and len(parts) != len(points[0]):
+                point = [float(tok) for tok in parts]
+                if points and len(point) != len(points[0]):
                     raise ValueError
-                points.append([float(tok) for tok in parts])
+                if not all(map(math.isfinite, point)):
+                    raise ValueError
+                points.append(point)
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: bad point line {line!r}") from None
@@ -111,16 +115,26 @@ def _load_points(path: str) -> list[list[float]]:
     return points
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _family_params(args, parser: argparse.ArgumentParser) -> dict:
-    """Collect this family's parameters from flags, rejecting missing ones."""
+    """Collect this family's parameters from flags, rejecting missing ones
+    and those of other families."""
     required, optional = _FAMILY_PARAMS[args.family]
+    taken = required + optional
+    for other_required, other_optional in _FAMILY_PARAMS.values():
+        for name in other_required + other_optional:
+            if name not in taken and getattr(args, name) is not None:
+                parser.error(f"family {args.family!r} does not take "
+                             f"{_flag(name)}")
     params = {}
-    for name in required + optional:
+    for name in taken:
         value = getattr(args, name)
         if value is None:
             if name in required:
-                flag = "--" + name.replace("_", "-")
-                parser.error(f"family {args.family!r} requires {flag}")
+                parser.error(f"family {args.family!r} requires {_flag(name)}")
             continue
         params[name] = value
     if "points_file" in params:
@@ -178,7 +192,7 @@ def cmd_run(args, parser) -> int:
     G = load_graph(args.graph)
     outcome = run_algorithm(G, args.algo, k=args.k, seed=args.seed,
                             best_k_max=args.best_over_k,
-                            c0=args.c0, phi_in_mode=args.phi_in_mode,
+                            phi_in_mode=args.phi_in_mode,
                             timing=args.timing == "wall")
     if args.out is not None:
         save_tree(outcome.tree, args.out)
@@ -205,8 +219,7 @@ def cmd_cost(args, parser) -> int:
 
 def cmd_decompose(args, parser) -> int:
     G = load_graph(args.graph)
-    params = derive_params(G, args.k, c0=args.c0,
-                           phi_in_mode=args.phi_in_mode)
+    params = derive_params(G, args.k, phi_in_mode=args.phi_in_mode)
     partition, report = strong_decomposition(G, args.k, params)
     iterations, stalled = report.pop("iterations"), report.pop("stalled")
     del report["trace_tail"]
@@ -257,7 +270,7 @@ def cmd_compare(args, parser) -> int:
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
     rows = compare_sweep(points, algos, seeds=range(1, args.seeds + 1),
-                         k=args.k, best_k_max=args.best_over_k, c0=args.c0,
+                         k=args.k, best_k_max=args.best_over_k,
                          phi_in_mode=args.phi_in_mode, timing=args.timing)
     write_csv(rows, args.out)
     n_data = sum(1 for r in rows if r["seed"] != "mean")
@@ -290,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0,
                        help="random baseline's seed")
     p_run.add_argument("--out", help="write the dendrogram here")
-    p_run.add_argument("--c0", type=float, default=1.0)
     p_run.add_argument("--phi-in-mode", dest="phi_in_mode",
                        choices=PHI_IN_MODES, default="practical")
     p_run.add_argument("--timing", choices=("none", "wall"), default="none")
@@ -307,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="partition into low-conductance clusters")
     p_dec.add_argument("--graph", required=True)
     p_dec.add_argument("--k", type=int, required=True)
-    p_dec.add_argument("--c0", type=float, default=1.0)
     p_dec.add_argument("--phi-in-mode", dest="phi_in_mode",
                        choices=PHI_IN_MODES, default="practical")
     p_dec.add_argument("--out", help="write the JSON here instead of stdout")
@@ -332,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="instances per point, seeded 1..N")
     p_cmp.add_argument("--k", type=int, default=2)
     p_cmp.add_argument("--best-over-k", dest="best_over_k", type=int)
-    p_cmp.add_argument("--c0", type=float, default=1.0)
     p_cmp.add_argument("--phi-in-mode", dest="phi_in_mode",
                        choices=PHI_IN_MODES, default="practical")
     p_cmp.add_argument("--timing", choices=("none", "wall"), default="none")

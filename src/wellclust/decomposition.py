@@ -42,6 +42,8 @@ __all__ = [
 
 DEFAULT_ITERATION_CAP = 10**6
 PHI_IN_MODES = ("paper", "practical")
+# The analysis constant c_0 of rho* and phi_out (Oveis Gharan & Trevisan).
+C0 = 1.0
 # Slack for comparing measured conductances against analytic bounds.
 _BOUND_RTOL = 1e-9
 
@@ -111,7 +113,6 @@ class DecompParams:
     k: int
     lambda_k: float
     lambda_k1: float
-    c0: float
     rho_star: float
     phi_in: float
     phi_out: float
@@ -156,8 +157,7 @@ def relative_conductance(G: Graph, S: Iterable[int], P: Iterable[int]) -> float:
     return w_in / ((vol_rest / vol_p) * w_out)
 
 
-def derive_params(G: Graph, k: int, c0: float = 1.0,
-                  phi_in_mode: str = "practical",
+def derive_params(G: Graph, k: int, phi_in_mode: str = "practical",
                   eigs: SpectralResult | None = None) -> DecompParams:
     """Compute the threshold set for a k-cluster run.
 
@@ -182,16 +182,16 @@ def derive_params(G: Graph, k: int, c0: float = 1.0,
         raise ValueError(f"graph has at least {k + 1} near-disconnected "
                          f"parts (lambda_{k + 1} = {lambda_k1:.3g} <= "
                          f"{DEFAULT_TOL:g})")
-    rho_star = min(lambda_k1 / 10.0, 30.0 * c0 * (k + 1) ** 5 * math.sqrt(lambda_k))
+    rho_star = min(lambda_k1 / 10.0, 30.0 * C0 * (k + 1) ** 5 * math.sqrt(lambda_k))
     phi_in = lambda_k1 / (140.0 * (k + 1) ** 2)
     if phi_in_mode == "practical":
         phi_in = max(phi_in, 2.0 * lambda_k)
-    phi_out = 90.0 * c0 * (k + 1) ** 6 * math.sqrt(lambda_k)
+    phi_out = 90.0 * C0 * (k + 1) ** 6 * math.sqrt(lambda_k)
     max_iterations = DEFAULT_ITERATION_CAP
     if G.w_min is not None:
         max_iterations = min(max_iterations,
                              math.ceil(k * G.n * G.total_volume / G.w_min))
-    return DecompParams(k=k, lambda_k=lambda_k, lambda_k1=lambda_k1, c0=c0,
+    return DecompParams(k=k, lambda_k=lambda_k, lambda_k1=lambda_k1,
                         rho_star=rho_star, phi_in=phi_in, phi_out=phi_out,
                         max_iterations=max_iterations,
                         phi_in_mode=phi_in_mode)
@@ -241,7 +241,7 @@ class _ClusterInfo:
     @cached_property
     def crit(self) -> tuple[int, ...]:
         """The critical nodes of ``tree``; none for a single vertex."""
-        return critical_nodes(self.induced, self.tree).nodes \
+        return critical_nodes(self.induced, self.tree) \
             if self.induced.n >= 2 else ()
 
     @cached_property
@@ -588,7 +588,7 @@ class _Decomposition(tuple):
 
 
 def strong_decomposition(G: Graph, k: int, params: DecompParams | None = None,
-                         c0: float = 1.0, phi_in_mode: str = "practical",
+                         phi_in_mode: str = "practical",
                          ) -> tuple[Partition, dict]:
     """Partition G into at most k clusters with certified cores.
 
@@ -600,7 +600,7 @@ def strong_decomposition(G: Graph, k: int, params: DecompParams | None = None,
     the refinement analysis assumes).
     """
     if params is None:
-        params = derive_params(G, k, c0=c0, phi_in_mode=phi_in_mode)
+        params = derive_params(G, k, phi_in_mode=phi_in_mode)
     state = _State(G, k, params)
     state._check_invariants()
     stalled = False

@@ -62,8 +62,7 @@ def checked_cost(G: Graph, T: HCTree) -> float:
 def run_algorithm(G: Graph, algo: str, k: int = 2, seed: int = 0,
                   best_k_max: int | None = None,
                   labels: PlantedLabels | None = None,
-                  c0: float = 1.0, phi_in_mode: str = "practical",
-                  timing: bool = False,
+                  phi_in_mode: str = "practical", timing: bool = False,
                   _pipeline: PruneMergeResult | None = None) -> RunOutcome:
     """Run one algorithm on ``G`` and return its tree, cost, and metadata.
 
@@ -85,17 +84,16 @@ def run_algorithm(G: Graph, algo: str, k: int = 2, seed: int = 0,
         tree = hc_with_degrees(G)
     elif algo == "prunemerge":
         if best_k_max is not None:
-            k_used, tree = best_over_k(G, best_k_max, c0=c0,
-                                       phi_in_mode=phi_in_mode)
+            k_used, tree = best_over_k(G, best_k_max, phi_in_mode=phi_in_mode)
         else:
-            result = run_prune_merge(G, k, c0=c0, phi_in_mode=phi_in_mode)
+            result = run_prune_merge(G, k, phi_in_mode=phi_in_mode)
             tree = result.tree
             k_used = k
             if labels is not None:
                 ari = adjusted_rand_index(labels.clusters,
                                           result.partition.labels)
     elif algo == "naive":
-        tree = naive_cluster_merge(G, k, c0=c0, phi_in_mode=phi_in_mode) \
+        tree = naive_cluster_merge(G, k, phi_in_mode=phi_in_mode) \
             if _pipeline is None else _pipeline.naive_tree(G)
         k_used = k
     elif algo == "random":
@@ -165,8 +163,8 @@ def default_thread_count() -> int:
 
 
 def _instance_rows(point: SweepPoint, seed: int, algos: Sequence[str],
-                   k: int, best_k_max: int | None, c0: float,
-                   phi_in_mode: str, timing: bool) -> list[dict[str, str]]:
+                   k: int, best_k_max: int | None, phi_in_mode: str,
+                   timing: bool) -> list[dict[str, str]]:
     """All CSV data rows for one (point, seed) instance."""
     outcomes: dict[str, RunOutcome | Exception] = {}
     try:
@@ -184,7 +182,7 @@ def _instance_rows(point: SweepPoint, seed: int, algos: Sequence[str],
         try:
             outcomes[algo] = run_algorithm(
                 G, algo, k=k, seed=seed, best_k_max=best_k_max,
-                labels=labels, c0=c0, phi_in_mode=phi_in_mode, timing=timing,
+                labels=labels, phi_in_mode=phi_in_mode, timing=timing,
                 _pipeline=getattr(outcomes.get("prunemerge"), "result", None))
         except Exception as exc:  # noqa: BLE001  (row-level error reporting)
             outcomes[algo] = exc
@@ -237,7 +235,7 @@ def _mean_rows(point: SweepPoint, algos: Sequence[str],
 
 def compare_sweep(points: Sequence[SweepPoint], algos: Sequence[str],
                   seeds: Sequence[int], k: int = 2,
-                  best_k_max: int | None = None, c0: float = 1.0,
+                  best_k_max: int | None = None,
                   phi_in_mode: str = "practical",
                   timing: str = "none") -> list[dict[str, str]]:
     """Run every algorithm on every seeded instance of every point.
@@ -255,7 +253,7 @@ def compare_sweep(points: Sequence[SweepPoint], algos: Sequence[str],
             raise ValueError(f"unknown algorithm {algo!r}")
     if not points or not algos or not seeds:
         raise ValueError("points, algos, and seeds must all be nonempty")
-    by_point = [[_instance_rows(point, seed, algos, k, best_k_max, c0,
+    by_point = [[_instance_rows(point, seed, algos, k, best_k_max,
                                 phi_in_mode, timing == "wall")
                  for seed in seeds] for point in points]
     out = [row for per_point in by_point for per_seed in per_point

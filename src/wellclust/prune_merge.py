@@ -30,14 +30,12 @@ from .decomposition import (DecompParams, Partition, _ClusterInfo, _Critical,
                             strong_decomposition)
 from .graph import Graph, induced_subgraph, vertex_set
 from .spectral import DEFAULT_TOL, smallest_eigenvalues
-from .tree import (CriticalNodes, HCTree, caterpillar_merge, dasgupta_cost,
-                   relabel_leaves)
+from .tree import HCTree, caterpillar_merge, dasgupta_cost, relabel_leaves
 
 __all__ = [
     "PruneMergeResult",
     "prune_condition",
     "run_prune_merge",
-    "prune_merge",
     "naive_cluster_merge",
     "best_over_k",
 ]
@@ -69,7 +67,7 @@ class PruneMergeResult:
         return _fold_whole(G, self.partition.sets, self.whole)
 
 
-def prune_condition(G: Graph, T: HCTree, crit: CriticalNodes | tuple[int, ...],
+def prune_condition(G: Graph, T: HCTree, crit: tuple[int, ...],
                     P: np.ndarray, k: int) -> bool:
     """Is the current tree cheap enough to keep whole?
 
@@ -79,11 +77,10 @@ def prune_condition(G: Graph, T: HCTree, crit: CriticalNodes | tuple[int, ...],
     with parent sizes in T (a root's parent counts as itself) and
     volumes in the induced subgraph on P.
     """
-    nodes = crit.nodes if isinstance(crit, CriticalNodes) else tuple(crit)
-    if not nodes:
+    if not crit:
         raise ValueError("need at least one critical node")
     P = vertex_set(P, G.n)
-    live = _measure_critical(G, P, induced_subgraph(G, P), T, nodes)
+    live = _measure_critical(G, P, induced_subgraph(G, P), T, crit)
     return _keeps_whole(G.n, k, T, live, T.root)
 
 
@@ -141,11 +138,11 @@ def _prune_cluster(G: Graph, view: _ClusterInfo, k: int, cluster: int,
 
 
 def run_prune_merge(G: Graph, k: int, params: DecompParams | None = None,
-                    c0: float = 1.0, phi_in_mode: str = "practical",
-                    ) -> PruneMergeResult:
-    """Run the full pipeline and keep every intermediate the tests audit."""
+                    phi_in_mode: str = "practical") -> PruneMergeResult:
+    """Hierarchy over all of G: decompose, prune each cluster tree, fold.
+    Keeps every intermediate the tests audit; the tree is ``.tree``."""
     if params is None:
-        params = derive_params(G, k, c0=c0, phi_in_mode=phi_in_mode)
+        params = derive_params(G, k, phi_in_mode=phi_in_mode)
     partition, report = decomposition = strong_decomposition(G, k, params)
     views = decomposition.views
     clusters = [_prune_cluster(G, view, k, i) for i, view in enumerate(views)]
@@ -179,20 +176,13 @@ def _merge_pool(G: Graph, pool: list[_PoolEntry]) -> HCTree:
     return caterpillar_merge([e.tree for e in pool])
 
 
-def prune_merge(G: Graph, k: int, params: DecompParams | None = None,
-                c0: float = 1.0, phi_in_mode: str = "practical") -> HCTree:
-    """Hierarchy over all of G: decompose, prune each cluster tree, fold."""
-    return run_prune_merge(G, k, params, c0=c0, phi_in_mode=phi_in_mode).tree
-
-
 def naive_cluster_merge(G: Graph, k: int, params: DecompParams | None = None,
-                        c0: float = 1.0, phi_in_mode: str = "practical",
-                        ) -> HCTree:
+                        phi_in_mode: str = "practical") -> HCTree:
     """Same partition and per-cluster trees, no pruning: whole cluster
-    trees folded ascending by size. Identical to the prune_merge tree
+    trees folded ascending by size. Identical to the run_prune_merge tree
     whenever that run detaches no critical subtree."""
     if params is None:
-        params = derive_params(G, k, c0=c0, phi_in_mode=phi_in_mode)
+        params = derive_params(G, k, phi_in_mode=phi_in_mode)
     partition, _ = decomposition = strong_decomposition(G, k, params)
     return _fold_whole(G, partition.sets, [v.tree for v in decomposition.views])
 
@@ -204,7 +194,7 @@ def _fold_whole(G: Graph, sets: tuple, trees: list[HCTree]) -> HCTree:
                            for P, T in zip(sets, trees)])
 
 
-def best_over_k(G: Graph, k_max: int, c0: float = 1.0,
+def best_over_k(G: Graph, k_max: int,
                 phi_in_mode: str = "practical") -> tuple[int, HCTree]:
     """Try every k in 2..k_max and keep the cheapest tree (ties: smallest k).
 
@@ -222,8 +212,8 @@ def best_over_k(G: Graph, k_max: int, c0: float = 1.0,
         if k + 1 > G.n or float(eigs.eigenvalues[k]) <= DEFAULT_TOL:
             continue
         tried += 1
-        params = derive_params(G, k, c0=c0, phi_in_mode=phi_in_mode, eigs=eigs)
-        tree = prune_merge(G, k, params)
+        params = derive_params(G, k, phi_in_mode=phi_in_mode, eigs=eigs)
+        tree = run_prune_merge(G, k, params).tree
         cost = dasgupta_cost(G, tree)
         if best is None or cost < best[0]:
             best = (cost, k, tree)

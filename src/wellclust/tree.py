@@ -21,7 +21,6 @@ graphs by a dynamic program over vertex subsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,8 +30,6 @@ from .graph import Graph
 __all__ = [
     "HCTree",
     "TreeBuilder",
-    "DenseBranch",
-    "CriticalNodes",
     "node_volumes",
     "dasgupta_cost",
     "dasgupta_cost_cutform",
@@ -289,21 +286,6 @@ def dasgupta_cost_cutform(G: Graph, T: HCTree) -> float:
 # ---------------------------------------------------------------------------
 # Dense branch and critical nodes
 
-@dataclass(frozen=True)
-class DenseBranch:
-    """Maximal root path of nodes whose leaf-set volume exceeds vol(G)/2."""
-    path: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CriticalNodes:
-    """Siblings of the dense branch plus the last branch node's children.
-
-    The leaf sets of the critical nodes partition the tree's leaf set.
-    """
-    nodes: tuple[int, ...]
-
-
 def _heavier_child(T: HCTree, vols: np.ndarray, node: int) -> int:
     """The child of ``node`` with the larger leaf-set volume; equal volumes
     go to the lower node id."""
@@ -326,19 +308,21 @@ def _dense_path(T: HCTree, vols: np.ndarray, half: float) -> tuple[int, ...]:
     return tuple(path)
 
 
-def dense_branch(G: Graph, T: HCTree) -> DenseBranch:
-    """Follow the higher-volume child from the root while volume > vol(G)/2.
+def dense_branch(G: Graph, T: HCTree) -> tuple[int, ...]:
+    """The dense branch: the maximal root path of nodes whose leaf-set
+    volume exceeds vol(G)/2, found by following the higher-volume child.
 
     Ties between equal-volume children go to the lower node id (they can
     only occur when both are already at or below the threshold, where the
     walk stops anyway).
     """
-    return DenseBranch(_dense_path(T, node_volumes(G, T), G.total_volume / 2.0))
+    return _dense_path(T, node_volumes(G, T), G.total_volume / 2.0)
 
 
-def critical_nodes(G: Graph, T: HCTree) -> CriticalNodes:
+def critical_nodes(G: Graph, T: HCTree) -> tuple[int, ...]:
     """Partition the leaf set along the dense branch.
 
+    The leaf sets of the critical nodes partition the tree's leaf set.
     Returns the sibling of each dense-branch node (in branch order)
     followed by the two children of the last branch node, lower-volume
     child first. Leaves are admissible critical nodes. When the branch
@@ -356,7 +340,7 @@ def critical_nodes(G: Graph, T: HCTree) -> CriticalNodes:
     else:
         cont = _heavier_child(T, vols, last)
         nodes += [_sibling(T, cont), cont]
-    return CriticalNodes(tuple(nodes))
+    return tuple(nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +412,10 @@ def _inner_weight_table(G: Graph) -> np.ndarray:
     return inw
 
 
-def brute_force_opt(G: Graph, limit: int = 10) -> tuple[float, HCTree]:
+BRUTE_FORCE_MAX_N = 10
+
+
+def brute_force_opt(G: Graph) -> tuple[float, HCTree]:
     """Exact minimum Dasgupta cost by dynamic programming over vertex subsets.
 
     In cut form, a tree over S pays |S| times the weight its root cuts
@@ -436,11 +423,13 @@ def brute_force_opt(G: Graph, limit: int = 10) -> tuple[float, HCTree]:
     ``OPT(S) = min over A ∋ min(S) of |S|·w(A, S\\A) + OPT(A) + OPT(S\\A)``:
     3^n steps against (2n-3)!! topologies. Among equal costs the first
     minimum over descending A is kept. Returns the minimum cost with a
-    witness tree. Refuses graphs larger than ``limit`` vertices.
+    witness tree. Refuses graphs larger than :data:`BRUTE_FORCE_MAX_N`
+    vertices.
     """
     n = G.n
-    if n > limit:
-        raise ValueError(f"brute force limited to n <= {limit}, got n = {n}")
+    if n > BRUTE_FORCE_MAX_N:
+        raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}, "
+                         f"got n = {n}")
     if n == 0:
         raise ValueError("empty graph has no clustering tree")
     inw = _inner_weight_table(G).tolist()
@@ -547,20 +536,20 @@ def load_tree(path) -> HCTree:
             if not parts:
                 continue
             try:
+                if len(parts) != 3:
+                    raise ValueError
                 if parts[0] == "leaf":
-                    if len(parts) != 3:
-                        raise ValueError("bad leaf line")
-                    leaves[int(parts[1])] = int(parts[2])
+                    node, table, entry = int(parts[1]), leaves, int(parts[2])
                 else:
-                    if len(parts) != 3:
-                        raise ValueError("bad internal line")
-                    internals[int(parts[0])] = (int(parts[1]), int(parts[2]))
+                    node, table = int(parts[0]), internals
+                    entry = (int(parts[1]), int(parts[2]))
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: bad dendrogram line {line!r}") from None
+            if node in leaves or node in internals:
+                raise ValueError(f"{path}:{lineno}: duplicate node id {node}")
+            table[node] = entry
     ids = set(leaves) | set(internals)
-    if len(ids) != len(leaves) + len(internals):
-        raise ValueError("duplicate node id in dendrogram file")
     children = [c for pair in internals.values() for c in pair]
     child_set = set(children)
     if len(children) != len(child_set):

@@ -225,7 +225,7 @@ def keep_whole_margin(G, P, k):
     crit = critical_nodes(ind, T)
     outside = np.setdiff1d(np.arange(G.n), P, assume_unique=True)
     lhs = rhs = 0.0
-    for node in crit.nodes:
+    for node in crit:
         local = T.leaves_under(node)
         lhs += cut_weight(G, P[local], outside)
         parent = int(T.parent[node])
@@ -262,7 +262,7 @@ def first_prune_mismatches(G, res, k):
         else:
             T = hc_with_degrees(ind)
             crit = critical_nodes(ind, T)
-            expected = not crit.nodes or prune_condition(G, T, crit, P, k)
+            expected = not crit or prune_condition(G, T, crit, P, k)
         if (trace[0] if trace else None) != expected:
             bad.append(i)
     return bad

@@ -247,6 +247,47 @@ def test_ragged_points_line_numbered(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {pts}:3: ")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_points_line_numbered(tmp_path, capsys, value):
+    pts = tmp_path / "pts.txt"
+    pts.write_text(f"0 0\n{value} 1\n2 2\n")
+    code = main(["generate", "--family", "gaussian_kernel", "--points-file",
+                 str(pts), "--sigma", "1.0", "--seed", "1",
+                 "--out", str(tmp_path / "g.txt")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {pts}:2: bad point line")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["generate", "--family", "sbm", "--sizes", "10,10", "--p", "0.5",
+      "--q", "0.1", "--c-p", "0.4", "--seed", "1"], "--c-p"),
+    (["generate", "--family", "sbm", "--sizes", "10,10", "--p", "0.5",
+      "--q", "0.1", "--sigma", "2", "--seed", "1"], "--sigma"),
+    (["generate", "--family", "hsbm", "--p", "0.5", "--n", "50",
+      "--seed", "1"], "--n"),
+    (["compare", "--family", "planted_clique_expander", "--n", "64",
+      "--p", "0.3,0.5", "--algos", "degrees"], "--p"),
+])
+def test_foreign_family_flag_rejected(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    family = argv[argv.index("--family") + 1]
+    assert f"family {family!r} does not take {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--graph", "g.txt", "--algo", "degrees"],
+    ["decompose", "--graph", "g.txt", "--k", "2"],
+    ["compare", "--family", "planted_clique_expander", "--n", "16",
+     "--algos", "degrees", "--out", "c.csv"],
+])
+def test_c0_flag_rejected(capsys, argv):
+    # c_0 is the fixed constant decomposition.C0, not an option
+    assert main(argv + ["--c0", "2"]) == 1
+    assert "unrecognized arguments: --c0 2" in capsys.readouterr().err
+
+
 def test_unreachable_tree_nodes_exit_one(tmp_path, capsys):
     # leaves 2 and 3 hang under the 2-cycle 5 <-> 6, which root 4 never reaches
     g = tmp_path / "g.txt"

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
 
-from wellclust.decomposition import _boundary
+from wellclust.decomposition import _boundary, derive_params
 from wellclust.graph import build_graph, cut_weight
+from wellclust.spectral import DEFAULT_TOL, SpectralResult
 
 # Ties come from a few shared values; the rest spread over 24 decades.
 WEIGHTS = st.one_of(st.sampled_from([1e-12, 1.0, 2.5, 1e12]),
@@ -41,3 +42,29 @@ def test_boundary_equals_cut_weight(case):
     outside = np.setdiff1d(np.arange(G.n), P)
     assert _boundary(G, S, P) == (
         cut_weight(G, S, np.setdiff1d(P, S)), cut_weight(G, S, outside))
+
+
+@st.composite
+def k_and_spectrum(draw):
+    """k in 2..8 and k + 1 ascending eigenvalues with
+    DEFAULT_TOL < lambda_k <= lambda_{k+1} <= 2."""
+    k = draw(st.integers(2, 8))
+    lambda_k = draw(st.floats(DEFAULT_TOL, 2.0, exclude_min=True))
+    lambda_k1 = draw(st.floats(lambda_k, 2.0))
+    below = sorted(draw(st.lists(st.floats(0.0, lambda_k), min_size=k - 1,
+                                 max_size=k - 1)))
+    return k, np.array(below + [lambda_k, lambda_k1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(k_and_spectrum(), st.sampled_from(["paper", "practical"]))
+def test_rho_star_is_lambda_k1_over_10(case, mode):
+    """With the analysis constant c_0 = 1, the second term of
+    rho* = min(lambda_{k+1}/10, 30 c_0 (k+1)^5 sqrt(lambda_k)) is at least
+    0.73 once lambda_k clears DEFAULT_TOL, so it never decides rho*."""
+    k, values = case
+    G = build_graph(9, [(u, u + 1, 1.0) for u in range(8)])
+    eigs = SpectralResult(values, np.zeros((G.n, values.size)),
+                          np.zeros(values.size))
+    params = derive_params(G, k, phi_in_mode=mode, eigs=eigs)
+    assert params.rho_star == values[k] / 10.0

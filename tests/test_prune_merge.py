@@ -15,7 +15,6 @@ from wellclust import (
     hc_with_degrees,
     naive_cluster_merge,
     prune_condition,
-    prune_merge,
     run_prune_merge,
     strong_decomposition,
     termination_report,
@@ -294,7 +293,7 @@ def test_best_over_k_prefers_true_cluster_count():
         costs = {}
         for k in (2, 3, 5):
             try:
-                costs[k] = dasgupta_cost(G, prune_merge(G, k))
+                costs[k] = dasgupta_cost(G, run_prune_merge(G, k).tree)
             except ValueError:
                 costs[k] = None
         ok = (costs[3] is not None
@@ -316,7 +315,6 @@ def test_k_must_match_params_k():
     params2 = derive_params(G, 2)
     partition, _ = strong_decomposition(G, 2, params2)
     for call in (lambda: run_prune_merge(G, 3, params=params2),
-                 lambda: prune_merge(G, 3, params=params2),
                  lambda: naive_cluster_merge(G, 3, params=params2),
                  lambda: strong_decomposition(G, 3, params2),
                  lambda: termination_report(G, partition, params2, 3)):

@@ -161,8 +161,8 @@ def test_dense_branch_star_trace():
     T = b.build()
     branch = dense_branch(G, T)
     vols = [6.0, 5.0, 4.0]
-    assert len(branch.path) == 3
-    for node, vol in zip(branch.path, vols):
+    assert len(branch) == 3
+    for node, vol in zip(branch, vols):
         leaves = T.leaves_under(node)
         assert float(G.degrees[leaves].sum()) == vol
 
@@ -172,13 +172,13 @@ def test_dense_branch_balanced_k4(k4):
     b.internal(b.internal(b.leaf(0), b.leaf(1)),
                b.internal(b.leaf(2), b.leaf(3)))
     T = b.build()
-    assert dense_branch(k4, T).path == (T.root,)
+    assert dense_branch(k4, T) == (T.root,)
 
 
 def test_dense_branch_two_leaves():
     G = unit_graph(2, [(0, 1)])
     T = chain_tree([0, 1])
-    assert dense_branch(G, T).path == (T.root,)
+    assert dense_branch(G, T) == (T.root,)
 
 
 def test_critical_nodes_star_trace():
@@ -188,7 +188,7 @@ def test_critical_nodes_star_trace():
                b.leaf(3))
     T = b.build()
     crit = critical_nodes(G, T)
-    leaf_sets = sorted(tuple(T.leaves_under(nd)) for nd in crit.nodes)
+    leaf_sets = sorted(tuple(T.leaves_under(nd)) for nd in crit)
     assert leaf_sets == [(0,), (1,), (2,), (3,)]
 
 
@@ -198,7 +198,7 @@ def test_critical_nodes_partition_leaves(k4):
         G = random_connected_graph(n, 300 + seed)
         T = random_tree(n, 400 + seed)
         crit = critical_nodes(G, T)
-        got = sorted(v for nd in crit.nodes for v in T.leaves_under(nd))
+        got = sorted(v for nd in crit for v in T.leaves_under(nd))
         assert got == list(range(n))
 
 
@@ -208,15 +208,15 @@ def test_critical_nodes_balanced_root_children(k4):
                b.internal(b.leaf(2), b.leaf(3)))
     T = b.build()
     crit = critical_nodes(k4, T)
-    assert sorted(crit.nodes) == sorted([int(T.left[T.root]),
-                                         int(T.right[T.root])])
+    assert sorted(crit) == sorted([int(T.left[T.root]),
+                                   int(T.right[T.root])])
 
 
 def test_critical_nodes_two_leaf_tree():
     G = unit_graph(2, [(0, 1)])
     T = chain_tree([0, 1])
     crit = critical_nodes(G, T)
-    assert len(crit.nodes) == 2
+    assert len(crit) == 2
 
 
 def test_caterpillar_merge_identity_and_fold():
@@ -382,4 +382,7 @@ def test_load_rejects_malformed(tmp_path):
         load_tree(p)
     p.write_text("leaf 0 0\nleaf 1 1\n")
     with pytest.raises(ValueError, match="root"):
+        load_tree(p)
+    p.write_text("leaf 0 0\nleaf 1 1\n2 0 1\n2 1 0\n")
+    with pytest.raises(ValueError, match=r":4: duplicate node id 2"):
         load_tree(p)
