@@ -16,9 +16,8 @@ from .experiment import (ALGORITHMS, RunOutcome, SweepPoint, compare_sweep,
 from .generators import (GENERATOR_FAMILIES, GenSpec, PlantedLabels,
                          gaussian_kernel_graph, generate, load_labels,
                          save_labels)
-from .graph import (Graph, build_graph, cut_weight, degree_stats,
-                    induced_subgraph, induced_with_selfloops, load_graph,
-                    save_graph, set_conductance, volume)
+from .graph import (Graph, build_graph, cut_weight, induced_subgraph,
+                    load_graph, save_graph, set_conductance, volume)
 from .linkage import linkage
 from .metrics import adjusted_rand_index
 from .prune_merge import (PruneMergeResult, best_over_k, naive_cluster_merge,
@@ -39,13 +38,13 @@ __all__ = [
     "SpectralResult", "SweepCut", "SweepPoint", "TreeBuilder",
     "adjusted_rand_index", "best_over_k", "brute_force_opt", "build_graph",
     "caterpillar_merge", "compare_sweep", "critical_nodes", "cut_weight",
-    "dasgupta_cost", "dasgupta_cost_cutform", "degree_stats", "dense_branch",
-    "derive_params", "gaussian_kernel_graph", "generate",
-    "hc_with_degrees", "induced_subgraph", "induced_with_selfloops",
-    "laplacian_apply", "linkage", "load_graph", "load_labels", "load_tree",
-    "naive_cluster_merge", "prune_condition", "random_tree",
-    "relative_conductance", "run_algorithm", "run_prune_merge", "save_graph",
-    "save_labels", "save_tree", "set_conductance", "smallest_eigenvalues",
-    "spectral_partition", "strong_decomposition", "termination_report",
-    "top_block_size", "verify_degree_tree_shape", "volume", "write_csv",
+    "dasgupta_cost", "dasgupta_cost_cutform", "dense_branch",
+    "derive_params", "gaussian_kernel_graph", "generate", "hc_with_degrees",
+    "induced_subgraph", "laplacian_apply", "linkage", "load_graph",
+    "load_labels", "load_tree", "naive_cluster_merge", "prune_condition",
+    "random_tree", "relative_conductance", "run_algorithm", "run_prune_merge",
+    "save_graph", "save_labels", "save_tree", "set_conductance",
+    "smallest_eigenvalues", "spectral_partition", "strong_decomposition",
+    "termination_report", "top_block_size", "verify_degree_tree_shape",
+    "volume", "write_csv",
 ]

@@ -348,6 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--timing", choices=("none", "wall"), default="none")
     p_cmp.add_argument("--out", required=True)
     p_cmp.set_defaults(func=cmd_compare)
+    # a command's own checks print its usage, not the root parser's
+    for sub in subs.choices.values():
+        sub.set_defaults(parser=sub)
     return parser
 
 
@@ -355,7 +358,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except SystemExit as exc:
         return int(exc.code or 0)
     except NUMERICAL_ERRORS as exc:

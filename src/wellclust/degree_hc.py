@@ -2,11 +2,11 @@
 
 Vertices are sorted once by degree (descending, ties by ascending id); the
 tree then splits every block of size s into its top ``2^floor(log2(s-1))``
-vertices and the rest, recursively, so its depth is ceil(log2 n). Because
-the recursion conceptually operates on degree-preserving subgraphs, the
-degree order inside a block never changes, so slicing the top-level order
-is exact, no subgraphs are materialized, and the construction runs in
-O(m + n log n), one numpy pass per depth level.
+vertices and the rest, recursively, so its depth is ceil(log2 n). The
+paper recurses on the degree-preserving subgraph G{S}, where every degree
+is as in G; slicing the one global order gives the same blocks, so G{S} is
+never built, and the construction runs in O(m + n log n), one numpy pass
+per depth level.
 """
 
 from __future__ import annotations

@@ -134,9 +134,7 @@ def _unit_graph(n: int, us: np.ndarray, vs: np.ndarray) -> Graph:
     lo = np.minimum(us, vs)
     hi = np.maximum(us, vs)
     key = np.unique(lo * n + hi)
-    return Graph(n, key // n, key % n,
-                 np.ones(len(key), dtype=np.float64),
-                 np.zeros(n, dtype=np.float64))
+    return Graph(n, key // n, key % n, np.ones(len(key), dtype=np.float64))
 
 
 def _check_prob(name: str, value: float) -> float:
@@ -473,7 +471,7 @@ def gaussian_kernel_graph(points: Sequence[Sequence[float]] | np.ndarray,
     w = np.exp(-d2[iu, iv] / (2.0 * sigma * sigma))
     keep = w >= KERNEL_WEIGHT_FLOOR
     return Graph(n, iu[keep].astype(np.int64), iv[keep].astype(np.int64),
-                 w[keep], np.zeros(n, dtype=np.float64))
+                 w[keep])
 
 
 def save_labels(path: str, labels: PlantedLabels) -> None:

@@ -1,11 +1,8 @@
 """Weighted undirected graphs and conductance/volume/cut primitives.
 
 Vertices are integers ``0..n-1``. Edges carry strictly positive weights and
-are stored canonically with ``u < v``. Self-loops never appear in the public
-edge list; they come only from a caller's :func:`induced_with_selfloops`,
-which keeps vertex degrees stable under subgraph extraction (no pipeline
-path creates them), and they contribute to degrees and volumes but never to
-any cut or cost sum.
+are stored canonically with ``u < v``. A graph has no self-loops, so a
+vertex's degree is the total weight of its incident edges.
 """
 
 from __future__ import annotations
@@ -22,8 +19,6 @@ __all__ = [
     "cut_weight",
     "set_conductance",
     "induced_subgraph",
-    "induced_with_selfloops",
-    "degree_stats",
     "save_graph",
     "load_graph",
 ]
@@ -52,9 +47,9 @@ def vertex_set(vertices: Iterable[int], n: int) -> np.ndarray:
 class Graph:
     """Immutable weighted undirected graph.
 
-    Instances are built through :func:`build_graph` or the induced-subgraph
-    helpers; all fields are set once and never mutated afterwards, so a Graph
-    is safe to share across threads.
+    Instances are built through :func:`build_graph` or
+    :func:`induced_subgraph`; all fields are set once and never mutated
+    afterwards, so a Graph is safe to share across threads.
 
     Attributes
     ----------
@@ -63,27 +58,21 @@ class Graph:
     edges_u, edges_v, edges_w : ndarray
         Canonical edge arrays with ``edges_u < edges_v``, sorted
         lexicographically.
-    self_loops : ndarray
-        Per-vertex self-loop weight (all zeros unless the graph came from
-        :func:`induced_with_selfloops`).
     degrees : ndarray
-        ``degree(u) = sum of incident edge weights + self_loops[u]``.
+        ``degree(u) = sum of incident edge weights``.
     """
 
-    __slots__ = ("n", "edges_u", "edges_v", "edges_w", "self_loops",
-                 "degrees")
+    __slots__ = ("n", "edges_u", "edges_v", "edges_w", "degrees")
 
     def __init__(self, n: int, edges_u: np.ndarray, edges_v: np.ndarray,
-                 edges_w: np.ndarray, self_loops: np.ndarray):
+                 edges_w: np.ndarray):
         self.n = int(n)
         self.edges_u = edges_u
         self.edges_v = edges_v
         self.edges_w = edges_w
-        self.self_loops = self_loops
         deg = np.zeros(n, dtype=np.float64)
         np.add.at(deg, edges_u, edges_w)
         np.add.at(deg, edges_v, edges_w)
-        deg += self_loops
         self.degrees = deg
 
     @property
@@ -97,10 +86,6 @@ class Graph:
     @property
     def w_min(self) -> float | None:
         return float(self.edges_w.min()) if self.m else None
-
-    @property
-    def has_self_loops(self) -> bool:
-        return bool(np.any(self.self_loops > 0))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m}, vol={self.total_volume:g})"
@@ -119,7 +104,7 @@ def build_graph(n: int, edge_list: Sequence[tuple[int, int, float]]) -> Graph:
         eu = np.empty(0, dtype=np.int64)
         ev = np.empty(0, dtype=np.int64)
         ew = np.empty(0, dtype=np.float64)
-        return Graph(n, eu, ev, ew, np.zeros(n, dtype=np.float64))
+        return Graph(n, eu, ev, ew)
     arr = np.asarray([(u, v, w) for u, v, w in edge_list], dtype=np.float64)
     eu = arr[:, 0].astype(np.int64)
     ev = arr[:, 1].astype(np.int64)
@@ -140,7 +125,7 @@ def build_graph(n: int, edge_list: Sequence[tuple[int, int, float]]) -> Graph:
     if np.any(np.diff(key) == 0):
         dup = np.flatnonzero(np.diff(key) == 0)[0]
         raise ValueError(f"duplicate edge ({lo[dup]}, {hi[dup]})")
-    return Graph(n, lo, hi, ew, np.zeros(n, dtype=np.float64))
+    return Graph(n, lo, hi, ew)
 
 
 def _member_mask(G: Graph, S: np.ndarray) -> np.ndarray:
@@ -150,7 +135,7 @@ def _member_mask(G: Graph, S: np.ndarray) -> np.ndarray:
 
 
 def volume(G: Graph, S: Iterable[int]) -> float:
-    """Sum of degrees over ``S`` (degrees include self-loop weight)."""
+    """Sum of degrees over ``S``."""
     S = vertex_set(S, G.n)
     return float(G.degrees[S].sum())
 
@@ -193,67 +178,24 @@ def set_conductance(G: Graph, S: Iterable[int]) -> float:
     return float(G.edges_w[crosses].sum()) / vol_s
 
 
-def _induce_edges(G: Graph, S: np.ndarray):
+def induced_subgraph(G: Graph, S: Iterable[int]) -> Graph:
+    """``G[S]``: edges inside ``S`` only, vertices relabeled to ``0..|S|-1``.
+
+    Degrees are recomputed within ``S``.
+    """
+    S = vertex_set(S, G.n)
+    if S.size == 0:
+        raise ValueError("cannot induce a subgraph on the empty set")
     in_s = _member_mask(G, S)
     keep = in_s[G.edges_u] & in_s[G.edges_v]
     relabel = np.full(G.n, -1, dtype=np.int64)
     relabel[S] = np.arange(S.size)
-    eu = relabel[G.edges_u[keep]]
-    ev = relabel[G.edges_v[keep]]
-    ew = G.edges_w[keep].copy()
-    return eu, ev, ew
-
-
-def induced_subgraph(G: Graph, S: Iterable[int]) -> Graph:
-    """``G[S]``: edges inside ``S`` only, vertices relabeled to ``0..|S|-1``.
-
-    Degrees are recomputed within ``S`` and no self-loops are added.
-    """
-    S = vertex_set(S, G.n)
-    if S.size == 0:
-        raise ValueError("cannot induce a subgraph on the empty set")
-    eu, ev, ew = _induce_edges(G, S)
-    return Graph(S.size, eu, ev, ew, np.zeros(S.size, dtype=np.float64))
-
-
-def induced_with_selfloops(G: Graph, S: Iterable[int]) -> Graph:
-    """``G{S}``: induced subgraph with degree-preserving self-loops.
-
-    Every ``v`` in ``S`` receives a self-loop of weight
-    ``degree_G(v) - degree_{G[S]}(v)`` so its degree matches the original
-    graph exactly.
-    """
-    S = vertex_set(S, G.n)
-    if S.size == 0:
-        raise ValueError("cannot induce a subgraph on the empty set")
-    eu, ev, ew = _induce_edges(G, S)
-    inner = np.zeros(S.size, dtype=np.float64)
-    np.add.at(inner, eu, ew)
-    np.add.at(inner, ev, ew)
-    loops = G.degrees[S] - inner
-    # Degree preservation can leave float dust; clamp it away.
-    loops[np.abs(loops) < 1e-12 * np.maximum(G.degrees[S], 1.0)] = 0.0
-    if np.any(loops < 0):
-        raise AssertionError("negative self-loop weight; degree bookkeeping broke")
-    return Graph(S.size, eu, ev, ew, loops)
-
-
-def degree_stats(G: Graph) -> tuple[float, float, float, float]:
-    """``(d_min, d_max, d_avg, vol)`` over all vertices."""
-    if G.n == 0:
-        raise ValueError("degree_stats of an empty graph")
-    d = G.degrees
-    return float(d.min()), float(d.max()), float(d.mean()), float(d.sum())
+    return Graph(S.size, relabel[G.edges_u[keep]], relabel[G.edges_v[keep]],
+                 G.edges_w[keep])
 
 
 def save_graph(G: Graph, path) -> None:
-    """Write the edge-list format: header ``n m``, then ``u v w`` lines.
-
-    Graphs holding internal self-loops are not representable and are
-    rejected.
-    """
-    if G.has_self_loops:
-        raise ValueError("graphs with self-loops cannot be serialized")
+    """Write the edge-list format: header ``n m``, then ``u v w`` lines."""
     lines = [f"{G.n} {G.m}\n"]
     for u, v, w in zip(G.edges_u, G.edges_v, G.edges_w):
         lines.append(f"{u} {v} {float(w)!r}\n")

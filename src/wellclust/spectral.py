@@ -1,10 +1,10 @@
 """Normalized-Laplacian eigensolver and the Cheeger sweep-cut partitioner.
 
-The operator is ``L = I - D^{-1/2} (A + diag(self_loops)) D^{-1/2}`` with
-degree-0 rows acting as the identity. Small graphs (n <= 64) use a dense
-direct solve, which doubles as the oracle path for tests; larger graphs use
-an implicitly restarted Lanczos iteration on ``2I - L`` (largest-eigenvalue
-form, which converges much faster than interior shifts for this spectrum).
+The operator is ``L = I - D^{-1/2} A D^{-1/2}`` with degree-0 rows acting as
+the identity. Small graphs (n <= 64) use a dense direct solve, which doubles
+as the oracle path for tests; larger graphs use an implicitly restarted
+Lanczos iteration on ``2I - L`` (largest-eigenvalue form, which converges
+much faster than interior shifts for this spectrum).
 All randomness is a fixed-key Philox start vector, so results are
 deterministic.
 
@@ -81,7 +81,7 @@ def laplacian_apply(G: Graph, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"vector length {x.shape} does not match n={G.n}")
     inv_sqrt = _inv_sqrt_degrees(G)
     s = x * inv_sqrt
-    acc = G.self_loops * s
+    acc = np.zeros(G.n)
     np.add.at(acc, G.edges_u, G.edges_w * s[G.edges_v])
     np.add.at(acc, G.edges_v, G.edges_w * s[G.edges_u])
     return x - inv_sqrt * acc
@@ -89,9 +89,9 @@ def laplacian_apply(G: Graph, x: np.ndarray) -> np.ndarray:
 
 def _normalized_adjacency(G: Graph) -> sp.csr_array:
     inv_sqrt = _inv_sqrt_degrees(G)
-    rows = np.concatenate([G.edges_u, G.edges_v, np.arange(G.n)])
-    cols = np.concatenate([G.edges_v, G.edges_u, np.arange(G.n)])
-    vals = np.concatenate([G.edges_w, G.edges_w, G.self_loops])
+    rows = np.concatenate([G.edges_u, G.edges_v])
+    cols = np.concatenate([G.edges_v, G.edges_u])
+    vals = np.concatenate([G.edges_w, G.edges_w])
     vals = vals * inv_sqrt[rows] * inv_sqrt[cols]
     return sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(G.n, G.n)))
 
@@ -111,37 +111,30 @@ def _residual_norms(N: sp.csr_array, vals: np.ndarray, vecs: np.ndarray) -> np.n
     return np.linalg.norm(lx - vecs * vals[None, :], axis=0)
 
 
-def smallest_eigenvalues(G: Graph, k: int, tol: float = DEFAULT_TOL,
-                         max_iter: int | None = None,
+def smallest_eigenvalues(G: Graph, k: int,
                          method: str = "auto") -> SpectralResult:
     """The ``k`` smallest eigenpairs of the normalized Laplacian.
+
+    Each returned pair satisfies ``||L x - lambda x|| <= DEFAULT_TOL``.
 
     Parameters
     ----------
     G : Graph
     k : int
         Number of eigenpairs, ``1 <= k <= n``.
-    tol : float
-        Residual tolerance; each returned pair satisfies
-        ``||L x - lambda x|| <= tol``.
-    max_iter : int, optional
-        Iteration cap for the Lanczos path (default ``10 * n * k``).
     method : {"auto", "dense", "iterative"}
         "auto" picks dense for ``n <= 64`` or ``k == n``.
 
     Raises
     ------
     SpectralConvergenceError
-        If the iterative solver cannot reach ``tol``; the error carries the
-        best estimates and residuals.
+        If the residuals exceed ``DEFAULT_TOL``, or the Lanczos path fails
+        to converge within ``10 * n * k`` iterations and then four times
+        that; the error carries the best estimates and residuals.
     """
     n = G.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter is None:
-        max_iter = 10 * n * k
     if method not in ("auto", "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
     use_dense = method == "dense" or \
@@ -154,25 +147,27 @@ def smallest_eigenvalues(G: Graph, k: int, tol: float = DEFAULT_TOL,
         vals, vecs = np.linalg.eigh(L)
         vals, vecs = vals[:k].copy(), vecs[:, :k].copy()
     else:
-        vals, vecs = _lanczos_smallest(N, k, tol, max_iter)
+        vals, vecs = _lanczos_smallest(N, k)
     # Round-off can push lambda_1 a hair below zero; clamp the dust.
-    if np.any(vals < -10 * tol):
+    if np.any(vals < -10 * DEFAULT_TOL):
         raise SpectralConvergenceError(
             f"eigenvalue {vals.min():.3e} below zero beyond tolerance",
             eigenvalues=vals, residuals=None)
     vals = np.maximum(vals, 0.0)
     vecs = _fix_signs(vecs)
     residuals = _residual_norms(N, vals, vecs)
-    if np.any(residuals > tol):
+    if np.any(residuals > DEFAULT_TOL):
         raise SpectralConvergenceError(
-            f"residuals up to {residuals.max():.3e} exceed tol={tol:.1e}",
+            f"residuals up to {residuals.max():.3e} exceed "
+            f"tol={DEFAULT_TOL:.1e}",
             eigenvalues=vals, residuals=residuals)
     return SpectralResult(vals, vecs, residuals)
 
 
-def _lanczos_smallest(N: sp.csr_array, k: int, tol: float, max_iter: int):
+def _lanczos_smallest(N: sp.csr_array, k: int):
     """Smallest eigenpairs of L = I - N via largest of 2I - L = I + N."""
     n = N.shape[0]
+    max_iter = 10 * n * k
 
     def matvec(x):
         return x + N @ x
@@ -181,8 +176,8 @@ def _lanczos_smallest(N: sp.csr_array, k: int, tol: float, max_iter: int):
     rng = np.random.Generator(np.random.Philox(key=0x5EED))
     v0 = rng.standard_normal(n)
     last_err = None
-    for attempt_tol, attempt_iter in ((tol * 1e-2, max_iter),
-                                      (tol * 1e-4, 4 * max_iter)):
+    for attempt_tol, attempt_iter in ((DEFAULT_TOL * 1e-2, max_iter),
+                                      (DEFAULT_TOL * 1e-4, 4 * max_iter)):
         try:
             mu, vecs = spla.eigsh(op, k=k, which="LA", tol=attempt_tol,
                                   maxiter=attempt_iter, v0=v0)
@@ -208,8 +203,8 @@ def spectral_partition(G: Graph, eigs: SpectralResult | None = None) -> SweepCut
     ``vol <= vol(V)/2``, of minimum conductance. The classical guarantee
     ``phi(S) <= 2 sqrt(phi_G)`` holds for any exact second eigenvector.
     Each edge enters the prefix at the later rank of its two endpoints, so
-    the cut of prefix ``t`` is its volume minus self-loops minus twice the
-    weight of the edges entered by rank ``t``. These differences of volumes
+    the cut of prefix ``t`` is its volume minus twice the weight of the
+    edges entered by rank ``t``. These differences of volumes
     pick the cut; the conductance returned is measured on the chosen set.
 
     An already-computed :class:`SpectralResult` with k >= 2 can be passed
@@ -232,7 +227,7 @@ def spectral_partition(G: Graph, eigs: SpectralResult | None = None) -> SweepCut
     enter = np.maximum(rank[G.edges_u], rank[G.edges_v])
     w_in = np.bincount(enter, weights=G.edges_w, minlength=n)
     deg = G.degrees[order]
-    cut = np.cumsum(deg - G.self_loops[order] - 2.0 * w_in)[:-1]
+    cut = np.cumsum(deg - 2.0 * w_in)[:-1]
     vol = np.cumsum(deg)[:-1]
     total = G.total_volume
     side = np.where(vol > total / 2, np.minimum(vol, total - vol), vol)

@@ -213,7 +213,7 @@ def dasgupta_cost(G: Graph, T: HCTree) -> float:
 
     Each internal node owns the gap between its two children's spans; the
     LCA of the leaves at positions i < j owns the gap in [i, j) with the
-    most leaves. Self-loops never contribute (a loop has no LCA pair).
+    most leaves.
     """
     _check_leaf_bijection(G, T)
     if G.m == 0:
@@ -326,8 +326,9 @@ def critical_nodes(G: Graph, T: HCTree) -> tuple[int, ...]:
     Returns the sibling of each dense-branch node (in branch order)
     followed by the two children of the last branch node, lower-volume
     child first. Leaves are admissible critical nodes. When the branch
-    bottoms out at a leaf (possible only on graphs with self-loops), that
-    leaf itself closes the partition.
+    bottoms out at a leaf, that leaf itself closes the partition. This needs
+    a vertex of degree above vol(G)/2, which only rounding gives: the float
+    sum of a star's degrees can fall below twice its centre's degree.
     """
     if T.n_leaves < 2:
         raise ValueError("critical nodes need a tree with at least 2 leaves")
@@ -553,12 +554,14 @@ def load_tree(path) -> HCTree:
     children = [c for pair in internals.values() for c in pair]
     child_set = set(children)
     if len(children) != len(child_set):
-        raise ValueError("node referenced as child twice")
+        raise ValueError(f"{path}: node referenced as child twice")
     if not child_set <= ids:
-        raise ValueError(f"unknown child id(s): {sorted(child_set - ids)}")
+        raise ValueError(
+            f"{path}: unknown child id(s): {sorted(child_set - ids)}")
     roots = ids - child_set
     if len(roots) != 1:
-        raise ValueError(f"dendrogram must have exactly one root, found {len(roots)}")
+        raise ValueError(f"{path}: dendrogram must have exactly one root, "
+                         f"found {len(roots)}")
     root = roots.pop()
     builder = TreeBuilder()
     remap: dict[int, int] = {}
@@ -576,6 +579,6 @@ def load_tree(path) -> HCTree:
             stack.append((r, False))
             stack.append((l, False))
     if len(remap) < len(ids):
-        raise ValueError(f"{len(ids) - len(remap)} dendrogram node(s) "
-                         "unreachable from the root")
+        raise ValueError(f"{path}: {len(ids) - len(remap)} dendrogram "
+                         "node(s) unreachable from the root")
     return builder.build()

@@ -108,7 +108,7 @@ def graph_conductance_exact_ORACLE(G):
 
 def _csr(G):
     """``(indptr, nbr, nbrw)``: the symmetric adjacency of ``G`` sorted by
-    source vertex (self-loops excluded), as ``Graph`` once stored it."""
+    source vertex, as ``Graph`` once stored it."""
     n = G.n
     src = np.concatenate([G.edges_u, G.edges_v])
     dst = np.concatenate([G.edges_v, G.edges_u])
@@ -139,7 +139,6 @@ def _sweep_ORACLE(G, eigs=None):
     total = G.total_volume
     indptr, nbr, nbrw = _csr(G)
     placed = np.zeros(n, dtype=bool)
-    loops = G.self_loops
     best_phi = np.inf
     best_t = -1
     cut = 0.0
@@ -148,7 +147,7 @@ def _sweep_ORACLE(G, eigs=None):
         u = int(order[t])
         lo, hi = indptr[u], indptr[u + 1]
         w_in = nbrw[lo:hi][placed[nbr[lo:hi]]].sum()
-        cut += (G.degrees[u] - loops[u]) - 2.0 * w_in
+        cut += G.degrees[u] - 2.0 * w_in
         volume += G.degrees[u]
         placed[u] = True
         side_vol = min(volume, total - volume) if volume > total / 2 else volume

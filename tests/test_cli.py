@@ -297,7 +297,7 @@ def test_unreachable_tree_nodes_exit_one(tmp_path, capsys):
                  "5 6 2\n6 5 3\n")
     assert main(["cost", str(g), str(t)]) == 1
     assert capsys.readouterr().err == \
-        "error: 4 dendrogram node(s) unreachable from the root\n"
+        f"error: {t}: 4 dendrogram node(s) unreachable from the root\n"
 
 
 def test_missing_file_exit_one(tmp_path, capsys):
@@ -314,6 +314,30 @@ def test_flag_errors_exit_one(tmp_path):
     assert run_cli("run", "--graph", str(g), "--algo", "ward")[0] == 1
     assert run_cli("generate", "--family", "sbm", "--p", "0.5", "--q", "0.1",
                    "--seed", "1", "--out", str(g))[0] == 1
+
+
+def test_command_checks_print_the_command_usage(tmp_path, capsys):
+    family = ["--family", "sbm", "--sizes", "10,10", "--p", "0.5",
+              "--q", "0.1"]
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0 0\n1 0\n0 1\n")
+    g, csv = str(tmp_path / "g.txt"), str(tmp_path / "c.csv")
+    for argv, message in (
+            (["generate", *family, "--n", "50", "--seed", "1", "--out", g],
+             "family 'sbm' does not take --n"),
+            (["generate", "--family", "gaussian_kernel", "--points-file",
+              str(pts), "--sigma", "1.0", "--seed", "1", "--out", g,
+              "--labels", str(tmp_path / "lab.txt")],
+             "family 'gaussian_kernel' has no planted labels"),
+            (["compare", *family, "--algos", "bogus", "--out", csv],
+             "unknown algorithm 'bogus'"),
+            (["compare", *family, "--algos", "naive", "--seeds", "0",
+              "--out", csv],
+             "--seeds must be at least 1")):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: wellclust {argv[0]} "), err
+        assert f"wellclust {argv[0]}: error: {message}" in err
 
 
 def test_infeasible_parameters_exit_one(tmp_path, capsys):

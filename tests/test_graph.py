@@ -6,12 +6,11 @@ import logging
 import numpy as np
 import pytest
 
-from wellclust import (build_graph, cut_weight, degree_stats,
-                       induced_subgraph, induced_with_selfloops, load_graph,
+from wellclust import (build_graph, cut_weight, induced_subgraph, load_graph,
                        save_graph, set_conductance, volume)
 from wellclust.graph import vertex_set
 from conftest import (complete_graph, path_graph, random_connected_graph,
-                      star_graph, unit_graph)
+                      unit_graph)
 from oracles import graph_conductance_exact_ORACLE
 
 
@@ -144,25 +143,6 @@ def test_induced_subgraph(dumbbell, path3):
     assert single.n == 1 and single.total_volume == 0.0
     with pytest.raises(ValueError):
         induced_subgraph(dumbbell, [])
-
-
-def test_induced_with_selfloops(path3, dumbbell):
-    H = induced_with_selfloops(path3, [0, 1])
-    assert list(H.degrees) == [1.0, 2.0]
-    full = induced_with_selfloops(dumbbell, range(6))
-    assert np.array_equal(full.degrees, dumbbell.degrees)
-    star = star_graph(4)
-    H = induced_with_selfloops(star, [0, 1, 2, 3])
-    assert H.degrees[0] == 4.0
-    assert H.self_loops[0] == 1.0
-
-
-def test_degree_stats(k4, dumbbell):
-    assert degree_stats(k4) == (3.0, 3.0, 3.0, 12.0)
-    assert degree_stats(star_graph(3)) == (1.0, 3.0, 1.5, 6.0)
-    d_min, d_max, d_avg, vol = degree_stats(dumbbell)
-    assert (d_min, d_max, vol) == (2.0, 3.0, 14.0)
-    assert d_avg == pytest.approx(7 / 3)
 
 
 def test_save_load_roundtrip(tmp_path, dumbbell):

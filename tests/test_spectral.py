@@ -4,13 +4,14 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from wellclust import (
     Graph,
     SpectralConvergenceError,
     build_graph,
     gaussian_kernel_graph,
-    induced_with_selfloops,
+    induced_subgraph,
     laplacian_apply,
     set_conductance,
     smallest_eigenvalues,
@@ -35,7 +36,6 @@ def dense_laplacian(G):
     for u, v, w in zip(G.edges_u, G.edges_v, G.edges_w):
         A[u, v] += w
         A[v, u] += w
-    A[np.arange(G.n), np.arange(G.n)] += G.self_loops
     d = G.degrees.copy()
     inv = np.zeros_like(d)
     inv[d > 0] = 1.0 / np.sqrt(d[d > 0])
@@ -116,7 +116,7 @@ def test_iterative_finds_repeated_zero_eigenvalue():
 def test_eigenvalue_invariants_and_rayleigh():
     for seed in (10, 11, 12):
         G = random_connected_graph(14, seed)
-        res = smallest_eigenvalues(G, 5, tol=1e-8)
+        res = smallest_eigenvalues(G, 5)
         vals = res.eigenvalues
         assert np.all(np.diff(vals) >= 0)
         assert vals[0] <= 1e-8
@@ -134,8 +134,6 @@ def test_eigenvalues_argument_validation(triangle):
     with pytest.raises(ValueError):
         smallest_eigenvalues(triangle, 4)
     with pytest.raises(ValueError):
-        smallest_eigenvalues(triangle, 2, tol=-1.0)
-    with pytest.raises(ValueError):
         smallest_eigenvalues(triangle, 2, method="cg")
 
 
@@ -148,10 +146,21 @@ def test_iterative_matches_dense():
                            atol=1e-6)
 
 
-def test_iterative_nonconvergence_reports_residuals():
+def test_iterative_nonconvergence_reports_residuals(monkeypatch):
+    # real ARPACK, held to one restart at an unreachable tolerance
+    real_eigsh = spla.eigsh
+    maxiters = []
+
+    def starved_eigsh(*args, **kwargs):
+        maxiters.append(kwargs["maxiter"])
+        return real_eigsh(*args, **dict(kwargs, tol=1e-14, maxiter=1))
+
+    monkeypatch.setattr(spla, "eigsh", starved_eigsh)
     G = random_connected_graph(400, 902)
     with pytest.raises(SpectralConvergenceError) as exc:
-        smallest_eigenvalues(G, 3, tol=1e-14, max_iter=1, method="iterative")
+        smallest_eigenvalues(G, 3, method="iterative")
+    # the fixed caps: 10 * n * k, then four times that
+    assert maxiters == [12_000, 48_000]
     assert exc.value.eigenvalues is not None
 
 
@@ -223,12 +232,13 @@ def test_cheeger_sandwich_small_graphs():
 
 
 def _reweighted(G, w):
-    return Graph(G.n, G.edges_u, G.edges_v, w, G.self_loops)
+    return Graph(G.n, G.edges_u, G.edges_v, w)
 
 
 def _sweep_corpus():
-    """Unit, integer and non-integer weighted graphs, self-loops, isolated
-    vertices and edgeless graphs, dense (n <= 64) and Lanczos sizes."""
+    """Unit, integer and non-integer weighted graphs, induced subgraphs,
+    isolated vertices and edgeless graphs, dense (n <= 64) and Lanczos
+    sizes."""
     rng = np.random.Generator(np.random.Philox(0xC0DE))
     graphs = []
     for seed in range(1, 11):
@@ -247,7 +257,7 @@ def _sweep_corpus():
     for G in list(graphs):
         if G.n >= 20 and rng.random() < 0.3:
             S = rng.choice(G.n, size=G.n // 2, replace=False)
-            graphs.append(induced_with_selfloops(G, S))
+            graphs.append(induced_subgraph(G, S))
     for seed in (40, 41, 42):
         G = random_connected_graph(12, seed)
         edges = list(zip(G.edges_u.tolist(), G.edges_v.tolist(),
@@ -268,9 +278,7 @@ def test_sweep_matches_oracle():
         assert np.array_equal(cut.set, ref.set), G
         # measured on the chosen set, not taken from the prefix sums
         assert cut.conductance == set_conductance(G, cut.set), G
-        integral = all(np.array_equal(a, np.round(a))
-                       for a in (G.edges_w, G.self_loops))
-        if integral:
+        if np.array_equal(G.edges_w, np.round(G.edges_w)):
             assert cut.conductance == ref.conductance, G
         else:
             # a prefix cut is a difference of volumes, so both forms round

@@ -1,6 +1,7 @@
 """Hierarchy trees: cost forms, dense branch, critical nodes, merging,
 exact optimum against the enumeration oracle, serialization."""
 
+import re
 import time
 
 import numpy as np
@@ -9,8 +10,7 @@ import pytest
 from wellclust import (HCTree, TreeBuilder, brute_force_opt, build_graph,
                        caterpillar_merge, critical_nodes, dasgupta_cost,
                        dasgupta_cost_cutform, dense_branch, hc_with_degrees,
-                       induced_subgraph, induced_with_selfloops, linkage,
-                       load_tree, random_tree, save_tree)
+                       linkage, load_tree, random_tree, save_tree)
 from wellclust.experiment import checked_cost
 from wellclust.generators import gen_sbm
 from wellclust.linkage import LINKAGE_KINDS
@@ -94,18 +94,6 @@ def test_cutform_matches_oracle_on_every_tree_kind():
         G = random_connected_graph(n, 3000 + n, max_weight=5)
         for T in _every_tree_kind(G):
             assert dasgupta_cost_cutform(G, T) == _cutform_ORACLE(G, T), n
-
-
-def test_cutform_self_loops_contribute_nothing():
-    G = random_connected_graph(30, 7, max_weight=5)
-    for S in (range(0, 30, 2), range(5, 25), [0, 3, 4, 9, 11, 28]):
-        H = induced_with_selfloops(G, S)
-        assert H.self_loops.sum() > 0
-        plain = induced_subgraph(G, S)
-        for T in _every_tree_kind(H):
-            cost = dasgupta_cost_cutform(H, T)
-            assert cost == _cutform_ORACLE(H, T)
-            assert cost == dasgupta_cost_cutform(plain, T)
 
 
 def test_cutform_without_edges():
@@ -210,6 +198,23 @@ def test_critical_nodes_balanced_root_children(k4):
     crit = critical_nodes(k4, T)
     assert sorted(crit) == sorted([int(T.left[T.root]),
                                    int(T.right[T.root])])
+
+
+def test_critical_nodes_branch_ends_at_a_rounded_heavy_leaf():
+    # a star: d(0) = vol/2 exactly, but the float sum of the degrees
+    # rounds below 2 d(0), so the dense branch reaches vertex 0's leaf
+    G = build_graph(5, [(0, 1, 90260610422.05968),
+                        (0, 2, 2.217109120347548e-09),
+                        (0, 3, 81540775069.77058),
+                        (0, 4, 2.652458053833036e-05)])
+    assert G.degrees[0] > G.total_volume / 2
+    T = hc_with_degrees(G)
+    assert dense_branch(G, T) == (8, 6, 2, 0)
+    assert T.left[0] < 0 and T.leaf_vertex[0] == 0
+    crit = critical_nodes(G, T)
+    assert crit == (7, 5, 1, 0)
+    got = sorted(v for nd in crit for v in T.leaves_under(nd))
+    assert got == list(range(5))
 
 
 def test_critical_nodes_two_leaf_tree():
@@ -386,3 +391,13 @@ def test_load_rejects_malformed(tmp_path):
     p.write_text("leaf 0 0\nleaf 1 1\n2 0 1\n2 1 0\n")
     with pytest.raises(ValueError, match=r":4: duplicate node id 2"):
         load_tree(p)
+    for text, message in (
+            ("leaf 0 0\nleaf 1 1\n2 0 1\n3 0 1\n",
+             "node referenced as child twice"),
+            ("leaf 0 0\n1 0 7\n", r"unknown child id\(s\): \[7\]"),
+            ("leaf 0 0\nleaf 1 1\n2 3 0\n3 2 1\n",
+             "dendrogram must have exactly one root, found 0")):
+        p.write_text(text)
+        prefix = re.escape(str(p))
+        with pytest.raises(ValueError, match=f"^{prefix}: {message}"):
+            load_tree(p)
