@@ -9,8 +9,7 @@ linkage baselines, and a prune-and-merge pipeline driven by a strong
 from .decomposition import (DecompositionError, DecompParams, Partition,
                             derive_params, relative_conductance,
                             strong_decomposition, termination_report)
-from .degree_hc import (hc_with_degrees, top_block_size,
-                        verify_degree_tree_shape)
+from .degree_hc import hc_with_degrees, top_block_size
 from .experiment import (ALGORITHMS, RunOutcome, SweepPoint, compare_sweep,
                          run_algorithm, write_csv)
 from .generators import (GENERATOR_FAMILIES, GenSpec, PlantedLabels,
@@ -20,14 +19,12 @@ from .graph import (Graph, build_graph, cut_weight, induced_subgraph,
                     load_graph, save_graph, set_conductance, volume)
 from .linkage import linkage
 from .metrics import adjusted_rand_index
-from .prune_merge import (PruneMergeResult, best_over_k, naive_cluster_merge,
-                          prune_condition, run_prune_merge)
+from .prune_merge import PruneMergeResult, best_over_k, run_prune_merge
 from .spectral import (SpectralConvergenceError, SpectralResult, SweepCut,
-                       laplacian_apply, smallest_eigenvalues,
-                       spectral_partition)
+                       smallest_eigenvalues, spectral_partition)
 from .tree import (HCTree, TreeBuilder, brute_force_opt, caterpillar_merge,
                    critical_nodes, dasgupta_cost, dasgupta_cost_cutform,
-                   dense_branch, load_tree, random_tree, save_tree)
+                   load_tree, random_tree, save_tree)
 
 __version__ = "0.1.0"
 
@@ -38,13 +35,11 @@ __all__ = [
     "SpectralResult", "SweepCut", "SweepPoint", "TreeBuilder",
     "adjusted_rand_index", "best_over_k", "brute_force_opt", "build_graph",
     "caterpillar_merge", "compare_sweep", "critical_nodes", "cut_weight",
-    "dasgupta_cost", "dasgupta_cost_cutform", "dense_branch",
-    "derive_params", "gaussian_kernel_graph", "generate", "hc_with_degrees",
-    "induced_subgraph", "laplacian_apply", "linkage", "load_graph",
-    "load_labels", "load_tree", "naive_cluster_merge", "prune_condition",
+    "dasgupta_cost", "dasgupta_cost_cutform", "derive_params",
+    "gaussian_kernel_graph", "generate", "hc_with_degrees",
+    "induced_subgraph", "linkage", "load_graph", "load_labels", "load_tree",
     "random_tree", "relative_conductance", "run_algorithm", "run_prune_merge",
     "save_graph", "save_labels", "save_tree", "set_conductance",
     "smallest_eigenvalues", "spectral_partition", "strong_decomposition",
-    "termination_report", "top_block_size", "verify_degree_tree_shape",
-    "volume", "write_csv",
+    "termination_report", "top_block_size", "volume", "write_csv",
 ]

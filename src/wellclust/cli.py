@@ -178,10 +178,10 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_generate(args, parser) -> int:
     params = _family_params(args, parser)
     G, labels = generate(GenSpec(args.family, params, args.seed))
+    if args.labels is not None and labels is None:
+        parser.error(f"family {args.family!r} has no planted labels")
     save_graph(G, args.out)
     if args.labels is not None:
-        if labels is None:
-            parser.error(f"family {args.family!r} has no planted labels")
         save_labels(args.labels, labels)
     print(f"wrote {args.out}: n={G.n} m={G.m} volume="
           f"{format(G.total_volume, '.12g')}")

@@ -211,16 +211,9 @@ class _Critical(NamedTuple):
     """One critical node N of a cluster tree on P, measured."""
 
     node: int
-    w_out: float    # w(N, V \ P) in G
-    vol_in: float   # vol(N) in G[P]
-
-
-def _measure_critical(G: Graph, P: np.ndarray, induced: Graph, T: HCTree,
-                      nodes: tuple[int, ...]) -> tuple[_Critical, ...]:
-    locals_ = [T.leaves_under(node) for node in nodes]
-    return tuple(_Critical(int(node), _boundary(G, P[local], P)[1],
-                           float(induced.degrees[local].sum()))
-                 for node, local in zip(nodes, locals_))
+    local: np.ndarray   # N's leaves as ids of G[P], sorted
+    w_out: float        # w(N, V \ P) in G
+    vol_in: float       # vol(N) in G[P]
 
 
 @dataclass
@@ -239,15 +232,18 @@ class _ClusterInfo:
         return hc_with_degrees(self.induced)
 
     @cached_property
-    def crit(self) -> tuple[int, ...]:
-        """The critical nodes of ``tree``; none for a single vertex."""
-        return critical_nodes(self.induced, self.tree) \
-            if self.induced.n >= 2 else ()
-
-    @cached_property
     def critical(self) -> tuple[_Critical, ...]:
-        return _measure_critical(self.G, self.P, self.induced, self.tree,
-                                 self.crit)
+        """The critical nodes of ``tree``, in canonical order; none for a
+        single vertex."""
+        if self.induced.n < 2:
+            return ()
+        out = []
+        for node in critical_nodes(self.induced, self.tree):
+            local = self.tree.leaves_under(node)
+            out.append(_Critical(int(node), local,
+                                 _boundary(self.G, self.P[local], self.P)[1],
+                                 float(self.induced.degrees[local].sum())))
+        return tuple(out)
 
 
 class _State:
@@ -526,8 +522,8 @@ def _critical_candidates(state: _State, i: int,
     canonical order, each with the node's leaves as local ids."""
     info = state.info(i)
     owner = weakref.proxy(state)  # the state's memo keeps them: no cycle
-    locals_ = [info.tree.leaves_under(node) for node in info.crit]
-    return [(local, _Candidate(owner, i, info.P[local])) for local in locals_]
+    return [(c.local, _Candidate(owner, i, info.P[c.local]))
+            for c in info.critical]
 
 
 def _move_noncore(state: _State, i: int) -> str | None:

@@ -16,7 +16,7 @@ import numpy as np
 from .graph import Graph
 from .tree import HCTree, _split_tree
 
-__all__ = ["hc_with_degrees", "top_block_size", "verify_degree_tree_shape"]
+__all__ = ["hc_with_degrees", "top_block_size"]
 
 
 def top_block_size(s: int | np.ndarray) -> int | np.ndarray:
@@ -34,16 +34,3 @@ def hc_with_degrees(G: Graph) -> HCTree:
         raise ValueError("cannot cluster the empty graph")
     return _split_tree(np.lexsort((np.arange(G.n), -G.degrees)), top_block_size)
 
-
-def verify_degree_tree_shape(T: HCTree, n: int) -> bool:
-    """True iff every internal split matches the degree-tree size formula.
-
-    Child sizes are compared as a multiset, so mirrored trees also pass.
-    """
-    if T.n_leaves != n:
-        return False
-    internal = np.flatnonzero(T.left >= 0)
-    s = T.leaf_count[internal]
-    r = top_block_size(s)
-    a, b = T.leaf_count[T.left[internal]], T.leaf_count[T.right[internal]]
-    return bool(np.all(((a == r) & (b == s - r)) | ((a == s - r) & (b == r))))

@@ -22,8 +22,7 @@ from .generators import GenSpec, PlantedLabels, generate
 from .graph import Graph
 from .linkage import linkage
 from .metrics import adjusted_rand_index
-from .prune_merge import (PruneMergeResult, best_over_k, naive_cluster_merge,
-                          run_prune_merge)
+from .prune_merge import PruneMergeResult, best_over_k, run_prune_merge
 from .tree import HCTree, dasgupta_cost, dasgupta_cost_cutform, random_tree
 
 ALGORITHMS = ("degrees", "prunemerge", "naive", "single", "complete",
@@ -70,8 +69,9 @@ def run_algorithm(G: Graph, algo: str, k: int = 2, seed: int = 0,
     for ``random``.  ``best_k_max`` switches ``prunemerge`` to trying every
     k up to that bound and keeping the cheapest tree.  ``labels``, when
     given, scores the prunemerge partition against the planted clustering.
-    ``_pipeline``, a single-k ``prunemerge`` record of the same inputs,
-    lets ``naive`` fold its cluster trees instead of decomposing again.
+    ``naive`` folds the unpruned cluster trees of a single-k pipeline
+    run: ``_pipeline``, a ``prunemerge`` record of the same inputs, or a
+    fresh run otherwise.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of "
@@ -93,8 +93,9 @@ def run_algorithm(G: Graph, algo: str, k: int = 2, seed: int = 0,
                 ari = adjusted_rand_index(labels.clusters,
                                           result.partition.labels)
     elif algo == "naive":
-        tree = naive_cluster_merge(G, k, phi_in_mode=phi_in_mode) \
-            if _pipeline is None else _pipeline.naive_tree(G)
+        if _pipeline is None:
+            _pipeline = run_prune_merge(G, k, phi_in_mode=phi_in_mode)
+        tree = _pipeline.naive_tree(G)
         k_used = k
     elif algo == "random":
         tree = random_tree(G.n, seed)

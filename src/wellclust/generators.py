@@ -14,7 +14,6 @@ joins) the duplicates collapse to a single unit edge.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 

@@ -26,17 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import (DecompParams, Partition, _ClusterInfo, _Critical,
-                            _measure_critical, _require, derive_params,
-                            strong_decomposition)
-from .graph import Graph, induced_subgraph, vertex_set
+                            _require, derive_params, strong_decomposition)
+from .graph import Graph
 from .spectral import DEFAULT_TOL, smallest_eigenvalues
 from .tree import HCTree, caterpillar_merge, dasgupta_cost, relabel_leaves
 
 __all__ = [
     "PruneMergeResult",
-    "prune_condition",
     "run_prune_merge",
-    "naive_cluster_merge",
     "best_over_k",
 ]
 
@@ -50,8 +47,7 @@ class PruneMergeResult:
     leaf count of its parent in the final tree; ``condition_trace`` is
     the per-cluster sequence of boundary-test outcomes; ``whole`` holds
     each cluster's unpruned degree tree on local ids, as the decomposition
-    built it, and
-    :meth:`naive_tree` folds them as :func:`naive_cluster_merge` does.
+    built it, and :meth:`naive_tree` folds them without pruning.
     """
 
     tree: HCTree
@@ -64,30 +60,23 @@ class PruneMergeResult:
     whole: tuple[HCTree, ...]
 
     def naive_tree(self, G: Graph) -> HCTree:
-        return _fold_whole(G, self.partition.sets, self.whole)
-
-
-def prune_condition(G: Graph, T: HCTree, crit: tuple[int, ...],
-                    P: np.ndarray, k: int) -> bool:
-    """Is the current tree cheap enough to keep whole?
-
-    Compares the total weight leaving the cluster from the critical
-    leaf sets against their parent-size-weighted internal volumes:
-    ``n * sum_N w(N, V\\P) <= 6(k+1) * sum_N |parent(N)| * vol_in(N)``
-    with parent sizes in T (a root's parent counts as itself) and
-    volumes in the induced subgraph on P.
-    """
-    if not crit:
-        raise ValueError("need at least one critical node")
-    P = vertex_set(P, G.n)
-    live = _measure_critical(G, P, induced_subgraph(G, P), T, crit)
-    return _keeps_whole(G.n, k, T, live, T.root)
+        """The naive variant: the whole cluster trees folded ascending by
+        size. Identical to ``tree`` whenever the run detached nothing."""
+        return _merge_pool(G, [_PoolEntry(P, relabel_leaves(T, P), None)
+                               for P, T in zip(self.partition.sets,
+                                               self.whole)])
 
 
 def _keeps_whole(n: int, k: int, T: HCTree, live: tuple[_Critical, ...],
                  root: int) -> bool:
-    """The prune inequality over the live critical nodes of T below
-    ``root``; a node at ``root`` counts as its own parent."""
+    """Is the tree below ``root`` cheap enough to keep whole?
+
+    Compares the total weight leaving the cluster from the live critical
+    leaf sets against their parent-size-weighted internal volumes:
+    ``n * sum_N w(N, V\\P) <= 6(k+1) * sum_N |parent(N)| * vol_in(N)``
+    with parent sizes in T (a node at ``root`` counts as its own parent)
+    and volumes in the induced subgraph on P.
+    """
     lhs = sum(c.w_out for c in live)
     rhs = 0.0
     for c in live:
@@ -174,24 +163,6 @@ def _merge_pool(G: Graph, pool: list[_PoolEntry]) -> HCTree:
         e.pruned_record["parent_final_leaves"] = parent
         e.pruned_record["pool_index"] = j
     return caterpillar_merge([e.tree for e in pool])
-
-
-def naive_cluster_merge(G: Graph, k: int, params: DecompParams | None = None,
-                        phi_in_mode: str = "practical") -> HCTree:
-    """Same partition and per-cluster trees, no pruning: whole cluster
-    trees folded ascending by size. Identical to the run_prune_merge tree
-    whenever that run detaches no critical subtree."""
-    if params is None:
-        params = derive_params(G, k, phi_in_mode=phi_in_mode)
-    partition, _ = decomposition = strong_decomposition(G, k, params)
-    return _fold_whole(G, partition.sets, [v.tree for v in decomposition.views])
-
-
-def _fold_whole(G: Graph, sets: tuple, trees: list[HCTree]) -> HCTree:
-    """The naive merge: whole cluster trees, on local ids, folded ascending
-    by size."""
-    return _merge_pool(G, [_PoolEntry(P, relabel_leaves(T, P), None)
-                           for P, T in zip(sets, trees)])
 
 
 def best_over_k(G: Graph, k_max: int,

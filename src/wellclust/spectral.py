@@ -27,7 +27,6 @@ __all__ = [
     "SpectralResult",
     "SweepCut",
     "SpectralConvergenceError",
-    "laplacian_apply",
     "smallest_eigenvalues",
     "spectral_partition",
 ]
@@ -63,32 +62,10 @@ class SweepCut:
     conductance: float
 
 
-def _inv_sqrt_degrees(G: Graph) -> np.ndarray:
-    d = G.degrees
-    out = np.zeros_like(d)
-    pos = d > 0
-    out[pos] = 1.0 / np.sqrt(d[pos])
-    return out
-
-
-def laplacian_apply(G: Graph, x: np.ndarray) -> np.ndarray:
-    """Apply the normalized Laplacian edge-wise: ``y = x - D^-1/2 A D^-1/2 x``.
-
-    Rows of degree-0 vertices act as the identity.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (G.n,):
-        raise ValueError(f"vector length {x.shape} does not match n={G.n}")
-    inv_sqrt = _inv_sqrt_degrees(G)
-    s = x * inv_sqrt
-    acc = np.zeros(G.n)
-    np.add.at(acc, G.edges_u, G.edges_w * s[G.edges_v])
-    np.add.at(acc, G.edges_v, G.edges_w * s[G.edges_u])
-    return x - inv_sqrt * acc
-
-
 def _normalized_adjacency(G: Graph) -> sp.csr_array:
-    inv_sqrt = _inv_sqrt_degrees(G)
+    d = G.degrees
+    inv_sqrt = np.zeros_like(d)
+    inv_sqrt[d > 0] = 1.0 / np.sqrt(d[d > 0])
     rows = np.concatenate([G.edges_u, G.edges_v])
     cols = np.concatenate([G.edges_v, G.edges_u])
     vals = np.concatenate([G.edges_w, G.edges_w])

@@ -33,7 +33,6 @@ __all__ = [
     "node_volumes",
     "dasgupta_cost",
     "dasgupta_cost_cutform",
-    "dense_branch",
     "critical_nodes",
     "caterpillar_merge",
     "brute_force_opt",
@@ -298,30 +297,11 @@ def _sibling(T: HCTree, node: int) -> int:
     return int(T.right[p]) if int(T.left[p]) == node else int(T.left[p])
 
 
-def _dense_path(T: HCTree, vols: np.ndarray, half: float) -> tuple[int, ...]:
-    path = [int(T.root)]
-    while T.left[path[-1]] >= 0:
-        child = _heavier_child(T, vols, path[-1])
-        if vols[child] <= half:
-            break
-        path.append(child)
-    return tuple(path)
-
-
-def dense_branch(G: Graph, T: HCTree) -> tuple[int, ...]:
-    """The dense branch: the maximal root path of nodes whose leaf-set
-    volume exceeds vol(G)/2, found by following the higher-volume child.
-
-    Ties between equal-volume children go to the lower node id (they can
-    only occur when both are already at or below the threshold, where the
-    walk stops anyway).
-    """
-    return _dense_path(T, node_volumes(G, T), G.total_volume / 2.0)
-
-
 def critical_nodes(G: Graph, T: HCTree) -> tuple[int, ...]:
     """Partition the leaf set along the dense branch.
 
+    The dense branch is the maximal root path of nodes whose leaf-set
+    volume exceeds vol(G)/2, found by following the higher-volume child.
     The leaf sets of the critical nodes partition the tree's leaf set.
     Returns the sibling of each dense-branch node (in branch order)
     followed by the two children of the last branch node, lower-volume
@@ -333,7 +313,12 @@ def critical_nodes(G: Graph, T: HCTree) -> tuple[int, ...]:
     if T.n_leaves < 2:
         raise ValueError("critical nodes need a tree with at least 2 leaves")
     vols = node_volumes(G, T)
-    branch = _dense_path(T, vols, G.total_volume / 2.0)
+    branch = [int(T.root)]
+    while T.left[branch[-1]] >= 0:
+        child = _heavier_child(T, vols, branch[-1])
+        if vols[child] <= G.total_volume / 2.0:
+            break
+        branch.append(child)
     nodes = [_sibling(T, node) for node in branch[1:]]
     last = branch[-1]
     if T.left[last] < 0:

@@ -1,12 +1,15 @@
-"""Test-only ORACLEs: exhaustive enumerations and the earlier, slower forms
-of library computations. Tests check the library against them; the
-library never imports this module."""
+"""Test-only ORACLEs: exhaustive enumerations, the earlier, slower forms
+of library computations, and pipeline decisions re-derived from public
+building blocks. Tests check the library against them; the library never
+imports this module, and this module imports no private name of the
+library."""
 
 from functools import lru_cache
 
 import numpy as np
 
-from wellclust import SweepCut, TreeBuilder, smallest_eigenvalues
+from wellclust import (SweepCut, TreeBuilder, cut_weight, hc_with_degrees,
+                       induced_subgraph, smallest_eigenvalues)
 from wellclust.graph import vertex_set
 
 # Topologies are enumerated and memoised up to this many leaves.
@@ -205,26 +208,113 @@ def _cutform_ORACLE(G, T):
     return float(total)
 
 
-def _caterpillar_ORACLE(trees):
+def _caterpillar_ORACLE(trees, labels=None):
     """The left fold of ``caterpillar_merge`` node by node through
     ``TreeBuilder``: each tree is copied in node order, and each tree
-    after the first is joined to the accumulated tree under a new root."""
+    after the first is joined to the accumulated tree under a new root.
+    ``labels[i]``, when given, renames leaf vertex v of tree i to
+    ``labels[i][v]``."""
     builder = TreeBuilder()
 
-    def copy(T):
+    def copy(T, label):
         ids = []
         for node in range(T.n_nodes):
             if T.left[node] < 0:
-                ids.append(builder.leaf(int(T.leaf_vertex[node])))
+                v = int(T.leaf_vertex[node])
+                ids.append(builder.leaf(v if label is None else label[v]))
             else:
                 ids.append(builder.internal(ids[T.left[node]],
                                             ids[T.right[node]]))
         return ids[T.root]
 
-    acc = copy(trees[0])
-    for T in trees[1:]:
-        acc = builder.internal(acc, copy(T))
+    if labels is None:
+        labels = [None] * len(trees)
+    acc = copy(trees[0], labels[0])
+    for T, label in zip(trees[1:], labels[1:]):
+        acc = builder.internal(acc, copy(T, label))
     return builder.build()
+
+
+def naive_merge_ORACLE(G, partition):
+    """The naive variant from scratch: each set's degree tree rebuilt on
+    its own induced graph, the trees sorted stably by leaf count and
+    left-folded by ``_caterpillar_ORACLE`` onto global vertex ids."""
+    sets = sorted(partition.sets, key=len)
+    return _caterpillar_ORACLE(
+        [hc_with_degrees(induced_subgraph(G, P)) for P in sets], labels=sets)
+
+
+def prune_condition_ORACLE(G, T, crit, P, k):
+    """The prune stage's keep-whole test on the degree tree T of G[P] with
+    critical nodes ``crit``:
+    ``n * sum_N w(N, V\\P) <= 6(k+1) * sum_N |parent(N)| * vol_{G[P]}(N)``,
+    where the root counts as its own parent. Each w(N, V\\P) comes from
+    ``cut_weight`` and each volume from its own induced graph; both sums
+    run in ``crit`` order, so the comparison matches the pipeline's
+    exactly."""
+    if not crit:
+        raise ValueError("need at least one critical node")
+    P = vertex_set(P, G.n)
+    induced = induced_subgraph(G, P)
+    outside = np.setdiff1d(np.arange(G.n), P)
+    lhs = rhs = 0.0
+    for node in crit:
+        local = T.leaves_under(node)
+        lhs += cut_weight(G, P[local], outside)
+        parent = node if node == T.root else T.parent[node]
+        rhs += int(T.leaf_count[parent]) * float(induced.degrees[local].sum())
+    return G.n * lhs <= 6.0 * (k + 1) * rhs
+
+
+def dense_branch_ORACLE(G, T):
+    """The dense branch by a root walk: the maximal root path of nodes
+    whose leaf-set volume exceeds vol(G)/2, following the child of larger
+    volume (equal volumes: the lower node id). Each volume is the degree
+    sum over ``leaves_under``."""
+    def vol(node):
+        return float(G.degrees[T.leaves_under(node)].sum())
+
+    path = [int(T.root)]
+    while T.left[path[-1]] >= 0:
+        l, r = int(T.left[path[-1]]), int(T.right[path[-1]])
+        child = l if vol(l) > vol(r) or (vol(l) == vol(r) and l < r) else r
+        if vol(child) <= G.total_volume / 2.0:
+            break
+        path.append(child)
+    return tuple(path)
+
+
+def degree_tree_shape_ORACLE(T, n):
+    """True iff T has n leaves and every internal node of s leaves splits
+    into children of 2^floor(log2(s-1)) and the rest, in either order."""
+    if T.n_leaves != n:
+        return False
+    for node in range(T.n_nodes):
+        l = T.left[node]
+        if l >= 0:
+            s = int(T.leaf_count[node])
+            r = 1 << ((s - 1).bit_length() - 1)
+            if {int(T.leaf_count[l]), int(T.leaf_count[T.right[node]])} \
+                    != {r, s - r}:
+                return False
+    return True
+
+
+def laplacian_apply_ORACLE(G, x):
+    """The normalized Laplacian applied edge-wise:
+    ``y = x - D^-1/2 A D^-1/2 x``; rows of degree-0 vertices act as the
+    identity."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (G.n,):
+        raise ValueError(f"vector length {x.shape} does not match n={G.n}")
+    d = G.degrees
+    inv_sqrt = np.zeros_like(d)
+    inv_sqrt[d > 0] = 1.0 / np.sqrt(d[d > 0])
+    s = x * inv_sqrt
+    acc = np.zeros(G.n)
+    np.add.at(acc, G.edges_u, G.edges_w * s[G.edges_v])
+    np.add.at(acc, G.edges_v, G.edges_w * s[G.edges_u])
+    return x - inv_sqrt * acc
 
 
 def _bernoulli_block_ORACLE(rng, A, B, prob):

@@ -9,8 +9,8 @@ no-pruning fold only where a subtree is detached, and degree ordering
 competes with single linkage only inside certified clusters. Each
 comparison applies where the run reports its precondition (``pruned``,
 ``partition.r``, the ``stalled`` flag), and those reports are checked
-against independent oracles (``prune_condition``, ``termination_report``,
-the unpruned tree). Their lines carry the measured margins and the
+against independent oracles (``prune_condition_ORACLE``,
+``termination_report``, and ``naive_merge_ORACLE`` for the unpruned tree). Their lines carry the measured margins and the
 certified-seed counts on PASS as well; see README for the analysis.
 """
 
@@ -42,7 +42,6 @@ from wellclust.graph import build_graph, cut_weight, induced_subgraph
 from wellclust.linkage import linkage
 from wellclust.metrics import adjusted_rand_index
 from wellclust.prune_merge import (_merge_pool, _PoolEntry, _prune_cluster,
-                                   naive_cluster_merge, prune_condition,
                                    run_prune_merge)
 from wellclust.spectral import smallest_eigenvalues, spectral_partition
 from wellclust.tree import (brute_force_opt, caterpillar_merge,
@@ -50,7 +49,8 @@ from wellclust.tree import (brute_force_opt, caterpillar_merge,
                             dasgupta_cost_cutform, random_tree,
                             relabel_leaves)
 from oracles import (all_tree_costs_ORACLE, double_factorial_trees,
-                     graph_conductance_exact_ORACLE)
+                     graph_conductance_exact_ORACLE, naive_merge_ORACLE,
+                     prune_condition_ORACLE)
 
 
 def record(num, ok, detail):
@@ -251,7 +251,7 @@ def stall_audit(G, res, k):
 
 def first_prune_mismatches(G, res, k):
     """Clusters whose first keep-whole outcome in ``condition_trace``
-    differs from the public ``prune_condition`` on the cluster's own
+    differs from ``prune_condition_ORACLE`` on the cluster's own
     degree tree; singletons are never tested and must have empty traces."""
     bad = []
     for i, (P, trace) in enumerate(zip(res.partition.sets,
@@ -262,7 +262,7 @@ def first_prune_mismatches(G, res, k):
         else:
             T = hc_with_degrees(ind)
             crit = critical_nodes(ind, T)
-            expected = not crit or prune_condition(G, T, crit, P, k)
+            expected = not crit or prune_condition_ORACLE(G, T, crit, P, k)
         if (trace[0] if trace else None) != expected:
             bad.append(i)
     return bad
@@ -283,7 +283,7 @@ def test_criterion_07_bridged_cluster_separation():
     for n in (256, 1024):
         G, labels = gen_bridged_two_cluster(n, 1)
         res = run_prune_merge(G, 2)
-        naive = naive_cluster_merge(G, 2)
+        naive = naive_merge_ORACLE(G, strong_decomposition(G, 2)[0])
         ratios[n] = dasgupta_cost(G, naive) / dasgupta_cost(G, res.tree)
         r_values[n] = res.partition.r
         stalled[n] = res.decomposition_report["stalled"]
@@ -294,13 +294,13 @@ def test_criterion_07_bridged_cluster_separation():
             problems.append(f"n={n}: stalled flag disagrees with the audit")
         if first_prune_mismatches(G, res, 2):
             problems.append(f"n={n}: keep-whole trace disagrees with "
-                            f"prune_condition")
+                            f"prune_condition_ORACLE")
         if res.pruned and not ratios[n] > 1.0:
             problems.append(f"n={n}: detached {pruned[n]} subtrees, "
                             f"naive/prune ratio not above 1")
         if not res.pruned and not same_tree(res.tree, naive):
             problems.append(f"n={n}: nothing detached, yet the tree differs "
-                            f"from naive_cluster_merge")
+                            f"from naive_merge_ORACLE")
     if any(pruned.values()) and not ratios[1024] > ratios[256]:
         problems.append("naive/prune ratio not increasing in n")
     if not margins[1024] < margins[256]:
@@ -456,16 +456,16 @@ def test_criterion_10_reduced_scale_cost_orderings():
         G, _ = gen_sbm_planted_cliques([300, 300, 300], 0.06, 0.002, 0.4,
                                        seed)
         res = run_prune_merge(G, k)
-        naive = naive_cluster_merge(G, k)
+        naive = naive_merge_ORACLE(G, strong_decomposition(G, k)[0])
         if first_prune_mismatches(G, res, k):
             problems.append(f"clique seed={seed}: keep-whole trace disagrees "
-                            f"with prune_condition")
+                            f"with prune_condition_ORACLE")
         if res.pruned:
             prune_costs.append(dasgupta_cost(G, res.tree))
             naive_costs.append(dasgupta_cost(G, naive))
         elif not same_tree(res.tree, naive):
             problems.append(f"clique seed={seed}: nothing detached, yet the "
-                            f"tree differs from naive_cluster_merge")
+                            f"tree differs from naive_merge_ORACLE")
     clique_ratio = (float(np.mean(prune_costs) / np.mean(naive_costs))
                     if prune_costs else None)
     if clique_ratio is not None and clique_ratio > 0.9:

@@ -73,6 +73,18 @@ def test_generate_labels_unavailable(tmp_path, capsys):
     assert "no planted labels" in capsys.readouterr().err
 
 
+def test_generate_labels_unavailable_writes_no_graph(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0 0\n1 0\n0 1\n")
+    g, lab = tmp_path / "g.txt", tmp_path / "l.txt"
+    code = main(["generate", "--family", "gaussian_kernel", "--points-file",
+                 str(pts), "--sigma", "1.0", "--seed", "1", "--out", str(g),
+                 "--labels", str(lab)])
+    assert code == 1
+    assert "no planted labels" in capsys.readouterr().err
+    assert not g.exists() and not lab.exists()
+
+
 def test_run_tree_roundtrip(tmp_path, capsys):
     g = tmp_path / "g.txt"
     g.write_text(TWO_TRIANGLES)

@@ -33,12 +33,11 @@ from wellclust.generators import (gen_bridged_two_cluster,
                                   gen_sbm_planted_cliques)
 from wellclust.graph import cut_weight, induced_subgraph
 from wellclust.metrics import adjusted_rand_index
-from wellclust.prune_merge import prune_condition
 from wellclust.spectral import SpectralResult
 from wellclust.tree import critical_nodes
 
 from conftest import DUMBBELL_EDGES, cycle_graph, unit_graph
-from oracles import graph_conductance_exact_ORACLE
+from oracles import graph_conductance_exact_ORACLE, prune_condition_ORACLE
 
 
 def set_lists(partition):
@@ -245,8 +244,8 @@ def test_loop_report_matches_independent_audit(audit_corpus, mode):
 def test_report_measures_critical_nodes_like_the_oracles(audit_corpus):
     """The report's boundary inequality and the prune stage read one
     measurement of each critical node; it must equal an independent cut
-    and volume, and the first prune outcome must equal prune_condition on
-    a freshly built tree."""
+    and volume, and the first prune outcome must equal
+    prune_condition_ORACLE on a freshly built tree."""
     for G, k in audit_corpus:
         result = run_prune_merge(G, k)
         for P, entry, outcomes in zip(result.partition.sets,
@@ -266,7 +265,7 @@ def test_report_measures_critical_nodes_like_the_oracles(audit_corpus):
                 assert measured["a3_lhs"] == cut_weight(G, P[local], outside)
                 assert measured["a3_rhs"] == \
                     6.0 * (k + 1) * induced.degrees[local].sum()
-            assert outcomes[0] == prune_condition(G, T, crit, P, k)
+            assert outcomes[0] == prune_condition_ORACLE(G, T, crit, P, k)
 
 
 @pytest.mark.parametrize("sets, cores, apply", [

@@ -175,15 +175,15 @@ SWEEP_FAMILIES = [
 ]
 
 
-def _naive_calls(monkeypatch):
+def _pipeline_calls(monkeypatch):
     calls = []
-    original = experiment.naive_cluster_merge
+    original = experiment.run_prune_merge
 
     def counted(*args, **kwargs):
         calls.append(args[0].n)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(experiment, "naive_cluster_merge", counted)
+    monkeypatch.setattr(experiment, "run_prune_merge", counted)
     return calls
 
 
@@ -201,11 +201,17 @@ def _by_key(rows, algo):
 def test_naive_rows_reuse_prunemerge_run(monkeypatch, points, k, best_k_max,
                                          reuses):
     kw = dict(points=points, seeds=(1, 2, 3), k=k, best_k_max=best_k_max)
-    calls = _naive_calls(monkeypatch)
+    calls = _pipeline_calls(monkeypatch)
     pair = compare_sweep(algos=("prunemerge", "naive"), **kw)
-    assert len(calls) == (0 if reuses else 3 * len(points))
+    pair_calls = len(calls)
+    calls.clear()
     alone = compare_sweep(algos=("naive",), **kw)
+    # a standalone naive row runs the pipeline once for its instance
+    assert len(calls) == 3 * len(points)
+    calls.clear()
     prune = _by_key(compare_sweep(algos=("prunemerge",), **kw), "prunemerge")
+    # a reusing naive row adds no run to its prunemerge row's
+    assert pair_calls == len(calls) + (0 if reuses else 3 * len(points))
     assert _by_key(pair, "prunemerge") == prune
     naive = _by_key(alone, "naive")
     assert len(naive) == 4 * len(points)

@@ -1,17 +1,16 @@
 """Leaf-order spans and the level-by-level split builder, checked against
-the recursive builder, the stack walks and the per-node shape loop they
-replaced (kept here as oracles)."""
+the recursive builder and the stack walks they replaced (kept here as
+oracles)."""
 
 import numpy as np
 import pytest
 
 from wellclust import (TreeBuilder, build_graph, dasgupta_cost,
                        dasgupta_cost_cutform, hc_with_degrees, linkage,
-                       load_tree, random_tree, save_tree,
-                       verify_degree_tree_shape)
+                       load_tree, random_tree, save_tree)
 
 from conftest import random_connected_graph
-from oracles import _cutform_ORACLE
+from oracles import _cutform_ORACLE, degree_tree_shape_ORACLE
 from test_tree import chain_tree
 
 
@@ -40,21 +39,6 @@ def oracle_degree_tree(G):
 def oracle_random_tree(n, seed):
     perm = np.random.Generator(np.random.Philox(key=seed)).permutation(n)
     return oracle_split_tree(perm, lambda s: (s + 1) // 2)
-
-
-def oracle_degree_shape(T, n):
-    """ORACLE: the per-node loop of ``verify_degree_tree_shape``."""
-    if T.n_leaves != n:
-        return False
-    for node in range(T.n_nodes):
-        l = T.left[node]
-        if l >= 0:
-            s = int(T.leaf_count[node])
-            r = 1 << ((s - 1).bit_length() - 1)
-            if {int(T.leaf_count[l]), int(T.leaf_count[T.right[node]])} \
-                    != {r, s - r}:
-                return False
-    return True
 
 
 def oracle_leaves_under(T, node):
@@ -118,14 +102,12 @@ def test_split_builder_matches_recursive_oracle():
         T = hc_with_degrees(G)
         assert_same_arrays(tree_arrays(T), tree_arrays(oracle_degree_tree(G)),
                            f"degree n={n}")
-        assert verify_degree_tree_shape(T, n)
+        assert degree_tree_shape_ORACLE(T, n)
         for seed in (n, 10_000 + n, 2**40 + n):
             T = random_tree(n, seed)
             assert_same_arrays(tree_arrays(T),
                                tree_arrays(oracle_random_tree(n, seed)),
                                f"random n={n} seed={seed}")
-            for m in (n, n + 1):
-                assert verify_degree_tree_shape(T, m) == oracle_degree_shape(T, m)
 
 
 # -- spans: leaves_under and subtree -----------------------------------------

