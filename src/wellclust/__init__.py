@@ -15,8 +15,8 @@ from .experiment import (ALGORITHMS, RunOutcome, SweepPoint, compare_sweep,
 from .generators import (GENERATOR_FAMILIES, GenSpec, PlantedLabels,
                          gaussian_kernel_graph, generate, load_labels,
                          save_labels)
-from .graph import (Graph, build_graph, cut_weight, induced_subgraph,
-                    load_graph, save_graph, set_conductance, volume)
+from .graph import (Graph, build_graph, induced_subgraph, load_graph,
+                    save_graph, set_conductance, volume)
 from .linkage import linkage
 from .metrics import adjusted_rand_index
 from .prune_merge import PruneMergeResult, best_over_k, run_prune_merge
@@ -34,7 +34,7 @@ __all__ = [
     "PruneMergeResult", "RunOutcome", "SpectralConvergenceError",
     "SpectralResult", "SweepCut", "SweepPoint", "TreeBuilder",
     "adjusted_rand_index", "best_over_k", "brute_force_opt", "build_graph",
-    "caterpillar_merge", "compare_sweep", "critical_nodes", "cut_weight",
+    "caterpillar_merge", "compare_sweep", "critical_nodes",
     "dasgupta_cost", "dasgupta_cost_cutform", "derive_params",
     "gaussian_kernel_graph", "generate", "hc_with_degrees",
     "induced_subgraph", "linkage", "load_graph", "load_labels", "load_tree",

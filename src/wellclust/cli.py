@@ -189,6 +189,9 @@ def cmd_generate(args, parser) -> int:
 
 
 def cmd_run(args, parser) -> int:
+    if args.best_over_k is not None and args.algo != "prunemerge":
+        parser.error(f"--best-over-k applies to prunemerge only, not "
+                     f"{args.algo}")
     G = load_graph(args.graph)
     outcome = run_algorithm(G, args.algo, k=args.k, seed=args.seed,
                             best_k_max=args.best_over_k,
@@ -220,7 +223,7 @@ def cmd_cost(args, parser) -> int:
 def cmd_decompose(args, parser) -> int:
     G = load_graph(args.graph)
     params = derive_params(G, args.k, phi_in_mode=args.phi_in_mode)
-    partition, report = strong_decomposition(G, args.k, params)
+    partition, report = strong_decomposition(G, params)
     iterations, stalled = report.pop("iterations"), report.pop("stalled")
     del report["trace_tail"]
     payload = {
@@ -267,6 +270,9 @@ def cmd_compare(args, parser) -> int:
         if algo not in ALGORITHMS:
             parser.error(f"unknown algorithm {algo!r}; choose from "
                          f"{','.join(ALGORITHMS)}")
+    if args.best_over_k is not None and "prunemerge" not in algos:
+        parser.error("--best-over-k applies to prunemerge only, which "
+                     "--algos does not name")
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
     rows = compare_sweep(points, algos, seeds=range(1, args.seeds + 1),

@@ -123,8 +123,9 @@ class DecompParams:
 def _boundary(G: Graph, S: np.ndarray, P: np.ndarray) -> tuple[float, float]:
     """``(w(S, P\\S), w(S, V\\P))`` for ``S ⊆ P``, in one edge pass.
 
-    Each sum takes the edges :func:`~wellclust.graph.cut_weight` takes, in
-    edge order, so both agree with it to the last digit.
+    The first sums the edges with one end in S and the other in P\\S, the
+    second those with one end in S and the other outside P, each in edge
+    order.
     """
     in_s = np.zeros(G.n, dtype=bool)
     in_s[S] = True
@@ -142,8 +143,8 @@ def relative_conductance(G: Graph, S: Iterable[int], P: Iterable[int]) -> float:
 
     ``w(S -> P) / ((vol(P\\S)/vol(P)) * w(S -> V\\P))``; degenerate
     denominators (S empty or all of P, P without outgoing edges) give 1.
-    Both weights come from :func:`_boundary`, which sums the edges
-    ``cut_weight`` would, in the same order, so they match it digit for digit.
+    Both weights come from :func:`_boundary`: w(S -> P) sums the edges
+    from S into P\\S and w(S -> V\\P) those leaving P, in edge order.
     """
     S = vertex_set(S, G.n)
     P = vertex_set(P, G.n)
@@ -249,13 +250,11 @@ class _ClusterInfo:
 class _State:
     """Mutable working partition plus caches and progress checks."""
 
-    def __init__(self, G: Graph, k: int, params: DecompParams,
+    def __init__(self, G: Graph, params: DecompParams,
                  sets: list[np.ndarray] | None = None,
                  cores: list[np.ndarray] | None = None):
-        if params.k != k:
-            raise ValueError(f"k = {k} disagrees with params.k = {params.k}")
         self.G = G
-        self.k = k
+        self.k = params.k
         self.params = params
         allv = np.arange(G.n, dtype=np.int64)
         self.sets: list[np.ndarray] = sets if sets is not None else [allv]
@@ -583,21 +582,19 @@ class _Decomposition(tuple):
     views: tuple[_ClusterInfo, ...]
 
 
-def strong_decomposition(G: Graph, k: int, params: DecompParams | None = None,
-                         phi_in_mode: str = "practical",
+def strong_decomposition(G: Graph, params: DecompParams,
                          ) -> tuple[Partition, dict]:
-    """Partition G into at most k clusters with certified cores.
+    """Partition G into at most ``params.k`` clusters with certified cores.
 
-    Deterministic for a given graph and parameter set (the eigensolver uses
-    a fixed starting vector). Returns the partition and an audit report; the
-    report carries the final predicate evaluations, per-cluster conductance
-    measurements, and run metadata including whether the loop stalled
-    (possible only in practical mode, where phi_in is inflated beyond what
-    the refinement analysis assumes).
+    ``params`` comes from :func:`derive_params`. Deterministic for a given
+    graph and parameter set (the eigensolver uses a fixed starting
+    vector). Returns the partition and an audit report; the report carries
+    the final predicate evaluations, per-cluster conductance measurements,
+    and run metadata including whether the loop stalled (possible only in
+    practical mode, where phi_in is inflated beyond what the refinement
+    analysis assumes).
     """
-    if params is None:
-        params = derive_params(G, k, phi_in_mode=phi_in_mode)
-    state = _State(G, k, params)
+    state = _State(G, params)
     state._check_invariants()
     stalled = False
     while True:
@@ -624,10 +621,10 @@ def strong_decomposition(G: Graph, k: int, params: DecompParams | None = None,
             break
         state.iterations += 1
 
-    _require(state.r <= k, "refinement produced %d > k = %d clusters",
-             state.r, k)
+    _require(state.r <= params.k, "refinement produced %d > k = %d clusters",
+             state.r, params.k)
     partition = Partition(tuple(state.sets), tuple(state.cores))
-    report = termination_report(G, partition, params, k, _state=state)
+    report = termination_report(G, partition, params, _state=state)
     report["iterations"] = state.iterations
     report["stalled"] = stalled
     report["trace_tail"] = state.trace[-20:]
@@ -637,18 +634,20 @@ def strong_decomposition(G: Graph, k: int, params: DecompParams | None = None,
 
 
 def termination_report(G: Graph, partition: Partition, params: DecompParams,
-                       k: int, _state: _State | None = None) -> dict:
+                       _state: _State | None = None) -> dict:
     """Audit a partition against every termination predicate and bound.
 
     Pure measurement: evaluates the two loop conditions, the three late
     refinement predicates, and per cluster the outer/inner conductance
     bounds plus, for every critical node N of the cluster tree, the
     boundary inequality w(N, V\\P_i) <= 6(k+1) * vol_{G[P_i]}(N) and the
-    two stability predicates that the loop's exit guarantees.
+    two stability predicates that the loop's exit guarantees, with
+    k = ``params.k``.
     """
+    k = params.k
     state = _state
     if state is None:
-        state = _State(G, k, params, sets=list(partition.sets),
+        state = _State(G, params, sets=list(partition.sets),
                        cores=list(partition.cores))
     r = state.r
     while_1 = False

@@ -17,6 +17,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from .decomposition import derive_params
 from .degree_hc import hc_with_degrees
 from .generators import GenSpec, PlantedLabels, generate
 from .graph import Graph
@@ -65,10 +66,13 @@ def run_algorithm(G: Graph, algo: str, k: int = 2, seed: int = 0,
                   _pipeline: PruneMergeResult | None = None) -> RunOutcome:
     """Run one algorithm on ``G`` and return its tree, cost, and metadata.
 
-    ``k`` feeds the decomposition-based algorithms; ``seed`` only matters
-    for ``random``.  ``best_k_max`` switches ``prunemerge`` to trying every
-    k up to that bound and keeping the cheapest tree.  ``labels``, when
-    given, scores the prunemerge partition against the planted clustering.
+    ``k`` and ``phi_in_mode`` feed the decomposition-based algorithms: a
+    single-k run turns them into its ``DecompParams`` here, with
+    :func:`derive_params`, and ``best_over_k`` does so for each k it tries.
+    ``seed`` only matters for ``random``.  ``best_k_max`` switches
+    ``prunemerge`` to trying every k up to that bound and keeping the
+    cheapest tree.  ``labels``, when given, scores the prunemerge
+    partition against the planted clustering.
     ``naive`` folds the unpruned cluster trees of a single-k pipeline
     run: ``_pipeline``, a ``prunemerge`` record of the same inputs, or a
     fresh run otherwise.
@@ -86,7 +90,8 @@ def run_algorithm(G: Graph, algo: str, k: int = 2, seed: int = 0,
         if best_k_max is not None:
             k_used, tree = best_over_k(G, best_k_max, phi_in_mode=phi_in_mode)
         else:
-            result = run_prune_merge(G, k, phi_in_mode=phi_in_mode)
+            result = run_prune_merge(
+                G, derive_params(G, k, phi_in_mode=phi_in_mode))
             tree = result.tree
             k_used = k
             if labels is not None:
@@ -94,7 +99,8 @@ def run_algorithm(G: Graph, algo: str, k: int = 2, seed: int = 0,
                                           result.partition.labels)
     elif algo == "naive":
         if _pipeline is None:
-            _pipeline = run_prune_merge(G, k, phi_in_mode=phi_in_mode)
+            _pipeline = run_prune_merge(
+                G, derive_params(G, k, phi_in_mode=phi_in_mode))
         tree = _pipeline.naive_tree(G)
         k_used = k
     elif algo == "random":

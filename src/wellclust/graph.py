@@ -16,7 +16,6 @@ __all__ = [
     "vertex_set",
     "build_graph",
     "volume",
-    "cut_weight",
     "set_conductance",
     "induced_subgraph",
     "save_graph",
@@ -138,24 +137,6 @@ def volume(G: Graph, S: Iterable[int]) -> float:
     """Sum of degrees over ``S``."""
     S = vertex_set(S, G.n)
     return float(G.degrees[S].sum())
-
-
-def cut_weight(G: Graph, S: Iterable[int], T: Iterable[int]) -> float:
-    """Total weight of edges with one endpoint in ``S`` and one in ``T``.
-
-    ``S`` and ``T`` must be disjoint.
-    """
-    S = vertex_set(S, G.n)
-    T = vertex_set(T, G.n)
-    if np.intersect1d(S, T, assume_unique=True).size:
-        raise ValueError("cut_weight requires disjoint vertex sets")
-    if not S.size or not T.size or not G.m:
-        return 0.0
-    in_s = _member_mask(G, S)
-    in_t = _member_mask(G, T)
-    crosses = ((in_s[G.edges_u] & in_t[G.edges_v])
-               | (in_t[G.edges_u] & in_s[G.edges_v]))
-    return float(G.edges_w[crosses].sum())
 
 
 def set_conductance(G: Graph, S: Iterable[int]) -> float:

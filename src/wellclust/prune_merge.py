@@ -47,12 +47,13 @@ class PruneMergeResult:
     leaf count of its parent in the final tree; ``condition_trace`` is
     the per-cluster sequence of boundary-test outcomes; ``whole`` holds
     each cluster's unpruned degree tree on local ids, as the decomposition
-    built it, and :meth:`naive_tree` folds them without pruning.
+    built it, and :meth:`naive_tree` folds them without pruning. The
+    run's thresholds are the ``params`` its caller passed to
+    :func:`run_prune_merge`, so the record does not repeat them.
     """
 
     tree: HCTree
     partition: Partition
-    params: DecompParams
     decomposition_report: dict
     pool_sizes: tuple[int, ...]
     pruned: tuple[dict, ...]
@@ -126,20 +127,18 @@ def _prune_cluster(G: Graph, view: _ClusterInfo, k: int, cluster: int,
     return entries, outcomes
 
 
-def run_prune_merge(G: Graph, k: int, params: DecompParams | None = None,
-                    phi_in_mode: str = "practical") -> PruneMergeResult:
-    """Hierarchy over all of G: decompose, prune each cluster tree, fold.
-    Keeps every intermediate the tests audit; the tree is ``.tree``."""
-    if params is None:
-        params = derive_params(G, k, phi_in_mode=phi_in_mode)
-    partition, report = decomposition = strong_decomposition(G, k, params)
+def run_prune_merge(G: Graph, params: DecompParams) -> PruneMergeResult:
+    """Hierarchy over all of G: decompose with the thresholds ``params``
+    (from :func:`derive_params`), prune each cluster tree, fold. Keeps
+    every intermediate the tests audit; the tree is ``.tree``."""
+    partition, report = decomposition = strong_decomposition(G, params)
     views = decomposition.views
-    clusters = [_prune_cluster(G, view, k, i) for i, view in enumerate(views)]
+    clusters = [_prune_cluster(G, view, params.k, i)
+                for i, view in enumerate(views)]
     pool = [entry for entries, _ in clusters for entry in entries]
     tree = _merge_pool(G, pool)
     return PruneMergeResult(
-        tree=tree, partition=partition, params=params,
-        decomposition_report=report,
+        tree=tree, partition=partition, decomposition_report=report,
         pool_sizes=tuple(int(e.leaves.size) for e in pool),
         pruned=tuple(e.pruned_record for e in pool
                      if e.pruned_record is not None),
@@ -184,7 +183,7 @@ def best_over_k(G: Graph, k_max: int,
             continue
         tried += 1
         params = derive_params(G, k, phi_in_mode=phi_in_mode, eigs=eigs)
-        tree = run_prune_merge(G, k, params).tree
+        tree = run_prune_merge(G, params).tree
         cost = dasgupta_cost(G, tree)
         if best is None or cost < best[0]:
             best = (cost, k, tree)

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from wellclust import (SweepCut, TreeBuilder, cut_weight, hc_with_degrees,
+from wellclust import (SweepCut, TreeBuilder, hc_with_degrees,
                        induced_subgraph, smallest_eigenvalues)
 from wellclust.graph import vertex_set
 
@@ -244,13 +244,32 @@ def naive_merge_ORACLE(G, partition):
         [hc_with_degrees(induced_subgraph(G, P)) for P in sets], labels=sets)
 
 
+def cut_weight_ORACLE(G, S, T):
+    """Total weight of edges with one endpoint in ``S`` and one in ``T``,
+    for disjoint ``S`` and ``T``: each boundary weight measured on its own,
+    where the pipeline's ``_boundary`` takes two in one edge pass."""
+    S = vertex_set(S, G.n)
+    T = vertex_set(T, G.n)
+    if np.intersect1d(S, T, assume_unique=True).size:
+        raise ValueError("cut_weight_ORACLE requires disjoint vertex sets")
+    if not S.size or not T.size or not G.m:
+        return 0.0
+    in_s = np.zeros(G.n, dtype=bool)
+    in_s[S] = True
+    in_t = np.zeros(G.n, dtype=bool)
+    in_t[T] = True
+    crosses = ((in_s[G.edges_u] & in_t[G.edges_v])
+               | (in_t[G.edges_u] & in_s[G.edges_v]))
+    return float(G.edges_w[crosses].sum())
+
+
 def prune_condition_ORACLE(G, T, crit, P, k):
     """The prune stage's keep-whole test on the degree tree T of G[P] with
     critical nodes ``crit``:
     ``n * sum_N w(N, V\\P) <= 6(k+1) * sum_N |parent(N)| * vol_{G[P]}(N)``,
     where the root counts as its own parent. Each w(N, V\\P) comes from
-    ``cut_weight`` and each volume from its own induced graph; both sums
-    run in ``crit`` order, so the comparison matches the pipeline's
+    ``cut_weight_ORACLE`` and each volume from its own induced graph; both
+    sums run in ``crit`` order, so the comparison matches the pipeline's
     exactly."""
     if not crit:
         raise ValueError("need at least one critical node")
@@ -260,7 +279,7 @@ def prune_condition_ORACLE(G, T, crit, P, k):
     lhs = rhs = 0.0
     for node in crit:
         local = T.leaves_under(node)
-        lhs += cut_weight(G, P[local], outside)
+        lhs += cut_weight_ORACLE(G, P[local], outside)
         parent = node if node == T.root else T.parent[node]
         rhs += int(T.leaf_count[parent]) * float(induced.degrees[local].sum())
     return G.n * lhs <= 6.0 * (k + 1) * rhs

@@ -38,7 +38,7 @@ from wellclust.experiment import ALGORITHMS, run_algorithm
 from wellclust.generators import (gen_bridged_two_cluster,
                                   gen_planted_clique_expander, gen_sbm,
                                   gen_sbm_planted_cliques, gen_sbm_unequal)
-from wellclust.graph import build_graph, cut_weight, induced_subgraph
+from wellclust.graph import build_graph, induced_subgraph
 from wellclust.linkage import linkage
 from wellclust.metrics import adjusted_rand_index
 from wellclust.prune_merge import (_merge_pool, _PoolEntry, _prune_cluster,
@@ -48,9 +48,9 @@ from wellclust.tree import (brute_force_opt, caterpillar_merge,
                             critical_nodes, dasgupta_cost,
                             dasgupta_cost_cutform, random_tree,
                             relabel_leaves)
-from oracles import (all_tree_costs_ORACLE, double_factorial_trees,
-                     graph_conductance_exact_ORACLE, naive_merge_ORACLE,
-                     prune_condition_ORACLE)
+from oracles import (all_tree_costs_ORACLE, cut_weight_ORACLE,
+                     double_factorial_trees, graph_conductance_exact_ORACLE,
+                     naive_merge_ORACLE, prune_condition_ORACLE)
 
 
 def record(num, ok, detail):
@@ -227,7 +227,7 @@ def keep_whole_margin(G, P, k):
     lhs = rhs = 0.0
     for node in crit:
         local = T.leaves_under(node)
-        lhs += cut_weight(G, P[local], outside)
+        lhs += cut_weight_ORACLE(G, P[local], outside)
         parent = int(T.parent[node])
         parent_leaves = int(T.leaf_count[parent if parent >= 0 else node])
         rhs += parent_leaves * float(ind.degrees[local].sum())
@@ -239,11 +239,12 @@ def same_tree(a, b):
                for name in ("left", "right", "parent", "leaf_vertex"))
 
 
-def stall_audit(G, res, k):
-    """Independent termination audit of a pipeline run's partition, and
-    whether the run's own ``stalled`` flag agrees with its while_2
-    predicate (a sweep candidate survives that no branch accepted)."""
-    audit = termination_report(G, res.partition, res.params, k)
+def stall_audit(G, res, params):
+    """Independent termination audit of a pipeline run's partition under
+    the run's ``params``, and whether the run's own ``stalled`` flag agrees
+    with its while_2 predicate (a sweep candidate survives that no branch
+    accepted)."""
+    audit = termination_report(G, res.partition, params)
     agrees = res.decomposition_report["stalled"] == \
         audit["predicates"]["while_2"]
     return audit, agrees
@@ -282,15 +283,17 @@ def test_criterion_07_bridged_cluster_separation():
     problems = []
     for n in (256, 1024):
         G, labels = gen_bridged_two_cluster(n, 1)
-        res = run_prune_merge(G, 2)
-        naive = naive_merge_ORACLE(G, strong_decomposition(G, 2)[0])
+        params = derive_params(G, 2)
+        res = run_prune_merge(G, params)
+        naive = naive_merge_ORACLE(
+            G, strong_decomposition(G, derive_params(G, 2))[0])
         ratios[n] = dasgupta_cost(G, naive) / dasgupta_cost(G, res.tree)
         r_values[n] = res.partition.r
         stalled[n] = res.decomposition_report["stalled"]
         pruned[n] = len(res.pruned)
         margins[n] = min(keep_whole_margin(
             G, np.flatnonzero(labels.clusters == c), 2) for c in (0, 1))
-        if not stall_audit(G, res, 2)[1]:
+        if not stall_audit(G, res, params)[1]:
             problems.append(f"n={n}: stalled flag disagrees with the audit")
         if first_prune_mismatches(G, res, 2):
             problems.append(f"n={n}: keep-whole trace disagrees with "
@@ -331,8 +334,8 @@ def test_criterion_08_decomposition_contract():
     for seed in range(1, 11):
         G, labels = gen_sbm([100, 100, 100], 0.3, 0.002, seed)
         params = derive_params(G, 3)
-        partition, run_report = strong_decomposition(G, 3, params)
-        report = termination_report(G, partition, params, 3)
+        partition, run_report = strong_decomposition(G, params)
+        report = termination_report(G, partition, params)
         preds_clear = not any(report["predicates"].values())
         a3_all = all(node["a3_ok"] for cluster in report["clusters"]
                      for node in cluster["critical_nodes"])
@@ -370,7 +373,7 @@ def forced_prune_pool():
     ext = np.arange(8, 28)
     # the cluster's view, with its tree and critical nodes, as the
     # decomposition hands it to the prune stage
-    view = _State(G, 2, derive_params(G, 2), sets=[cluster, ext],
+    view = _State(G, derive_params(G, 2), sets=[cluster, ext],
                   cores=[cluster, ext]).info(0)
     entries, _ = _prune_cluster(G, view, 2, 0)
     ext_tree = relabel_leaves(hc_with_degrees(induced_subgraph(G, ext)), ext)
@@ -390,7 +393,7 @@ def test_criterion_09_detached_subtree_parent_bound():
                              (4, 5)]), 2)]
     records = []
     for G, k in runs:
-        result = run_prune_merge(G, k)
+        result = run_prune_merge(G, derive_params(G, k))
         records += [(rec, k) for rec in result.pruned]
     pipeline_count = len(records)
     crafted, crafted_k = forced_prune_pool()
@@ -427,10 +430,11 @@ def test_criterion_10_reduced_scale_cost_orderings():
         r_seen[p] = []
         for seed in seeds:
             G, _ = gen_sbm([300, 300, 300], p, 0.002, seed)
-            res = run_prune_merge(G, k)
+            params = derive_params(G, k)
+            res = run_prune_merge(G, params)
             cost_prune = dasgupta_cost(G, res.tree)
             cost_single = dasgupta_cost(G, linkage(G, "single"))
-            audit, stall_ok = stall_audit(G, res, k)
+            audit, stall_ok = stall_audit(G, res, params)
             is_certified = (res.partition.r == k
                             and not res.decomposition_report["stalled"]
                             and not any(audit["predicates"].values()))
@@ -455,8 +459,9 @@ def test_criterion_10_reduced_scale_cost_orderings():
     for seed in seeds:
         G, _ = gen_sbm_planted_cliques([300, 300, 300], 0.06, 0.002, 0.4,
                                        seed)
-        res = run_prune_merge(G, k)
-        naive = naive_merge_ORACLE(G, strong_decomposition(G, k)[0])
+        res = run_prune_merge(G, derive_params(G, k))
+        naive = naive_merge_ORACLE(
+            G, strong_decomposition(G, derive_params(G, k))[0])
         if first_prune_mismatches(G, res, k):
             problems.append(f"clique seed={seed}: keep-whole trace disagrees "
                             f"with prune_condition_ORACLE")

@@ -106,6 +106,39 @@ def test_run_json_with_best_over_k(tmp_path):
     assert payload == {"algo": "prunemerge", "cost": 16.0, "k": 2, "ms": None}
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--graph", "g.txt", "--algo", "naive"],
+    ["run", "--graph", "g.txt", "--algo", "degrees", "--json"],
+    ["compare", "--family", "sbm", "--sizes", "10,10", "--p", "0.5",
+     "--q", "0.05", "--algos", "naive,degrees", "--out", "c.csv"],
+])
+def test_best_over_k_needs_prunemerge(tmp_path, monkeypatch, capsys, argv):
+    """Only prunemerge tries several k; any other algorithm would run as
+    if the flag were absent."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text(TWO_TRIANGLES)
+    assert main(argv + ["--best-over-k", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: wellclust {argv[0]} ")
+    assert f"wellclust {argv[0]}: error: --best-over-k applies to " \
+        "prunemerge" in captured.err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_compare_best_over_k_with_prunemerge_among_algos(tmp_path):
+    # the prunemerge rows try k = 2..4; naive runs at --k
+    out = tmp_path / "c.csv"
+    assert main(["compare", "--family", "sbm", "--sizes", "10,10", "--p",
+                 "0.5", "--q", "0.05", "--algos", "prunemerge,naive",
+                 "--best-over-k", "4", "--k", "3", "--seeds", "1",
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:3]]
+    assert [(r[3], r[9]) for r in rows] == [("prunemerge", "ok"),
+                                            ("naive", "ok")]
+    assert rows[1][4] == "3"
+
+
 @pytest.mark.parametrize("family, k, r, stalled", [
     (["bridged_two_cluster", "--n", "256"], "2", 1, True),
     (["sbm", "--sizes", "50,50,50", "--p", "0.3", "--q", "0.002"], "3", 3,

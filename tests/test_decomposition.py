@@ -31,13 +31,14 @@ from wellclust.degree_hc import hc_with_degrees
 from wellclust.generators import (gen_bridged_two_cluster,
                                   gen_planted_clique_expander, gen_sbm,
                                   gen_sbm_planted_cliques)
-from wellclust.graph import cut_weight, induced_subgraph
+from wellclust.graph import induced_subgraph
 from wellclust.metrics import adjusted_rand_index
 from wellclust.spectral import SpectralResult
 from wellclust.tree import critical_nodes
 
 from conftest import DUMBBELL_EDGES, cycle_graph, unit_graph
-from oracles import graph_conductance_exact_ORACLE, prune_condition_ORACLE
+from oracles import (cut_weight_ORACLE, graph_conductance_exact_ORACLE,
+                     prune_condition_ORACLE)
 
 
 def set_lists(partition):
@@ -62,7 +63,7 @@ def test_candidate_partitions_cluster():
     G = cycle_graph(8)
     P = np.arange(8)
     core = np.array([0, 1, 2, 3])
-    state = _State(G, 2, derive_params(G, 2), sets=[P], cores=[core])
+    state = _State(G, derive_params(G, 2), sets=[P], cores=[core])
     cand = _Candidate(state, 0, np.array([2, 3, 4]))
     assert sorted(np.concatenate([cand.s_plus, cand.s_plus_bar]).tolist()) \
         == core.tolist()
@@ -116,7 +117,8 @@ def test_derive_params_iteration_budget(triangle):
 
 
 def test_two_components_split_exactly(two_triangles):
-    partition, report = strong_decomposition(two_triangles, 2)
+    partition, report = strong_decomposition(
+        two_triangles, derive_params(two_triangles, 2))
     assert set_lists(partition) == [[0, 1, 2], [3, 4, 5]]
     assert all(v is False for v in report["predicates"].values())
     assert report["stalled"] is False
@@ -125,7 +127,8 @@ def test_two_components_split_exactly(two_triangles):
 
 
 def test_dumbbell_splits_at_the_bridge(dumbbell):
-    partition, report = strong_decomposition(dumbbell, 2)
+    partition, report = strong_decomposition(dumbbell,
+                                             derive_params(dumbbell, 2))
     assert set_lists(partition) == [[0, 1, 2], [3, 4, 5]]
     for entry in report["clusters"]:
         assert entry["phi_set"] == pytest.approx(1.0 / 7.0)
@@ -134,14 +137,15 @@ def test_dumbbell_splits_at_the_bridge(dumbbell):
 
 def test_planted_blocks_recovered():
     G, labels = gen_sbm([100, 100, 100], 0.3, 0.002, 1)
-    partition, report = strong_decomposition(G, 3)
+    partition, report = strong_decomposition(G, derive_params(G, 3))
     assert partition.r == 3
     assert adjusted_rand_index(labels.clusters, partition.labels) >= 0.9
     assert all(v is False for v in report["predicates"].values())
 
 
 def test_single_cluster_path(triangle):
-    partition, report = strong_decomposition(triangle, 1)
+    partition, report = strong_decomposition(triangle,
+                                             derive_params(triangle, 1))
     assert partition.r == 1
     assert sorted(partition.sets[0].tolist()) == [0, 1, 2]
     assert report["r"] == 1
@@ -149,7 +153,8 @@ def test_single_cluster_path(triangle):
 
 def test_paper_mode_keeps_one_cluster_at_desk_scale():
     G, _ = gen_sbm([100, 100, 100], 0.3, 0.002, 1)
-    partition, report = strong_decomposition(G, 3, phi_in_mode="paper")
+    partition, report = strong_decomposition(
+        G, derive_params(G, 3, phi_in_mode="paper"))
     assert partition.r == 1
     assert report["iterations"] == 0
     assert report["stalled"] is False
@@ -157,8 +162,8 @@ def test_paper_mode_keeps_one_cluster_at_desk_scale():
 
 def test_determinism():
     G, _ = gen_sbm([60, 60], 0.3, 0.01, 9)
-    a, _ = strong_decomposition(G, 2)
-    b, _ = strong_decomposition(G, 2)
+    a, _ = strong_decomposition(G, derive_params(G, 2))
+    b, _ = strong_decomposition(G, derive_params(G, 2))
     assert len(a.sets) == len(b.sets)
     for Pa, Pb in zip(a.sets, b.sets):
         assert np.array_equal(Pa, Pb)
@@ -168,7 +173,7 @@ def test_determinism():
 
 def test_partition_structure_invariants():
     G, _ = gen_sbm([80, 80], 0.25, 0.005, 4)
-    partition, report = strong_decomposition(G, 2)
+    partition, report = strong_decomposition(G, derive_params(G, 2))
     assert partition.r <= 2
     covered = np.sort(np.concatenate(partition.sets))
     assert np.array_equal(covered, np.arange(G.n))
@@ -186,7 +191,7 @@ def test_iteration_cap_raises(dumbbell):
     params = derive_params(dumbbell, 2)
     starved = dataclasses.replace(params, max_iterations=0)
     with pytest.raises(DecompositionError):
-        strong_decomposition(dumbbell, 2, params=starved)
+        strong_decomposition(dumbbell, starved)
 
 
 def test_report_is_a_pure_audit(dumbbell):
@@ -194,7 +199,7 @@ def test_report_is_a_pure_audit(dumbbell):
         (np.array([0, 1, 2]), np.array([3, 4, 5])),
         (np.array([0, 1, 2]), np.array([3, 4, 5])))
     params = derive_params(dumbbell, 2)
-    report = termination_report(dumbbell, partition, params, 2)
+    report = termination_report(dumbbell, partition, params)
     assert report["r"] == 2
     for entry in report["clusters"]:
         assert entry["phi_set"] == pytest.approx(1.0 / 7.0)
@@ -233,10 +238,10 @@ def test_loop_report_matches_independent_audit(audit_corpus, mode):
     the partition (what ``decompose`` prints)."""
     for G, k in audit_corpus:
         params = derive_params(G, k, phi_in_mode=mode)
-        partition, report = strong_decomposition(G, k, params)
+        partition, report = strong_decomposition(G, params)
         for key in ("iterations", "stalled", "trace_tail"):
             del report[key]
-        audit = termination_report(G, partition, params, k)
+        audit = termination_report(G, partition, params)
         assert json.dumps(report, default=_json_default) == \
             json.dumps(audit, default=_json_default)
 
@@ -247,7 +252,7 @@ def test_report_measures_critical_nodes_like_the_oracles(audit_corpus):
     and volume, and the first prune outcome must equal
     prune_condition_ORACLE on a freshly built tree."""
     for G, k in audit_corpus:
-        result = run_prune_merge(G, k)
+        result = run_prune_merge(G, derive_params(G, k))
         for P, entry, outcomes in zip(result.partition.sets,
                                       result.decomposition_report["clusters"],
                                       result.condition_trace):
@@ -262,7 +267,8 @@ def test_report_measures_critical_nodes_like_the_oracles(audit_corpus):
             for node, measured in zip(crit, entry["critical_nodes"]):
                 local = T.leaves_under(node)
                 assert measured["leaves"] == local.size
-                assert measured["a3_lhs"] == cut_weight(G, P[local], outside)
+                assert measured["a3_lhs"] == \
+                    cut_weight_ORACLE(G, P[local], outside)
                 assert measured["a3_rhs"] == \
                     6.0 * (k + 1) * induced.degrees[local].sum()
             assert outcomes[0] == prune_condition_ORACLE(G, T, crit, P, k)
@@ -282,7 +288,7 @@ def test_every_apply_clears_the_candidate_memo(dumbbell, sets, cores, apply):
     reuse the loop's last pass; any change of sets or cores drops them."""
     # a loose rho_star keeps the core-conductance invariant out of the way
     params = dataclasses.replace(derive_params(dumbbell, 2), rho_star=10.0)
-    state = _State(dumbbell, 2, params,
+    state = _State(dumbbell, params,
                    sets=[np.array(P) for P in sets],
                    cores=[np.array(C) for C in cores])
     cands, cond2 = _critical_candidates(state, 0), state.cond2_candidates()
@@ -308,8 +314,8 @@ def test_loop_report_reuses_the_last_cross_weights(monkeypatch):
              [np.array([0, 1, 2]), np.array([3, 4, 5])])
 
     class FixedPoint(_State):
-        def __init__(self, G, k, params, sets=None, cores=None):
-            super().__init__(G, k, params,
+        def __init__(self, G, params, sets=None, cores=None):
+            super().__init__(G, params,
                              *(start if sets is None else (sets, cores)))
 
     calls = []
@@ -329,11 +335,11 @@ def test_loop_report_reuses_the_last_cross_weights(monkeypatch):
     monkeypatch.setattr(decomposition, "termination_report", counted_report)
     # no cond2 candidates, and core halves too dense to split
     params = dataclasses.replace(derive_params(G, 2), phi_in=0.0, rho_star=0.2)
-    partition, report = strong_decomposition(G, 2, params)
+    partition, report = strong_decomposition(G, params)
     assert report["iterations"] == 0
     assert set_lists(partition) == [[0, 1, 2, 6], [3, 4, 5]]
     assert calls and in_report == [0]
-    audit = decomposition.termination_report(G, partition, params, 2)
+    audit = decomposition.termination_report(G, partition, params)
     assert in_report[1] > 0
     for key in ("iterations", "stalled", "trace_tail"):
         del report[key]
@@ -344,7 +350,7 @@ def test_loop_report_reuses_the_last_cross_weights(monkeypatch):
 def _shrink_state(G, sets, cores):
     # a loose rho_star keeps the core-conductance invariant out of the way
     params = dataclasses.replace(derive_params(G, 2), rho_star=10.0)
-    return _State(G, 2, params, sets=[np.array(P) for P in sets],
+    return _State(G, params, sets=[np.array(P) for P in sets],
                   cores=[np.array(C) for C in cores])
 
 
@@ -397,14 +403,14 @@ def test_runs_free_their_state_by_reference_counting(monkeypatch):
     params = derive_params(G, 3)
     gc.disable()
     try:
-        partition, report = strong_decomposition(G, 3, params)
+        partition, report = strong_decomposition(G, params)
         assert report["iterations"] >= 2
-        termination_report(G, partition, params, 3)
+        termination_report(G, partition, params)
         # the prune stage keeps the final cluster views, not their state
-        assert run_prune_merge(G, 3, params).partition.r == partition.r
+        assert run_prune_merge(G, params).partition.r == partition.r
         with pytest.raises(DecompositionError, match="no fixed point"):
             strong_decomposition(
-                G, 3, dataclasses.replace(params, max_iterations=1))
+                G, dataclasses.replace(params, max_iterations=1))
         assert len(made) == 4 and all(ref() is None for ref in made)
     finally:
         gc.enable()
@@ -421,7 +427,7 @@ assert sys.flags.optimize, "run me under python -O"
 decomposition._BOUND_RTOL = -2.0  # every core bound turns negative
 G, _ = gen_sbm([20, 20], 0.5, 0.02, 1)
 try:
-    decomposition.strong_decomposition(G, 2)
+    decomposition.strong_decomposition(G, decomposition.derive_params(G, 2))
 except decomposition.DecompositionError as exc:
     print("raised", exc)
 save_graph(G, sys.argv[1])

@@ -176,14 +176,17 @@ SWEEP_FAMILIES = [
 
 
 def _pipeline_calls(monkeypatch):
+    """Count the single-k pipeline runs ``run_algorithm`` starts: each
+    derives its params first, which is also where a k too large for the
+    graph fails."""
     calls = []
-    original = experiment.run_prune_merge
+    original = experiment.derive_params
 
     def counted(*args, **kwargs):
         calls.append(args[0].n)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(experiment, "run_prune_merge", counted)
+    monkeypatch.setattr(experiment, "derive_params", counted)
     return calls
 
 

@@ -2,6 +2,7 @@
 
 import collections
 import importlib
+import inspect
 import math
 
 import numpy as np
@@ -62,7 +63,7 @@ def test_condition_needs_nodes(k4):
 
 
 def test_two_components_cost_is_additive(two_triangles):
-    res = run_prune_merge(two_triangles, 2)
+    res = run_prune_merge(two_triangles, derive_params(two_triangles, 2))
     assert dasgupta_cost(two_triangles, res.tree) == 16.0
     naive = res.naive_tree(two_triangles)
     assert dasgupta_cost(two_triangles, naive) == 16.0
@@ -74,7 +75,7 @@ def test_two_components_cost_is_additive(two_triangles):
 
 def test_single_cluster_collapses_to_degree_tree():
     G = complete_graph(6)
-    res = run_prune_merge(G, 1)
+    res = run_prune_merge(G, derive_params(G, 1))
     reference = hc_with_degrees(G)
     assert res.partition.r == 1
     assert dasgupta_cost(G, res.tree) == dasgupta_cost(G, reference)
@@ -86,7 +87,7 @@ def test_single_cluster_collapses_to_degree_tree():
 
 def test_pipeline_audit_fields():
     G, _ = gen_sbm([50, 50, 50], 0.3, 0.002, 2)
-    res = run_prune_merge(G, 3)
+    res = run_prune_merge(G, derive_params(G, 3))
     assert res.partition.r <= 3
     assert list(res.pool_sizes) == sorted(res.pool_sizes)
     assert sum(res.pool_sizes) == G.n
@@ -100,7 +101,7 @@ def test_pipeline_audit_fields():
 
 def test_merge_spine_ascending():
     G, _ = gen_sbm([40, 60, 80], 0.3, 0.002, 8)
-    res = run_prune_merge(G, 3)
+    res = run_prune_merge(G, derive_params(G, 3))
     T = res.tree
     sizes = list(res.pool_sizes)
     node = int(T.root)
@@ -114,8 +115,8 @@ def test_merge_spine_ascending():
 
 def test_determinism():
     G, _ = gen_sbm([40, 40], 0.25, 0.01, 3)
-    a = run_prune_merge(G, 2)
-    b = run_prune_merge(G, 2)
+    a = run_prune_merge(G, derive_params(G, 2))
+    b = run_prune_merge(G, derive_params(G, 2))
     assert np.array_equal(a.tree.left, b.tree.left)
     assert np.array_equal(a.tree.leaf_vertex, b.tree.leaf_vertex)
     assert a.pool_sizes == b.pool_sizes
@@ -124,7 +125,7 @@ def test_determinism():
 def test_sandwiched_by_optimum_small():
     for seed in range(40, 46):
         G = random_connected_graph(7, seed)
-        res = run_prune_merge(G, 2)
+        res = run_prune_merge(G, derive_params(G, 2))
         cost = dasgupta_cost(G, res.tree)
         opt, _ = brute_force_opt(G)
         assert opt <= cost <= G.n * G.total_volume / 2
@@ -150,11 +151,11 @@ def forced_prune_graph():
 FORCED_SETS = (np.arange(8), np.arange(8, 28))
 
 
-def forced_decomposition(G, k, params=None):
+def forced_decomposition(G, params):
     """strong_decomposition's return had it settled on the crafted
     partition FORCED_SETS: the pair, plus each cluster's view."""
-    state = _State(G, k, params or derive_params(G, k),
-                   sets=list(FORCED_SETS), cores=list(FORCED_SETS))
+    state = _State(G, params, sets=list(FORCED_SETS),
+                   cores=list(FORCED_SETS))
     out = _Decomposition((Partition(FORCED_SETS, FORCED_SETS),
                           {"stalled": False}))
     out.views = tuple(state.info(i) for i in range(state.r))
@@ -164,7 +165,7 @@ def forced_decomposition(G, k, params=None):
 def test_forced_prune_detaches_and_records():
     G = forced_prune_graph()
     P = np.arange(8)
-    view = forced_decomposition(G, 2).views[0]
+    view = forced_decomposition(G, derive_params(G, 2)).views[0]
     entries, outcomes = _prune_cluster(G, view, 2, 0)
     tree = view.tree
     assert outcomes[0] is False
@@ -183,7 +184,8 @@ def test_forced_prune_detaches_and_records():
 
 def test_forced_prune_parent_sizes_in_final_tree():
     G = forced_prune_graph()
-    entries, _ = _prune_cluster(G, forced_decomposition(G, 2).views[0], 2, 0)
+    view = forced_decomposition(G, derive_params(G, 2)).views[0]
+    entries, _ = _prune_cluster(G, view, 2, 0)
     ext = np.arange(8, 28)
     ind = induced_subgraph(G, ext)
     pool = entries + [_PoolEntry(ext, relabel_leaves(build_degree_tree(ind),
@@ -214,10 +216,10 @@ def _same_tree(a, b):
 ])
 def test_naive_tree_is_the_naive_fold(make):
     G = make()
-    res = run_prune_merge(G, 3)
+    res = run_prune_merge(G, derive_params(G, 3))
     assert not res.pruned
-    assert _same_tree(res.naive_tree(G),
-                      naive_merge_ORACLE(G, strong_decomposition(G, 3)[0]))
+    assert _same_tree(res.naive_tree(G), naive_merge_ORACLE(
+        G, strong_decomposition(G, derive_params(G, 3))[0]))
     assert _same_tree(res.naive_tree(G), res.tree)
 
 
@@ -229,7 +231,7 @@ def test_naive_tree_keeps_detached_subtrees_in_place(monkeypatch):
     # (the package's prune_merge attribute is the function of that name)
     module = importlib.import_module("wellclust.prune_merge")
     monkeypatch.setattr(module, "strong_decomposition", forced_decomposition)
-    res = run_prune_merge(G, 2)
+    res = run_prune_merge(G, derive_params(G, 2))
     assert len(res.pruned) == 4   # two subtrees detached from each cluster
     assert _same_tree(res.naive_tree(G), naive_merge_ORACLE(G, res.partition))
     assert not _same_tree(res.naive_tree(G), res.tree)
@@ -256,29 +258,12 @@ def test_pipeline_builds_no_cluster_view_twice(monkeypatch):
         run()
         return dict(calls)
 
-    alone = counted(lambda: strong_decomposition(G, 3))
+    params = derive_params(G, 3)
+    alone = counted(lambda: strong_decomposition(G, params))
     assert sorted(alone) == ["critical_nodes", "hc_with_degrees",
                              "induced_subgraph"]
-    assert counted(lambda: run_prune_merge(G, 3)) == alone
-    assert counted(lambda: run_prune_merge(G, 3).naive_tree(G)) == alone
-
-
-def test_pipeline_and_report_call_no_cut_weight(monkeypatch):
-    """The decomposition, the prune stage and the termination report take
-    every boundary weight from one edge pass per set, never from
-    cut_weight."""
-    G, _ = gen_sbm([30, 30, 30], 0.5, 0.01, 1)
-    calls = []
-    for name in ("graph", "decomposition", "prune_merge"):
-        module = importlib.import_module(f"wellclust.{name}")
-        if hasattr(module, "cut_weight"):
-            monkeypatch.setattr(module, "cut_weight",
-                                lambda *a, _f=module.cut_weight, **kw:
-                                calls.append(a) or _f(*a, **kw))
-    result = run_prune_merge(G, 3)
-    report = termination_report(G, result.partition, result.params, 3)
-    assert any(c["critical_nodes"] for c in report["clusters"])
-    assert calls == []
+    assert counted(lambda: run_prune_merge(G, params)) == alone
+    assert counted(lambda: run_prune_merge(G, params).naive_tree(G)) == alone
 
 
 def test_best_over_k_two_components(two_triangles):
@@ -294,7 +279,8 @@ def test_best_over_k_prefers_true_cluster_count():
         costs = {}
         for k in (2, 3, 5):
             try:
-                costs[k] = dasgupta_cost(G, run_prune_merge(G, k).tree)
+                costs[k] = dasgupta_cost(
+                    G, run_prune_merge(G, derive_params(G, k)).tree)
             except ValueError:
                 costs[k] = None
         ok = (costs[3] is not None
@@ -311,13 +297,16 @@ def test_best_over_k_validation(two_triangles):
         best_over_k(five_triangles(), 4)
 
 
-def test_k_must_match_params_k():
+def test_pipeline_takes_params_alone():
+    """A run's k and inner-conductance mode reach the pipeline only inside
+    its DecompParams, so no call can pass a k or mode that disagrees."""
+    for fn in (strong_decomposition, run_prune_merge, termination_report):
+        names = set(inspect.signature(fn).parameters)
+        assert not names & {"k", "phi_in_mode"}, (fn.__name__, names)
     G, _ = gen_sbm([50, 50, 50], 0.3, 0.002, seed=1)
-    params2 = derive_params(G, 2)
-    partition, _ = strong_decomposition(G, 2, params2)
-    for call in (lambda: run_prune_merge(G, 3, params=params2),
-                 lambda: strong_decomposition(G, 3, params2),
-                 lambda: termination_report(G, partition, params2, 3)):
-        with pytest.raises(ValueError, match="disagrees with params.k = 2"):
-            call()
-    assert run_prune_merge(G, 3, params=derive_params(G, 3)).partition.r == 3
+    params = derive_params(G, 3, phi_in_mode="paper")
+    assert params.phi_in != derive_params(G, 3).phi_in
+    report = run_prune_merge(G, params).decomposition_report
+    assert report["k"] == 3
+    assert report["phi_in_mode"] == "paper"
+    assert report["phi_in"] == params.phi_in
