@@ -273,6 +273,8 @@ def cmd_compare(args, parser) -> int:
     if args.best_over_k is not None and "prunemerge" not in algos:
         parser.error("--best-over-k applies to prunemerge only, which "
                      "--algos does not name")
+    if args.best_over_k is not None and args.best_over_k < 2:
+        parser.error("--best-over-k must be at least 2")
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
     rows = compare_sweep(points, algos, seeds=range(1, args.seeds + 1),

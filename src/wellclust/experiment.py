@@ -38,7 +38,7 @@ _COST_RTOL = 1e-9
 @dataclass(frozen=True)
 class RunOutcome:
     """A single algorithm run on a single graph instance; ``result`` is the
-    pipeline record of a single-k ``prunemerge`` run."""
+    pipeline record a ``prunemerge`` or ``naive`` run took its tree from."""
 
     algo: str
     tree: HCTree
@@ -69,13 +69,12 @@ def run_algorithm(G: Graph, algo: str, k: int = 2, seed: int = 0,
     ``k`` and ``phi_in_mode`` feed the decomposition-based algorithms: a
     single-k run turns them into its ``DecompParams`` here, with
     :func:`derive_params`, and ``best_over_k`` does so for each k it tries.
-    ``seed`` only matters for ``random``.  ``best_k_max`` switches
-    ``prunemerge`` to trying every k up to that bound and keeping the
-    cheapest tree.  ``labels``, when given, scores the prunemerge
-    partition against the planted clustering.
-    ``naive`` folds the unpruned cluster trees of a single-k pipeline
-    run: ``_pipeline``, a ``prunemerge`` record of the same inputs, or a
-    fresh run otherwise.
+    ``seed`` only matters for ``random``.  ``prunemerge`` and ``naive``
+    take one pipeline run: for ``prunemerge`` with ``best_k_max`` set, the
+    cheapest over k = 2..best_k_max; otherwise ``_pipeline`` (a single-k
+    ``prunemerge`` record of the same inputs) or a fresh run at ``k``.
+    ``prunemerge`` keeps its pruned tree and scores its partition against
+    ``labels`` when given; ``naive`` folds the unpruned cluster trees.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of "
@@ -86,23 +85,16 @@ def run_algorithm(G: Graph, algo: str, k: int = 2, seed: int = 0,
     result = None
     if algo == "degrees":
         tree = hc_with_degrees(G)
-    elif algo == "prunemerge":
-        if best_k_max is not None:
-            k_used, tree = best_over_k(G, best_k_max, phi_in_mode=phi_in_mode)
+    elif algo in ("prunemerge", "naive"):
+        if algo == "prunemerge" and best_k_max is not None:
+            k_used, result = best_over_k(G, best_k_max,
+                                         phi_in_mode=phi_in_mode)
         else:
-            result = run_prune_merge(
+            k_used, result = k, _pipeline or run_prune_merge(
                 G, derive_params(G, k, phi_in_mode=phi_in_mode))
-            tree = result.tree
-            k_used = k
-            if labels is not None:
-                ari = adjusted_rand_index(labels.clusters,
-                                          result.partition.labels)
-    elif algo == "naive":
-        if _pipeline is None:
-            _pipeline = run_prune_merge(
-                G, derive_params(G, k, phi_in_mode=phi_in_mode))
-        tree = _pipeline.naive_tree(G)
-        k_used = k
+        tree = result.tree if algo == "prunemerge" else result.naive_tree()
+        if algo == "prunemerge" and labels is not None:
+            ari = adjusted_rand_index(labels.clusters, result.partition.labels)
     elif algo == "random":
         tree = random_tree(G.n, seed)
     else:
@@ -186,11 +178,14 @@ def _instance_rows(point: SweepPoint, seed: int, algos: Sequence[str],
         order.remove("prunemerge")
         order.insert(0, "prunemerge")
     for algo in order:
+        # a best-over-k prunemerge run may have won at a k other than naive's
+        reuse = None if best_k_max is not None else getattr(
+            outcomes.get("prunemerge"), "result", None)
         try:
             outcomes[algo] = run_algorithm(
                 G, algo, k=k, seed=seed, best_k_max=best_k_max,
                 labels=labels, phi_in_mode=phi_in_mode, timing=timing,
-                _pipeline=getattr(outcomes.get("prunemerge"), "result", None))
+                _pipeline=reuse)
         except Exception as exc:  # noqa: BLE001  (row-level error reporting)
             outcomes[algo] = exc
     base = outcomes.get("prunemerge")

@@ -60,12 +60,12 @@ class PruneMergeResult:
     condition_trace: tuple[tuple[bool, ...], ...]
     whole: tuple[HCTree, ...]
 
-    def naive_tree(self, G: Graph) -> HCTree:
+    def naive_tree(self) -> HCTree:
         """The naive variant: the whole cluster trees folded ascending by
         size. Identical to ``tree`` whenever the run detached nothing."""
-        return _merge_pool(G, [_PoolEntry(P, relabel_leaves(T, P), None)
-                               for P, T in zip(self.partition.sets,
-                                               self.whole)])
+        return _merge_pool(self.partition.n,
+                           [_PoolEntry(P, relabel_leaves(T, P), None)
+                            for P, T in zip(self.partition.sets, self.whole)])
 
 
 def _keeps_whole(n: int, k: int, T: HCTree, live: tuple[_Critical, ...],
@@ -136,7 +136,7 @@ def run_prune_merge(G: Graph, params: DecompParams) -> PruneMergeResult:
     clusters = [_prune_cluster(G, view, params.k, i)
                 for i, view in enumerate(views)]
     pool = [entry for entries, _ in clusters for entry in entries]
-    tree = _merge_pool(G, pool)
+    tree = _merge_pool(G.n, pool)
     return PruneMergeResult(
         tree=tree, partition=partition, decomposition_report=report,
         pool_sizes=tuple(int(e.leaves.size) for e in pool),
@@ -146,12 +146,12 @@ def run_prune_merge(G: Graph, params: DecompParams) -> PruneMergeResult:
         whole=tuple(view.tree for view in views))
 
 
-def _merge_pool(G: Graph, pool: list[_PoolEntry]) -> HCTree:
+def _merge_pool(n: int, pool: list[_PoolEntry]) -> HCTree:
     """Sort ascending by leaf count (stable) and left-fold; fills each
     pruned record's parent size in the final tree from the prefix sums."""
     pool.sort(key=lambda e: e.leaves.size)
     covered = np.concatenate([e.leaves for e in pool])
-    _require(np.array_equal(np.sort(covered), np.arange(G.n)),
+    _require(np.array_equal(np.sort(covered), np.arange(n)),
              "pooled subtrees stopped partitioning the vertex set")
     prefix = np.cumsum([e.leaves.size for e in pool])
     for j, e in enumerate(pool):
@@ -164,9 +164,10 @@ def _merge_pool(G: Graph, pool: list[_PoolEntry]) -> HCTree:
     return caterpillar_merge([e.tree for e in pool])
 
 
-def best_over_k(G: Graph, k_max: int,
-                phi_in_mode: str = "practical") -> tuple[int, HCTree]:
-    """Try every k in 2..k_max and keep the cheapest tree (ties: smallest k).
+def best_over_k(G: Graph, k_max: int, phi_in_mode: str = "practical",
+                ) -> tuple[int, PruneMergeResult]:
+    """Try every k in 2..k_max and keep the run whose tree is cheapest
+    (ties: smallest k); returns that k and its full record.
 
     k values whose (k+1)-th eigenvalue sits at numerical zero are skipped:
     the decomposition's thresholds degenerate there. The spectrum is
@@ -174,20 +175,17 @@ def best_over_k(G: Graph, k_max: int,
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
-    top = min(k_max + 1, G.n)
-    eigs = smallest_eigenvalues(G, top)
-    best: tuple[float, int, HCTree] | None = None
-    tried = 0
+    eigs = smallest_eigenvalues(G, min(k_max + 1, G.n))
+    best: tuple[float, int, PruneMergeResult] | None = None
     for k in range(2, k_max + 1):
         if k + 1 > G.n or float(eigs.eigenvalues[k]) <= DEFAULT_TOL:
             continue
-        tried += 1
         params = derive_params(G, k, phi_in_mode=phi_in_mode, eigs=eigs)
-        tree = run_prune_merge(G, params).tree
-        cost = dasgupta_cost(G, tree)
+        result = run_prune_merge(G, params)
+        cost = dasgupta_cost(G, result.tree)
         if best is None or cost < best[0]:
-            best = (cost, k, tree)
+            best = (cost, k, result)
     if best is None:
-        raise ValueError(f"no feasible k in 2..{k_max} "
-                         f"(checked {tried}, all eigenvalue-degenerate)")
+        raise ValueError(f"no feasible k in 2..{k_max}: every lambda_(k+1) "
+                         f"is numerically zero or k + 1 > n = {G.n}")
     return best[1], best[2]

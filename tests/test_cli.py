@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, file round-trips, exit-code contract."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -103,7 +104,8 @@ def test_run_json_with_best_over_k(tmp_path):
                            "--best-over-k", "4", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload == {"algo": "prunemerge", "cost": 16.0, "k": 2, "ms": None}
+    assert payload == {"algo": "prunemerge", "cost": 16.0, "k": 2, "ms": None,
+                       "r": 2, "stalled": False}
 
 
 @pytest.mark.parametrize("argv", [
@@ -139,6 +141,39 @@ def test_compare_best_over_k_with_prunemerge_among_algos(tmp_path):
     assert rows[1][4] == "3"
 
 
+def test_compare_best_over_k_scores_planted_labels(tmp_path):
+    """A best-over-k prunemerge row scores its winning run's partition
+    against the planted labels; naive rows, as without the flag, do not."""
+    out = tmp_path / "c.csv"
+    assert main(["compare", "--family", "sbm", "--sizes", "30,30,30", "--p",
+                 "0.4", "--q", "0.02", "--algos", "prunemerge,naive,degrees",
+                 "--best-over-k", "4", "--seeds", "3", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(rows) == 12
+    for row in rows:
+        assert row["status"] in ("ok", "ok:3")
+        if row["algo"] == "prunemerge":
+            assert 0.0 <= float(row["ari"]) <= 1.0
+        else:
+            assert row["ari"] == ""
+    scores = [float(r["ari"]) for r in rows[:9] if r["algo"] == "prunemerge"]
+    assert float(rows[9]["ari"]) == pytest.approx(sum(scores) / 3, abs=1e-6)
+
+
+def test_compare_best_over_k_below_two(tmp_path, monkeypatch, capsys):
+    """Like ``run --best-over-k 1``, compare rejects the flag up front
+    instead of writing an error row for every prunemerge op."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["compare", "--family", "sbm", "--sizes", "20,20", "--p",
+                 "0.5", "--q", "0.05", "--algos", "prunemerge,naive",
+                 "--seeds", "2", "--best-over-k", "1", "--out", "c.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: wellclust compare ")
+    assert "--best-over-k must be at least 2" in captured.err
+    assert not (tmp_path / "c.csv").exists()
+
+
 @pytest.mark.parametrize("family, k, r, stalled", [
     (["bridged_two_cluster", "--n", "256"], "2", 1, True),
     (["sbm", "--sizes", "50,50,50", "--p", "0.3", "--q", "0.002"], "3", 3,
@@ -158,8 +193,10 @@ def test_run_json_reports_partition(tmp_path, capsys, family, k, r, stalled):
     assert plain == format(payload["cost"], ".12g") + "\n"
     assert main(["run", "--graph", g, "--algo", "naive", "--k", k,
                  "--json"]) == 0
-    assert set(json.loads(capsys.readouterr().out)) == \
-        {"algo", "cost", "k", "ms"}
+    naive = json.loads(capsys.readouterr().out)
+    # the naive fold reports the same pipeline run as prunemerge at that k
+    assert set(naive) == set(payload)
+    assert (naive["r"], naive["stalled"]) == (r, stalled)
 
 
 def test_sweep_command(tmp_path):

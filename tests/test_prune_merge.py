@@ -22,6 +22,7 @@ from wellclust.decomposition import Partition, _Decomposition, _State
 from wellclust.degree_hc import hc_with_degrees as build_degree_tree
 from wellclust.graph import induced_subgraph
 from wellclust.prune_merge import _merge_pool, _PoolEntry, _prune_cluster
+from wellclust.spectral import DEFAULT_TOL, smallest_eigenvalues
 from wellclust.tree import critical_nodes, relabel_leaves
 from wellclust.generators import gen_sbm
 from oracles import naive_merge_ORACLE, prune_condition_ORACLE
@@ -65,7 +66,7 @@ def test_condition_needs_nodes(k4):
 def test_two_components_cost_is_additive(two_triangles):
     res = run_prune_merge(two_triangles, derive_params(two_triangles, 2))
     assert dasgupta_cost(two_triangles, res.tree) == 16.0
-    naive = res.naive_tree(two_triangles)
+    naive = res.naive_tree()
     assert dasgupta_cost(two_triangles, naive) == 16.0
     root_sides = sorted(
         sorted(int(v) for v in res.tree.leaves_under(int(c)))
@@ -81,7 +82,7 @@ def test_single_cluster_collapses_to_degree_tree():
     assert dasgupta_cost(G, res.tree) == dasgupta_cost(G, reference)
     assert res.condition_trace == ((True,),)
     assert res.pruned == ()
-    naive = res.naive_tree(G)
+    naive = res.naive_tree()
     assert dasgupta_cost(G, naive) == dasgupta_cost(G, reference)
 
 
@@ -190,7 +191,7 @@ def test_forced_prune_parent_sizes_in_final_tree():
     ind = induced_subgraph(G, ext)
     pool = entries + [_PoolEntry(ext, relabel_leaves(build_degree_tree(ind),
                                                      ext), None)]
-    T = _merge_pool(G, pool)
+    T = _merge_pool(G.n, pool)
     assert T.n_leaves == 28
     records = [e.pruned_record for e in pool if e.pruned_record]
     by_size = {r["leaf_count"]: r for r in records}
@@ -218,9 +219,9 @@ def test_naive_tree_is_the_naive_fold(make):
     G = make()
     res = run_prune_merge(G, derive_params(G, 3))
     assert not res.pruned
-    assert _same_tree(res.naive_tree(G), naive_merge_ORACLE(
+    assert _same_tree(res.naive_tree(), naive_merge_ORACLE(
         G, strong_decomposition(G, derive_params(G, 3))[0]))
-    assert _same_tree(res.naive_tree(G), res.tree)
+    assert _same_tree(res.naive_tree(), res.tree)
 
 
 def test_naive_tree_keeps_detached_subtrees_in_place(monkeypatch):
@@ -233,9 +234,9 @@ def test_naive_tree_keeps_detached_subtrees_in_place(monkeypatch):
     monkeypatch.setattr(module, "strong_decomposition", forced_decomposition)
     res = run_prune_merge(G, derive_params(G, 2))
     assert len(res.pruned) == 4   # two subtrees detached from each cluster
-    assert _same_tree(res.naive_tree(G), naive_merge_ORACLE(G, res.partition))
-    assert not _same_tree(res.naive_tree(G), res.tree)
-    assert dasgupta_cost(G, res.naive_tree(G)) != dasgupta_cost(G, res.tree)
+    assert _same_tree(res.naive_tree(), naive_merge_ORACLE(G, res.partition))
+    assert not _same_tree(res.naive_tree(), res.tree)
+    assert dasgupta_cost(G, res.naive_tree()) != dasgupta_cost(G, res.tree)
 
 
 def test_pipeline_builds_no_cluster_view_twice(monkeypatch):
@@ -263,13 +264,37 @@ def test_pipeline_builds_no_cluster_view_twice(monkeypatch):
     assert sorted(alone) == ["critical_nodes", "hc_with_degrees",
                              "induced_subgraph"]
     assert counted(lambda: run_prune_merge(G, params)) == alone
-    assert counted(lambda: run_prune_merge(G, params).naive_tree(G)) == alone
+    assert counted(lambda: run_prune_merge(G, params).naive_tree()) == alone
 
 
 def test_best_over_k_two_components(two_triangles):
-    k, T = best_over_k(two_triangles, 4)
+    k, result = best_over_k(two_triangles, 4)
     assert k == 2
-    assert dasgupta_cost(two_triangles, T) == 16.0
+    assert dasgupta_cost(two_triangles, result.tree) == 16.0
+    assert result.partition.r == 2
+
+
+@pytest.mark.parametrize("make, k_max", [
+    (lambda: unit_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),
+     4),
+    (lambda: gen_sbm([60, 60, 60], 0.3, 0.002, 1)[0], 5),
+    (lambda: gen_sbm([20, 20], 0.5, 0.05, 1)[0], 4),
+])
+def test_best_over_k_returns_its_cheapest_run(make, k_max):
+    """The winner is the full record of the cheapest run over the k tried,
+    each run sharing one spectrum, with no more clusters than its k."""
+    G = make()
+    eigs = smallest_eigenvalues(G, k_max + 1)
+    costs = {}
+    for k in range(2, k_max + 1):
+        if float(eigs.eigenvalues[k]) > DEFAULT_TOL:
+            costs[k] = dasgupta_cost(G, run_prune_merge(
+                G, derive_params(G, k, eigs=eigs)).tree)
+    k, result = best_over_k(G, k_max)
+    assert dasgupta_cost(G, result.tree) == min(costs.values()) == costs[k]
+    assert k == min(j for j, c in costs.items() if c == costs[k])
+    assert result.partition.r <= k
+    assert result.partition.n == G.n
 
 
 def test_best_over_k_prefers_true_cluster_count():
@@ -291,10 +316,13 @@ def test_best_over_k_prefers_true_cluster_count():
 
 
 def test_best_over_k_validation(two_triangles):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k_max must be at least 2"):
         best_over_k(two_triangles, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"no feasible k in 2\.\.4: .* "
+                       r"numerically zero"):
         best_over_k(five_triangles(), 4)
+    with pytest.raises(ValueError, match=r"k \+ 1 > n = 2$"):
+        best_over_k(unit_graph(2, [(0, 1)]), 3)
 
 
 def test_pipeline_takes_params_alone():
