@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -108,7 +108,14 @@ class Partition:
 
 @dataclass(frozen=True)
 class DecompParams:
-    """Derived thresholds steering the refinement loop."""
+    """Derived thresholds steering the refinement loop, and the whole
+    graph's spectrum they were read from.
+
+    ``spectrum`` holds at least k+1 pairs; unless its lambda_2 is zero,
+    the loop's view of the whole vertex set sweeps its second vector
+    instead of solving the graph again. It takes no part in ``==`` or
+    ``repr``.
+    """
 
     k: int
     lambda_k: float
@@ -118,6 +125,7 @@ class DecompParams:
     phi_out: float
     max_iterations: int
     phi_in_mode: str
+    spectrum: SpectralResult = field(compare=False, repr=False)
 
 
 def _boundary(G: Graph, S: np.ndarray, P: np.ndarray) -> tuple[float, float]:
@@ -165,6 +173,10 @@ def derive_params(G: Graph, k: int, phi_in_mode: str = "practical",
     ``phi_in_mode='paper'`` uses the analysis value lambda_{k+1}/(140(k+1)^2);
     'practical' raises it to at least 2*lambda_k, which is what makes the
     sweep-driven refinement act at experiment scale.
+
+    ``eigs``, when it holds at least k+1 pairs, replaces the solve. It must
+    be G's own pairs: it becomes ``spectrum``, whose second vector is the
+    decomposition's first sweep.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -195,7 +207,7 @@ def derive_params(G: Graph, k: int, phi_in_mode: str = "practical",
     return DecompParams(k=k, lambda_k=lambda_k, lambda_k1=lambda_k1,
                         rho_star=rho_star, phi_in=phi_in, phi_out=phi_out,
                         max_iterations=max_iterations,
-                        phi_in_mode=phi_in_mode)
+                        phi_in_mode=phi_in_mode, spectrum=eigs)
 
 
 def _per_state(method):
@@ -272,11 +284,18 @@ class _State:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        induced = induced_subgraph(self.G, P)
-        if induced.n < 2:
+        eigs = self.params.spectrum
+        # The whole vertex set is G, already solved by derive_params. With
+        # two or more nontrivial components (lambda_2 at zero) the solved
+        # pairs are not unique, so that view keeps its own 2-pair solve.
+        if P.size == self.G.n and eigs.eigenvalues[1] > DEFAULT_TOL:
+            induced = self.G
+        else:
+            induced = induced_subgraph(self.G, P)
+            eigs = smallest_eigenvalues(induced, 2) if induced.n > 1 else None
+        if eigs is None:
             info = _ClusterInfo(self.G, P, induced, math.inf, None, None)
         else:
-            eigs = smallest_eigenvalues(induced, 2)
             sweep = spectral_partition(induced, eigs=eigs)
             comp = np.setdiff1d(np.arange(induced.n), sweep.set,
                                 assume_unique=True)

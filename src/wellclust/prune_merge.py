@@ -171,7 +171,8 @@ def best_over_k(G: Graph, k_max: int, phi_in_mode: str = "practical",
 
     k values whose (k+1)-th eigenvalue sits at numerical zero are skipped:
     the decomposition's thresholds degenerate there. The spectrum is
-    computed once up front.
+    computed once up front; each run reads its thresholds and its first
+    sweep from it, so the whole graph is solved once in total.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")

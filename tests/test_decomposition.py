@@ -28,12 +28,13 @@ from wellclust.cli import _json_default
 from wellclust.decomposition import (PHI_IN_MODES, _Candidate,
                                      _critical_candidates, _State)
 from wellclust.degree_hc import hc_with_degrees
-from wellclust.generators import (gen_bridged_two_cluster,
+from wellclust.generators import (GenSpec, gen_bridged_two_cluster,
                                   gen_planted_clique_expander, gen_sbm,
-                                  gen_sbm_planted_cliques)
-from wellclust.graph import induced_subgraph
+                                  gen_sbm_planted_cliques, generate)
+from wellclust.graph import induced_subgraph, set_conductance
 from wellclust.metrics import adjusted_rand_index
-from wellclust.spectral import SpectralResult
+from wellclust.spectral import (SpectralResult, smallest_eigenvalues,
+                                spectral_partition)
 from wellclust.tree import critical_nodes
 
 from conftest import DUMBBELL_EDGES, cycle_graph, unit_graph
@@ -87,6 +88,44 @@ def test_derive_params_worked_example():
     assert params.phi_out == pytest.approx(90.0 * 3 ** 6 * np.sqrt(0.01))
     practical = derive_params(G, 2, eigs=eigs, phi_in_mode="practical")
     assert practical.phi_in == pytest.approx(0.02)
+
+
+def test_params_compare_without_their_spectrum(two_triangles):
+    own = derive_params(two_triangles, 2)
+    shared = derive_params(two_triangles, 2,
+                           eigs=smallest_eigenvalues(two_triangles, 5))
+    assert own.spectrum.eigenvalues.size == 3
+    assert shared.spectrum.eigenvalues.size == 5
+    assert own == shared and repr(own) == repr(shared)
+    assert "spectrum" not in repr(own)
+
+
+# the small_sweep benchmark's four families at their benchmark sizes
+SWEEP_FAMILIES = [
+    ("sbm", {"sizes": [50, 50, 50], "p": 0.3, "q": 0.002}),
+    ("sbm_planted_cliques",
+     {"sizes": [100, 100, 100], "p": 0.06, "q": 0.002, "c_p": 0.4}),
+    ("planted_clique_expander", {"n": 256}),
+    ("bridged_two_cluster", {"n": 256}),
+]
+
+
+@pytest.mark.parametrize("family, gen_params", SWEEP_FAMILIES,
+                         ids=[f for f, _ in SWEEP_FAMILIES])
+def test_first_view_reads_the_derived_spectrum(family, gen_params):
+    """The whole-graph view taken from derive_params' k+1 pairs equals a
+    fresh 2-pair view: same sweep set and phi_max, lambda_2 to 1e-12."""
+    for seed in (20, 21, 22, 23):
+        G, _ = generate(GenSpec(family, gen_params, seed))
+        info = _State(G, derive_params(G, 3)).info(0)
+        eigs = smallest_eigenvalues(G, 2)
+        sweep = spectral_partition(G, eigs=eigs)
+        rest = np.setdiff1d(np.arange(G.n), sweep.set)
+        assert info.induced is G
+        assert np.array_equal(info.sweep_local, sweep.set)
+        assert info.phi_max == max(sweep.conductance,
+                                   set_conductance(G, rest))
+        assert abs(info.lambda2 - eigs.eigenvalues[1]) <= 1e-12
 
 
 def test_derive_params_disconnected_rho_zero(two_triangles):

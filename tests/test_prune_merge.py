@@ -22,9 +22,10 @@ from wellclust.decomposition import Partition, _Decomposition, _State
 from wellclust.degree_hc import hc_with_degrees as build_degree_tree
 from wellclust.graph import induced_subgraph
 from wellclust.prune_merge import _merge_pool, _PoolEntry, _prune_cluster
-from wellclust.spectral import DEFAULT_TOL, smallest_eigenvalues
+from wellclust.spectral import DENSE_LIMIT, DEFAULT_TOL, smallest_eigenvalues
 from wellclust.tree import critical_nodes, relabel_leaves
-from wellclust.generators import gen_sbm
+from wellclust.generators import (GenSpec, gen_bridged_two_cluster, gen_sbm,
+                                  generate)
 from oracles import naive_merge_ORACLE, prune_condition_ORACLE
 
 from conftest import (
@@ -265,6 +266,55 @@ def test_pipeline_builds_no_cluster_view_twice(monkeypatch):
                              "induced_subgraph"]
     assert counted(lambda: run_prune_merge(G, params)) == alone
     assert counted(lambda: run_prune_merge(G, params).naive_tree()) == alone
+
+
+def _whole_graph_solves(monkeypatch, G) -> list[int]:
+    """Count the eigensolves of all of G where the pipeline looks the solver
+    up; the returned list gets each such solve's pair count."""
+    calls = []
+    for module in (importlib.import_module("wellclust.decomposition"),
+                   importlib.import_module("wellclust.prune_merge")):
+        def counted(H, k, *args, **kwargs):
+            if H.n == G.n:
+                calls.append(k)
+            return smallest_eigenvalues(H, k, *args, **kwargs)
+        monkeypatch.setattr(module, "smallest_eigenvalues", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make, k", [
+    (lambda: gen_sbm([50, 50, 50], 0.3, 0.002, 1)[0], 3),
+    (lambda: gen_bridged_two_cluster(256, 0)[0], 2),   # stalls with r = 1
+], ids=["sbm", "bridged"])
+def test_pipeline_solves_the_whole_graph_once(monkeypatch, make, k):
+    """The first sweep reads lambda_2's vector from the spectrum
+    derive_params solved, on the Lanczos path too."""
+    G = make()
+    assert G.n > DENSE_LIMIT
+    calls = _whole_graph_solves(monkeypatch, G)
+    run_prune_merge(G, derive_params(G, k))
+    assert calls == [k + 1]
+
+
+def test_best_over_k_solves_the_whole_graph_once(monkeypatch):
+    G, _ = gen_sbm([50, 50, 50], 0.3, 0.002, 1)
+    calls = _whole_graph_solves(monkeypatch, G)
+    best_over_k(G, 4)
+    assert calls == [5]
+
+
+def test_components_keep_their_own_first_sweep(monkeypatch, two_triangles):
+    """With lambda_2 at zero the first view solves G for 2 pairs itself."""
+    calls = _whole_graph_solves(monkeypatch, two_triangles)
+    run_prune_merge(two_triangles, derive_params(two_triangles, 2))
+    assert calls == [3, 2]
+    # components of 297, 2 and 1 vertices; its cost is a benchmark reference
+    G, _ = generate(GenSpec("sbm_planted_cliques", {
+        "sizes": [100, 100, 100], "p": 0.06, "q": 0.002, "c_p": 0.4}, 28))
+    calls = _whole_graph_solves(monkeypatch, G)
+    result = run_prune_merge(G, derive_params(G, 3))
+    assert calls == [4, 2]
+    assert dasgupta_cost(G, result.tree) == 364046
 
 
 def test_best_over_k_two_components(two_triangles):
