@@ -7,8 +7,8 @@ linkage baselines, and a prune-and-merge pipeline driven by a strong
 """
 
 from .decomposition import (DecompositionError, DecompParams, Partition,
-                            derive_params, relative_conductance,
-                            strong_decomposition, termination_report)
+                            derive_params, strong_decomposition,
+                            termination_report)
 from .degree_hc import hc_with_degrees, top_block_size
 from .experiment import (ALGORITHMS, RunOutcome, SweepPoint, compare_sweep,
                          run_algorithm, write_csv)
@@ -38,7 +38,7 @@ __all__ = [
     "dasgupta_cost", "dasgupta_cost_cutform", "derive_params",
     "gaussian_kernel_graph", "generate", "hc_with_degrees",
     "induced_subgraph", "linkage", "load_graph", "load_labels", "load_tree",
-    "random_tree", "relative_conductance", "run_algorithm", "run_prune_merge",
+    "random_tree", "run_algorithm", "run_prune_merge",
     "save_graph", "save_labels", "save_tree", "set_conductance",
     "smallest_eigenvalues", "spectral_partition", "strong_decomposition",
     "termination_report", "top_block_size", "volume", "write_csv",

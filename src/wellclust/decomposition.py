@@ -19,13 +19,13 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .degree_hc import hc_with_degrees
-from .graph import (Graph, induced_subgraph, set_conductance, vertex_set,
-                    volume)
+from .graph import (Graph, _conductance, _member_mask, _volume,
+                    induced_subgraph)
 from .spectral import (DEFAULT_TOL, SpectralResult, smallest_eigenvalues,
                        spectral_partition)
 from .tree import HCTree, critical_nodes
@@ -34,7 +34,6 @@ __all__ = [
     "DecompositionError",
     "Partition",
     "DecompParams",
-    "relative_conductance",
     "derive_params",
     "strong_decomposition",
     "termination_report",
@@ -87,11 +86,14 @@ class Partition:
         n = allv.size
         if not np.array_equal(np.sort(allv), np.arange(n)):
             raise ValueError("sets must partition the vertex range 0..n-1")
-        for P, C in zip(sets, cores):
+        labels = self.labels
+        for i, C in enumerate(cores):
             if C.size == 0:
                 raise ValueError("cores must be nonempty")
-            if np.setdiff1d(C, P, assume_unique=True).size:
+            if C.min() < 0 or C.max() >= n or (labels[C] != i).any():
                 raise ValueError("each core must be contained in its set")
+            if np.unique(C).size < C.size:
+                raise ValueError("core ids must be distinct")
 
     @property
     def r(self) -> int:
@@ -129,37 +131,30 @@ class DecompParams:
 
 
 def _boundary(G: Graph, S: np.ndarray, P: np.ndarray) -> tuple[float, float]:
-    """``(w(S, P\\S), w(S, V\\P))`` for ``S ⊆ P``, in one edge pass.
+    """``(w(S, P\\S), w(S, V\\P))`` for vertex masks ``S ⊆ P``, in one pass.
 
     The first sums the edges with one end in S and the other in P\\S, the
     second those with one end in S and the other outside P, each in edge
     order.
     """
-    in_s = np.zeros(G.n, dtype=bool)
-    in_s[S] = True
-    in_p = np.zeros(G.n, dtype=bool)
-    in_p[P] = True
     u, v = G.edges_u, G.edges_v
-    crosses = in_s[u] != in_s[v]
-    inside = in_p[u] & in_p[v]
+    crosses = S[u] != S[v]
+    inside = P[u] & P[v]
     return (float(G.edges_w[crosses & inside].sum()),
             float(G.edges_w[crosses & ~inside].sum()))
 
 
-def relative_conductance(G: Graph, S: Iterable[int], P: Iterable[int]) -> float:
-    """How much of S's boundary stays inside P, volume-adjusted.
+def _relative_conductance(G: Graph, S: np.ndarray, P: np.ndarray) -> float:
+    """How much of S's boundary stays inside P, volume-adjusted, for vertex
+    masks ``S ⊆ P``.
 
     ``w(S -> P) / ((vol(P\\S)/vol(P)) * w(S -> V\\P))``; degenerate
     denominators (S empty or all of P, P without outgoing edges) give 1.
     Both weights come from :func:`_boundary`: w(S -> P) sums the edges
     from S into P\\S and w(S -> V\\P) those leaving P, in edge order.
     """
-    S = vertex_set(S, G.n)
-    P = vertex_set(P, G.n)
-    if np.setdiff1d(S, P, assume_unique=True).size:
-        raise ValueError("S must be a subset of P")
-    vol_p = float(G.degrees[P].sum())
-    vol_rest = vol_p - float(G.degrees[S].sum())
+    vol_p = _volume(G, P)
+    vol_rest = vol_p - _volume(G, S)
     w_in, w_out = _boundary(G, S, P)
     if vol_p == 0.0 or vol_rest == 0.0 or w_out == 0.0:
         return 1.0
@@ -234,7 +229,7 @@ class _ClusterInfo:
     """Cached view of one cluster; tree and critical nodes on first use."""
 
     G: Graph
-    P: np.ndarray
+    P: np.ndarray       # ascending vertex ids
     induced: Graph
     lambda2: float
     sweep_local: np.ndarray | None
@@ -250,27 +245,32 @@ class _ClusterInfo:
         single vertex."""
         if self.induced.n < 2:
             return ()
+        in_p = _member_mask(self.G, self.P)
         out = []
         for node in critical_nodes(self.induced, self.tree):
             local = self.tree.leaves_under(node)
+            in_n = _member_mask(self.G, self.P[local])
             out.append(_Critical(int(node), local,
-                                 _boundary(self.G, self.P[local], self.P)[1],
+                                 _boundary(self.G, in_n, in_p)[1],
                                  float(self.induced.degrees[local].sum())))
         return tuple(out)
 
 
 class _State:
-    """Mutable working partition plus caches and progress checks."""
+    """Mutable working partition plus caches and progress checks: cluster i
+    is ``label == i`` and its core ``(label == i) & in_core``."""
 
     def __init__(self, G: Graph, params: DecompParams,
-                 sets: list[np.ndarray] | None = None,
-                 cores: list[np.ndarray] | None = None):
+                 sets: Sequence[np.ndarray] | None = None,
+                 cores: Sequence[np.ndarray] | None = None):
         self.G = G
         self.k = params.k
         self.params = params
-        allv = np.arange(G.n, dtype=np.int64)
-        self.sets: list[np.ndarray] = sets if sets is not None else [allv]
-        self.cores: list[np.ndarray] = cores if cores is not None else [allv.copy()]
+        if sets is None:
+            sets = cores = [np.arange(G.n)]
+        self.r = len(sets)
+        self.label = _cluster_labels(sets, G.n)
+        self.in_core = _member_mask(G, np.concatenate(cores))
         self._cache: dict[bytes, _ClusterInfo] = {}
         self._memo: dict[tuple, object] = {}
         self.trace: list[dict] = []
@@ -278,12 +278,29 @@ class _State:
 
     # -- cached per-cluster views ------------------------------------------
 
+    @_per_state
+    def member(self, i: int) -> np.ndarray:
+        return self.label == i
+
+    @_per_state
+    def core(self, i: int) -> np.ndarray:
+        return self.member(i) & self.in_core
+
+    @property
+    def sets(self) -> list[np.ndarray]:
+        return [np.flatnonzero(self.member(i)) for i in range(self.r)]
+
+    @property
+    def cores(self) -> list[np.ndarray]:
+        return [np.flatnonzero(self.core(i)) for i in range(self.r)]
+
     def info(self, i: int) -> _ClusterInfo:
-        P = self.sets[i]
-        key = P.tobytes()
+        in_p = self.member(i)
+        key = in_p.tobytes()
         hit = self._cache.get(key)
         if hit is not None:
             return hit
+        P = np.flatnonzero(in_p)
         eigs = self.params.spectrum
         # The whole vertex set is G, already solved by derive_params. With
         # two or more nontrivial components (lambda_2 at zero) the solved
@@ -297,9 +314,8 @@ class _State:
             info = _ClusterInfo(self.G, P, induced, math.inf, None, None)
         else:
             sweep = spectral_partition(induced, eigs=eigs)
-            comp = np.setdiff1d(np.arange(induced.n), sweep.set,
-                                assume_unique=True)
-            phi_max = max(sweep.conductance, set_conductance(induced, comp))
+            rest = ~_member_mask(induced, sweep.set)
+            phi_max = max(sweep.conductance, _conductance(induced, rest))
             info = _ClusterInfo(self.G, P, induced,
                                 float(eigs.eigenvalues[1]), sweep.set, phi_max)
         if len(self._cache) >= 256:
@@ -309,31 +325,19 @@ class _State:
 
     # -- bookkeeping --------------------------------------------------------
 
-    @property
-    def r(self) -> int:
-        return len(self.sets)
-
-    @_per_state
-    def labels(self) -> np.ndarray:
-        return _cluster_labels(self.sets, self.G.n)
-
     def total_cross(self) -> float:
-        lab = self.labels()
-        differs = lab[self.G.edges_u] != lab[self.G.edges_v]
+        differs = self.label[self.G.edges_u] != self.label[self.G.edges_v]
         return float(self.G.edges_w[differs].sum())
 
     def cross_weights(self, D: np.ndarray) -> np.ndarray:
-        """Weight from D to each cluster; edges inside D are excluded, so
-        entry i is w(D -> P_i) for D's own cluster too."""
-        mask = np.zeros(self.G.n, dtype=bool)
-        mask[D] = True
-        lab = self.labels()
+        """Weight from the vertex mask D to each cluster; edges inside D are
+        excluded, so entry i is w(D -> P_i) for D's own cluster too."""
         u, v, w = self.G.edges_u, self.G.edges_v, self.G.edges_w
-        only_u = mask[u] & ~mask[v]
-        only_v = mask[v] & ~mask[u]
+        only_u = D[u] & ~D[v]
+        only_v = D[v] & ~D[u]
         out = np.zeros(self.r, dtype=np.float64)
-        np.add.at(out, lab[v[only_u]], w[only_u])
-        np.add.at(out, lab[u[only_v]], w[only_v])
+        np.add.at(out, self.label[v[only_u]], w[only_u])
+        np.add.at(out, self.label[u[only_v]], w[only_v])
         return out
 
     def split_threshold(self) -> float:
@@ -348,49 +352,30 @@ class _State:
         return [int(i) for i in np.lexsort((np.arange(self.r), lams))]
 
     @_per_state
-    def cond1_cross(self, i: int) -> np.ndarray | None:
-        """Cross weights of P_i \\ core_i, or None when the set is empty."""
-        D = np.setdiff1d(self.sets[i], self.cores[i], assume_unique=True)
-        if D.size == 0:
-            return None
-        return self.cross_weights(D)
-
-    def cond1_fires(self, cross: np.ndarray | None, i: int) -> bool:
-        if cross is None:
-            return False
-        others = np.delete(cross, i)
-        return bool(others.size and others.max() > cross[i])
-
-    @_per_state
     def cond2_candidates(self) -> list[tuple[int, np.ndarray]]:
         """Clusters passing the inner sweep test, in ascending-lambda2 order,
-        paired with the candidate set (swapped so vol(S∩core) stays small)."""
+        paired with the candidate mask (swapped so vol(S∩core) stays small)."""
         out = []
         for i in self.lambda2_order():
             info = self.info(i)
             if info.phi_max is None or not info.phi_max < self.params.phi_in:
                 continue
-            S = info.P[info.sweep_local]
-            core = self.cores[i]
-            s_plus = np.intersect1d(S, core, assume_unique=True)
-            if volume(self.G, s_plus) > volume(self.G, core) / 2.0:
-                S = np.setdiff1d(self.sets[i], S, assume_unique=True)
+            S = _member_mask(self.G, info.P[info.sweep_local])
+            core = self.core(i)
+            if _volume(self.G, S & core) > _volume(self.G, core) / 2.0:
+                S = self.member(i) & ~S
             out.append((i, S))
         return out
 
     # -- update application -------------------------------------------------
 
     def _check_invariants(self) -> None:
-        allv = np.concatenate(self.sets)
-        _require(np.array_equal(np.sort(allv), np.arange(self.G.n)),
-                 "cluster sets stopped partitioning the vertex set")
         bound = self.params.rho_star * \
             (1.0 + 1.0 / (self.k + 1)) ** self.r * (1.0 + _BOUND_RTOL) + 1e-12
-        for P, C in zip(self.sets, self.cores):
-            _require(C.size > 0, "a core emptied out")
-            _require(not np.setdiff1d(C, P, assume_unique=True).size,
-                     "a core escaped its cluster")
-            phi = set_conductance(self.G, C)
+        for i in range(self.r):
+            C = self.core(i)
+            _require(C.any(), "a core emptied out")
+            phi = _conductance(self.G, C)
             _require(phi <= bound, "core conductance %.6g exceeds its "
                      "invariant bound %.6g", phi, bound)
 
@@ -402,87 +387,83 @@ class _State:
         if len(self.trace) > 200:
             del self.trace[:100]
 
-    def apply_split(self, i: int, removed: np.ndarray,
-                    new_core: np.ndarray | None, tag: str) -> str:
-        _require(removed.size > 0, "split removes nothing")
-        old_r = self.r
-        P_new = np.setdiff1d(self.sets[i], removed, assume_unique=True)
-        _require(P_new.size > 0, "split removes the whole cluster")
-        self.sets[i] = P_new
-        if new_core is not None:
-            self.cores[i] = new_core
-        self.sets.append(removed.copy())
-        self.cores.append(removed.copy())
+    def apply_split(self, i: int, removed: np.ndarray, tag: str) -> str:
+        """Make the mask ``removed`` ⊆ P_i a new cluster, all of it core."""
+        size = int(np.count_nonzero(removed))
+        _require(size > 0, "split removes nothing")
+        _require((self.member(i) & ~removed).any(),
+                 "split removes the whole cluster")
+        self.label[removed] = self.r
+        self.in_core[removed] = True
+        self.r += 1
         self._memo.clear()
-        _require(self.r == old_r + 1, "split did not add a cluster")
-        self._record(tag, i, split_size=int(removed.size))
+        self._record(tag, i, split_size=size)
         self._check_invariants()
         return tag
 
-    def apply_core_shrink(self, i: int, new_core: np.ndarray, tag: str) -> str:
-        _require(0 < new_core.size < self.cores[i].size,
+    def apply_core_shrink(self, i: int, keep: np.ndarray, tag: str) -> str:
+        """Shrink core_i to its part in the mask ``keep``."""
+        core = self.core(i)
+        kept = int(np.count_nonzero(core & keep))
+        _require(0 < kept < np.count_nonzero(core),
                  "core shrink must strictly reduce a nonempty core")
-        self.cores[i] = new_core
+        self.in_core[core & ~keep] = False
         self._memo.clear()
-        self._record(tag, i, core_size=int(new_core.size))
+        self._record(tag, i, core_size=kept)
         self._check_invariants()
         return tag
 
     def apply_move(self, i: int, moved: np.ndarray, j: int, tag: str) -> str:
-        _require(moved.size > 0 and i != j, "move needs mass and a target")
+        """Move the non-core mask ``moved`` ⊆ P_i to cluster j."""
+        size = int(np.count_nonzero(moved))
+        _require(size > 0 and i != j, "move needs mass and a target")
         before = self.total_cross()
-        self.sets[i] = np.setdiff1d(self.sets[i], moved, assume_unique=True)
-        self.sets[j] = np.union1d(self.sets[j], moved)
+        self.label[moved] = j
         self._memo.clear()
         after = self.total_cross()
         _require(after < before, "mass move failed to reduce cross weight "
                  "(%.6g -> %.6g)", before, after)
-        self._record(tag, i, moved=int(moved.size), to=j)
+        self._record(tag, i, moved=size, to=j)
         self._check_invariants()
         return tag
 
-    def move_target(self, cross: np.ndarray, i: int) -> int:
-        """Receiving cluster: argmax of cross weight over j != i, ties to the
-        smallest index."""
-        masked = cross.copy()
-        masked[i] = -math.inf
-        return int(np.argmax(masked))
 
 
 class _Candidate:
-    """Cluster i split by a candidate set S (a sweep cut or the leaves of a
-    critical node) and its core C: ``s_plus = S∩C``, ``s_minus = S\\C``,
-    ``s_plus_bar = C\\S``. Every measurement the refinement predicates
-    read is computed on first use and at most once."""
+    """Cluster i split by a candidate vertex mask S (a sweep cut, the leaves
+    of a critical node, or the whole cluster) and its core C:
+    ``s_plus = S∩C``, ``s_minus = S\\C``, ``s_plus_bar = C\\S``, each a
+    vertex mask. Every measurement the refinement predicates read is
+    computed on first use and at most once."""
 
     def __init__(self, state: _State, i: int, S: np.ndarray):
         self.state, self.G, self.i = state, state.G, i
-        self.P, self.core = state.sets[i], state.cores[i]
-        self.s_plus = np.intersect1d(S, self.core, assume_unique=True)
-        self.s_minus = np.setdiff1d(S, self.core, assume_unique=True)
-        self.s_plus_bar = np.setdiff1d(self.core, S, assume_unique=True)
+        self.P, self.core = state.member(i), state.core(i)
+        self.s_plus = S & self.core
+        self.s_minus = S & ~self.core
+        self.s_plus_bar = self.core & ~S
 
     @cached_property
     def phi_plus(self) -> float:
-        return set_conductance(self.G, self.s_plus)
+        return _conductance(self.G, self.s_plus)
 
     @cached_property
     def phi_plus_bar(self) -> float:
-        return set_conductance(self.G, self.s_plus_bar)
+        return _conductance(self.G, self.s_plus_bar)
 
     @cached_property
     def rel_plus(self) -> float:
-        return relative_conductance(self.G, self.s_plus, self.core)
+        return _relative_conductance(self.G, self.s_plus, self.core)
 
     @cached_property
     def plus_is_small(self) -> bool:
         """vol(S∩C) <= vol(C)/2, where the late core shrink applies."""
-        return volume(self.G, self.s_plus) <= volume(self.G, self.core) / 2.0
+        return _volume(self.G, self.s_plus) <= _volume(self.G, self.core) / 2.0
 
     @cached_property
     def minus_is_small(self) -> bool:
         """vol(S\\C) <= vol(P)/2, where the late move applies."""
-        return volume(self.G, self.s_minus) <= volume(self.G, self.P) / 2.0
+        return _volume(self.G, self.s_minus) <= _volume(self.G, self.P) / 2.0
 
     @cached_property
     def cross_minus(self) -> np.ndarray:
@@ -501,18 +482,21 @@ class _Candidate:
 
     @cached_property
     def moves_rest(self) -> bool:
-        """S\\C sends more weight to another cluster than to its own."""
-        return self.state.cond1_fires(self.cross_minus, self.i)
+        """S\\C is nonempty and sends more weight to another cluster than to
+        its own."""
+        if not self.s_minus.any():
+            return False
+        others = np.delete(self.cross_minus, self.i)
+        return bool(others.size and others.max() > self.cross_minus[self.i])
 
     @cached_property
     def moves_late(self) -> bool:
         """Late move test (if_8)."""
-        return bool(self.s_minus.size) and self.minus_is_small and \
-            self.moves_rest
+        return self.minus_is_small and self.moves_rest
 
     def split_core(self, tag: str) -> str:
-        return self.state.apply_split(self.i, removed=self.s_plus_bar,
-                                      new_core=self.s_plus, tag=tag)
+        """Split C\\S off; S∩C stays as cluster i's core."""
+        return self.state.apply_split(self.i, self.s_plus_bar, tag=tag)
 
     def shrink_core(self, tag: str) -> str:
         """Keep the lower-conductance core half; ties go to the larger
@@ -521,16 +505,20 @@ class _Candidate:
         if self.phi_plus != self.phi_plus_bar:
             keep = a if self.phi_plus < self.phi_plus_bar else b
         else:
-            va, vb = volume(self.G, a), volume(self.G, b)
+            va, vb = _volume(self.G, a), _volume(self.G, b)
             if va != vb:
                 keep = a if va > vb else b
             else:
-                keep = a if a.min() <= b.min() else b
+                keep = a if np.argmax(a) <= np.argmax(b) else b
         return self.state.apply_core_shrink(self.i, keep, tag=tag)
 
     def move_rest(self, tag: str) -> str:
-        target = self.state.move_target(self.cross_minus, self.i)
-        return self.state.apply_move(self.i, self.s_minus, target, tag=tag)
+        """Move S\\C to the other cluster receiving the most of its weight,
+        ties to the smallest index."""
+        cross = self.cross_minus.copy()
+        cross[self.i] = -math.inf
+        return self.state.apply_move(self.i, self.s_minus,
+                                     int(np.argmax(cross)), tag=tag)
 
 
 @_per_state
@@ -540,36 +528,38 @@ def _critical_candidates(state: _State, i: int,
     canonical order, each with the node's leaves as local ids."""
     info = state.info(i)
     owner = weakref.proxy(state)  # the state's memo keeps them: no cycle
-    return [(c.local, _Candidate(owner, i, info.P[c.local]))
+    return [(c.local,
+             _Candidate(owner, i, _member_mask(state.G, info.P[c.local])))
             for c in info.critical]
 
 
+@_per_state
+def _whole_cluster(state: _State, i: int) -> _Candidate:
+    """Cluster i as its own candidate, so S\\C is P_i \\ core_i."""
+    return _Candidate(weakref.proxy(state), i, state.member(i))
+
+
 def _move_noncore(state: _State, i: int) -> str | None:
-    cross = state.cond1_cross(i)
-    if not state.cond1_fires(cross, i):
-        return None
-    D = np.setdiff1d(state.sets[i], state.cores[i], assume_unique=True)
-    return state.apply_move(i, D, state.move_target(cross, i),
-                            tag="move-noncore")
+    cand = _whole_cluster(state, i)
+    return cand.move_rest("move-noncore") if cand.moves_rest else None
 
 
 def _try_refine(state: _State, i: int, S: np.ndarray) -> str | None:
-    """Run the five refinement cases for cluster i and sweep set S; apply the
-    first that fires and name it, or return None."""
+    """Run the five refinement cases for cluster i and sweep mask S; apply
+    the first that fires and name it, or return None."""
     G = state.G
     cand = _Candidate(state, i, S)
     if cand.splits_core:
         return cand.split_core("split-core-half")
-    rel_plus_bar = relative_conductance(G, cand.s_plus_bar, state.cores[i])
+    rel_plus_bar = _relative_conductance(G, cand.s_plus_bar, cand.core)
     if min(cand.rel_plus, rel_plus_bar) <= state.rel_threshold():
         return cand.shrink_core("core-shrink")
-    if set_conductance(G, cand.s_minus) <= state.split_threshold():
-        return state.apply_split(i, removed=cand.s_minus, new_core=None,
-                                 tag="split-outside-core")
+    if _conductance(G, cand.s_minus) <= state.split_threshold():
+        return state.apply_split(i, cand.s_minus, tag="split-outside-core")
     fired = _move_noncore(state, i)
     if fired:
         return fired
-    if cand.s_minus.size and cand.moves_rest:
+    if cand.moves_rest:
         return cand.move_rest("move-sweep-rest")
     return None
 
@@ -578,9 +568,10 @@ def _scan_late_refinements(state: _State) -> str | None:
     """The three critical-node refinements run when the sweep loop is quiet.
 
     Clusters are scanned in index order; within a cluster, critical nodes in
-    their canonical order. The first firing predicate is applied.
+    their canonical order (a one-vertex cluster has none). The first firing
+    predicate is applied.
     """
-    cands = [cand for i in range(state.r) if state.sets[i].size >= 2
+    cands = [cand for i in range(state.r)
              for _, cand in _critical_candidates(state, i)]
     for cand in cands:
         if cand.splits_core:
@@ -664,26 +655,26 @@ def termination_report(G: Graph, partition: Partition, params: DecompParams,
     k = ``params.k``.
     """
     k = params.k
+    if partition.n != G.n:
+        raise ValueError(f"partition covers {partition.n} vertices, graph "
+                         f"has {G.n}")
     state = _state
     if state is None:
-        state = _State(G, params, sets=list(partition.sets),
-                       cores=list(partition.cores))
+        state = _State(G, params, partition.sets, partition.cores)
     r = state.r
     while_1 = False
     while_2 = bool(state.cond2_candidates())
     if_6 = if_7 = if_8 = False
     clusters = []
     for i in range(r):
-        P, core = state.sets[i], state.cores[i]
-        cross = state.cond1_cross(i)
-        while_1 = while_1 or state.cond1_fires(cross, i)
-        info = state.info(i)
+        while_1 = while_1 or _whole_cluster(state, i).moves_rest
+        info, in_p, core = state.info(i), state.member(i), state.core(i)
         entry = {
-            "size": int(P.size),
-            "core_size": int(core.size),
-            "phi_core": set_conductance(G, core),
+            "size": int(info.P.size),
+            "core_size": int(np.count_nonzero(core)),
+            "phi_core": _conductance(G, core),
             "phi_core_bound": params.phi_out / (k + 1),
-            "phi_set": set_conductance(G, P),
+            "phi_set": _conductance(G, in_p),
             "phi_set_bound": params.phi_out,
             "lambda2_induced": None if math.isinf(info.lambda2) else info.lambda2,
             "inner_certificate": None if math.isinf(info.lambda2)
@@ -694,7 +685,7 @@ def termination_report(G: Graph, partition: Partition, params: DecompParams,
         for (local, cand), crit in zip(_critical_candidates(state, i),
                                        info.critical):
             a3_lhs, a3_rhs = crit.w_out, 6.0 * (k + 1) * crit.vol_in
-            w_minus_in, w_minus_out = _boundary(G, cand.s_minus, P)
+            w_minus_in, w_minus_out = _boundary(G, cand.s_minus, in_p)
             # node first, so every node's predicate is evaluated
             if_6 = cand.splits_core or if_6
             if_7 = cand.shrinks_core_late or if_7

@@ -133,10 +133,28 @@ def _member_mask(G: Graph, S: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _volume(G: Graph, in_s: np.ndarray) -> float:
+    """:func:`volume` of a vertex mask, summed in vertex order."""
+    return float(G.degrees[in_s].sum())
+
+
+def _conductance(G: Graph, in_s: np.ndarray) -> float:
+    """:func:`set_conductance` of a vertex mask, in one edge pass."""
+    size = np.count_nonzero(in_s)
+    if size == 0:
+        return 1.0
+    if size == G.n:
+        return 0.0
+    vol_s = _volume(G, in_s)
+    if vol_s == 0.0:
+        return 1.0
+    crosses = in_s[G.edges_u] != in_s[G.edges_v]
+    return float(G.edges_w[crosses].sum()) / vol_s
+
+
 def volume(G: Graph, S: Iterable[int]) -> float:
     """Sum of degrees over ``S``."""
-    S = vertex_set(S, G.n)
-    return float(G.degrees[S].sum())
+    return _volume(G, _member_mask(G, vertex_set(S, G.n)))
 
 
 def set_conductance(G: Graph, S: Iterable[int]) -> float:
@@ -146,17 +164,7 @@ def set_conductance(G: Graph, S: Iterable[int]) -> float:
     the full vertex set has conductance 0, and a nonempty set of volume 0
     (isolated vertices) returns 1.
     """
-    S = vertex_set(S, G.n)
-    if S.size == 0:
-        return 1.0
-    if S.size == G.n:
-        return 0.0
-    vol_s = float(G.degrees[S].sum())
-    if vol_s == 0.0:
-        return 1.0
-    in_s = _member_mask(G, S)
-    crosses = in_s[G.edges_u] != in_s[G.edges_v]
-    return float(G.edges_w[crosses].sum()) / vol_s
+    return _conductance(G, _member_mask(G, vertex_set(S, G.n)))
 
 
 def induced_subgraph(G: Graph, S: Iterable[int]) -> Graph:

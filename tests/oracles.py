@@ -263,6 +263,24 @@ def cut_weight_ORACLE(G, S, T):
     return float(G.edges_w[crosses].sum())
 
 
+def relative_conductance_ORACLE(G, S, P):
+    """How much of S's boundary stays inside P, volume-adjusted:
+    ``w(S -> P\\S) / ((vol(P\\S)/vol(P)) * w(S -> V\\P))``, both weights
+    from ``cut_weight_ORACLE``; degenerate denominators (S empty or all of
+    P, P without outgoing edges) give 1. ``S`` must be a subset of ``P``."""
+    S = vertex_set(S, G.n)
+    P = vertex_set(P, G.n)
+    if np.setdiff1d(S, P, assume_unique=True).size:
+        raise ValueError("S must be a subset of P")
+    vol_p = float(G.degrees[P].sum())
+    vol_rest = vol_p - float(G.degrees[S].sum())
+    w_out = cut_weight_ORACLE(G, S, np.setdiff1d(np.arange(G.n), P))
+    if vol_p == 0.0 or vol_rest == 0.0 or w_out == 0.0:
+        return 1.0
+    w_in = cut_weight_ORACLE(G, S, np.setdiff1d(P, S))
+    return w_in / ((vol_rest / vol_p) * w_out)
+
+
 def prune_condition_ORACLE(G, T, crit, P, k):
     """The prune stage's keep-whole test on the degree tree T of G[P] with
     critical nodes ``crit``:

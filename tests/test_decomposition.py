@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import itertools
 import json
 import os
 import subprocess
@@ -19,14 +20,15 @@ from wellclust import (
     DecompositionError,
     Partition,
     derive_params,
-    relative_conductance,
     run_prune_merge,
     strong_decomposition,
     termination_report,
 )
 from wellclust.cli import _json_default
 from wellclust.decomposition import (PHI_IN_MODES, _Candidate,
-                                     _critical_candidates, _State)
+                                     _critical_candidates, _move_noncore,
+                                     _scan_late_refinements, _State,
+                                     _try_refine)
 from wellclust.degree_hc import hc_with_degrees
 from wellclust.generators import (GenSpec, gen_bridged_two_cluster,
                                   gen_planted_clique_expander, gen_sbm,
@@ -37,9 +39,9 @@ from wellclust.spectral import (SpectralResult, smallest_eigenvalues,
                                 spectral_partition)
 from wellclust.tree import critical_nodes
 
-from conftest import DUMBBELL_EDGES, cycle_graph, unit_graph
+from conftest import DUMBBELL_EDGES, cycle_graph, unit_graph, weighted_graph
 from oracles import (cut_weight_ORACLE, graph_conductance_exact_ORACLE,
-                     prune_condition_ORACLE)
+                     prune_condition_ORACLE, relative_conductance_ORACLE)
 
 
 def set_lists(partition):
@@ -50,14 +52,22 @@ def test_relative_conductance_worked_example():
     # unit triangle {0,1,2} with one external unit edge at vertex 0:
     # w(S->P)=2, vol(P)=7, vol(P\S)=4, w(S->outside)=1
     G = unit_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
-    assert relative_conductance(G, [0], [0, 1, 2]) == pytest.approx(3.5)
+    assert relative_conductance_ORACLE(G, [0], [0, 1, 2]) == \
+        pytest.approx(3.5)
 
 
 def test_relative_conductance_conventions(two_triangles):
-    assert relative_conductance(two_triangles, [0], [0, 1, 2]) == 1.0
-    assert relative_conductance(two_triangles, [0, 1, 2], [0, 1, 2]) == 1.0
+    G = two_triangles
+    assert relative_conductance_ORACLE(G, [0], [0, 1, 2]) == 1.0
+    assert relative_conductance_ORACLE(G, [0, 1, 2], [0, 1, 2]) == 1.0
     with pytest.raises(ValueError):
-        relative_conductance(two_triangles, [0, 3], [0, 1, 2])
+        relative_conductance_ORACLE(G, [0, 3], [0, 1, 2])
+
+
+def mask(n, vertices):
+    out = np.zeros(n, dtype=bool)
+    out[list(vertices)] = True
+    return out
 
 
 def test_candidate_partitions_cluster():
@@ -65,12 +75,12 @@ def test_candidate_partitions_cluster():
     P = np.arange(8)
     core = np.array([0, 1, 2, 3])
     state = _State(G, derive_params(G, 2), sets=[P], cores=[core])
-    cand = _Candidate(state, 0, np.array([2, 3, 4]))
-    assert sorted(np.concatenate([cand.s_plus, cand.s_plus_bar]).tolist()) \
-        == core.tolist()
-    assert cand.s_plus.tolist() == [2, 3]
-    assert cand.s_plus_bar.tolist() == [0, 1]
-    assert cand.s_minus.tolist() == [4]
+    cand = _Candidate(state, 0, mask(8, [2, 3, 4]))
+    assert not (cand.s_plus & cand.s_plus_bar).any()
+    assert np.array_equal(cand.s_plus | cand.s_plus_bar, mask(8, core))
+    assert np.flatnonzero(cand.s_plus).tolist() == [2, 3]
+    assert np.flatnonzero(cand.s_plus_bar).tolist() == [0, 1]
+    assert np.flatnonzero(cand.s_minus).tolist() == [4]
 
 
 def fixed_eigs(n, values):
@@ -246,6 +256,14 @@ def test_report_is_a_pure_audit(dumbbell):
             assert node["a3_ok"]
 
 
+def test_report_rejects_a_partition_of_another_graph(dumbbell):
+    params = derive_params(dumbbell, 2)
+    for sets in ((np.arange(3), np.arange(3, 5)),
+                 (np.arange(3), np.arange(3, 7))):
+        with pytest.raises(ValueError, match="partition covers"):
+            termination_report(dumbbell, Partition(sets, sets), params)
+
+
 def test_partition_type_validation():
     with pytest.raises(ValueError):
         Partition((np.array([0, 1]),), (np.array([], dtype=np.int64),))
@@ -254,6 +272,8 @@ def test_partition_type_validation():
                                                       np.array([3]),))
     with pytest.raises(ValueError):
         Partition((np.array([0, 1]),), (np.array([2]),))
+    with pytest.raises(ValueError, match="distinct"):
+        Partition((np.array([0, 1, 2]),), (np.array([0, 0, 1]),))
 
 
 @pytest.fixture(scope="module")
@@ -315,12 +335,11 @@ def test_report_measures_critical_nodes_like_the_oracles(audit_corpus):
 
 @pytest.mark.parametrize("sets, cores, apply", [
     ([[0, 1, 2, 3, 4, 5]], [[0, 1, 2, 3, 4, 5]],
-     lambda st: st.apply_split(0, np.array([3, 4, 5]), np.array([0, 1, 2]),
-                               "split")),
+     lambda st: st.apply_split(0, mask(6, [3, 4, 5]), "split")),
     ([[0, 1, 2], [3, 4, 5]], [[0, 1, 2], [3, 4, 5]],
-     lambda st: st.apply_core_shrink(0, np.array([0, 1]), "shrink")),
+     lambda st: st.apply_core_shrink(0, mask(6, [0, 1]), "shrink")),
     ([[0, 1, 2, 3], [4, 5]], [[0, 1, 2], [4, 5]],
-     lambda st: st.apply_move(0, np.array([3]), 1, "move")),
+     lambda st: st.apply_move(0, mask(6, [3]), 1, "move")),
 ])
 def test_every_apply_clears_the_candidate_memo(dumbbell, sets, cores, apply):
     """Candidates are measured once per partition state, so the report can
@@ -337,9 +356,9 @@ def test_every_apply_clears_the_candidate_memo(dumbbell, sets, cores, apply):
     fresh = _critical_candidates(state, 0)
     assert fresh is not cands and state.cond2_candidates() is not cond2
     for _, cand in fresh:
-        assert np.array_equal(cand.P, state.sets[0])
-        assert np.array_equal(cand.core, state.cores[0])
-    assert np.array_equal(state.labels(), Partition(
+        assert np.array_equal(cand.P, mask(6, state.sets[0]))
+        assert np.array_equal(cand.core, mask(6, state.cores[0]))
+    assert np.array_equal(state.label, Partition(
         tuple(state.sets), tuple(state.cores)).labels)
 
 
@@ -413,7 +432,7 @@ def _shrink_state(G, sets, cores):
 ])
 def test_shrink_core_tie_rules(edges, n, P, core, S, kept):
     state = _shrink_state(unit_graph(n, edges), [list(P)], [list(core)])
-    cand = _Candidate(state, 0, np.array(S))
+    cand = _Candidate(state, 0, mask(n, S))
     assert cand.shrink_core("core-shrink") == "core-shrink"
     assert state.cores[0].tolist() == kept
     assert state.trace[-1]["branch"] == "core-shrink"
@@ -421,10 +440,119 @@ def test_shrink_core_tie_rules(edges, n, P, core, S, kept):
 
 def test_core_shrink_must_shrink(dumbbell):
     state = _shrink_state(dumbbell, [range(6)], [range(6)])
-    for core in (np.arange(6), np.arange(7), np.array([], dtype=np.int64)):
+    for core in (mask(6, range(6)), mask(6, [])):
         with pytest.raises(DecompositionError, match="strictly reduce"):
             state.apply_core_shrink(0, core, "core-shrink")
     assert state.cores[0].tolist() == list(range(6)) and not state.trace
+
+
+def clique(vertices, w=1.0):
+    return [(a, b, w) for a, b in itertools.combinations(vertices, 2)]
+
+
+def sweep_refine(state):
+    """Cluster 0's sweep candidate through the five sweep-loop cases."""
+    return _try_refine(state, 0, dict(state.cond2_candidates())[0])
+
+
+# One crafted state per refinement branch that the benchmark families and
+# the rest of the suite never fire, each reached through the predicate
+# that selects it. Every state has k = 2, phi_in = 10 (every cluster
+# passes the sweep test) and a rho_star under which its cores keep the
+# invariant bound while no earlier case fires.
+BRANCHES = [
+    # light K4 {0..3} pulled by non-core 8, 9 (weight 20) against the heavy
+    # K4 {4..7}: the sweep takes {0..3, 8, 9}, whose core half has
+    # relative conductance 0.053 <= 1/9; the lower-conductance half stays
+    pytest.param(
+        10,
+        clique(range(4)) + clique(range(4, 8), 50.0)
+        + [(3, 4, 1.0), (8, 0, 5.0), (8, 1, 5.0), (9, 2, 5.0), (9, 3, 5.0)],
+        [range(10)], [range(8)], 0.1, sweep_refine,
+        [list(range(10))], [[4, 5, 6, 7]], {"core_size": 4},
+        id="core-shrink"),
+    # core K4 {0..3} bridged to the non-core K4 {4..7}: the sweep set has
+    # no core vertex, and its non-core part is a sparse cut (phi 1/13)
+    pytest.param(
+        8, clique(range(4)) + clique(range(4, 8)) + [(3, 4, 1.0)],
+        [range(8)], [range(4)], 0.1, sweep_refine,
+        [[0, 1, 2, 3], [4, 5, 6, 7]], [[0, 1, 2, 3], [4, 5, 6, 7]],
+        {"split_size": 4}, id="split-outside-core"),
+    # the dumbbell with non-core 6 in cluster 0, pulled 2 : 1 to cluster 1
+    pytest.param(
+        7, clique([0, 1, 2]) + clique([3, 4, 5])
+        + [(2, 3, 1.0), (6, 3, 1.0), (6, 4, 1.0), (6, 0, 1.0)],
+        [[0, 1, 2, 6], [3, 4, 5]], [[0, 1, 2], [3, 4, 5]], 0.2,
+        lambda state: _move_noncore(state, 0),
+        [[0, 1, 2], [3, 4, 5, 6]], [[0, 1, 2], [3, 4, 5]],
+        {"moved": 1, "to": 1}, id="move-noncore"),
+    # cluster 0's non-core part {8..11} leans to its own cluster (5 : 2),
+    # but the sweep cuts off {8, 9}, which leans to cluster 1 (1 : 2)
+    pytest.param(
+        12, clique(range(4)) + clique(range(4, 8))
+        + [(3, 4, 1.0), (8, 9, 1.0), (8, 0, 1.0), (8, 4, 1.0), (9, 5, 1.0),
+           (10, 11, 1.0), (10, 0, 1.0), (10, 1, 1.0), (11, 2, 1.0),
+           (11, 3, 1.0)],
+        [[0, 1, 2, 3, 8, 9, 10, 11], [4, 5, 6, 7]], [range(4), range(4, 8)],
+        0.2, sweep_refine,
+        [[0, 1, 2, 3, 10, 11], [4, 5, 6, 7, 8, 9]],
+        [[0, 1, 2, 3], [4, 5, 6, 7]], {"moved": 2, "to": 1}, id="move-sweep-rest"),
+    # heavy K4 {0..3} bridged to a unit K4 {4..7}, all core: the degree
+    # order makes {4..7} a critical node, and both core halves are sparse
+    pytest.param(
+        8, clique(range(4), 10.0) + clique(range(4, 8)) + [(3, 4, 1.0)],
+        [range(8)], [range(8)], 0.1, _scan_late_refinements,
+        [[4, 5, 6, 7], [0, 1, 2, 3]], [[4, 5, 6, 7], [0, 1, 2, 3]],
+        {"split_size": 4}, id="late-split-core-half"),
+    # core path 0 - 1 = 2 with non-core 3 hanging off 0 by weight 20: the
+    # critical node {0, 3} holds core vertex 0, tied to the core by 1
+    pytest.param(
+        4, [(0, 1, 1.0), (1, 2, 30.0), (0, 3, 20.0)],
+        [range(4)], [range(3)], 0.25, _scan_late_refinements,
+        [[0, 1, 2, 3]], [[1, 2]], {"core_size": 2}, id="late-core-shrink"),
+    # triangle {0,1,2} with non-core 3 pulled 2 : 1 to triangle {4,5,6}:
+    # the critical node {2, 3} carries 3 over
+    pytest.param(
+        7, clique([0, 1, 2]) + clique([4, 5, 6])
+        + [(3, 0, 1.0), (3, 4, 1.0), (3, 5, 1.0)],
+        [[0, 1, 2, 3], [4, 5, 6]], [[0, 1, 2], [4, 5, 6]], 0.2,
+        _scan_late_refinements,
+        [[0, 1, 2], [3, 4, 5, 6]], [[0, 1, 2], [4, 5, 6]],
+        {"moved": 1, "to": 1}, id="late-move"),
+]
+
+
+@pytest.mark.parametrize("n, triples, sets, cores, rho_star, fire, "
+                         "sets_after, cores_after, extra", BRANCHES)
+def test_refinement_branch(request, n, triples, sets, cores, rho_star, fire,
+                           sets_after, cores_after, extra):
+    tag = request.node.callspec.id
+    G = weighted_graph(n, triples)
+    params = dataclasses.replace(derive_params(G, 2), rho_star=rho_star,
+                                 phi_in=10.0)
+    state = _State(G, params, sets=[np.array(P) for P in sets],
+                   cores=[np.array(C) for C in cores])
+    state._check_invariants()
+    assert fire(state) == tag
+    assert [P.tolist() for P in state.sets] == sets_after
+    assert [C.tolist() for C in state.cores] == cores_after
+    assert state.trace == [{"iteration": 0, "branch": tag, "cluster": 0,
+                            "r": len(sets_after), **extra}]
+
+
+def test_report_ignores_the_order_inside_partition_sets():
+    """The audit measures each critical node on sorted vertex ids, so a
+    partition listing its sets and cores in any order reports the same."""
+    G, _ = gen_sbm([40, 40, 40], 0.3, 0.02, 3)
+    params = derive_params(G, 3)
+    partition, _ = strong_decomposition(G, params)
+    rng = np.random.default_rng(0)
+    shuffled = Partition(tuple(rng.permutation(P) for P in partition.sets),
+                         tuple(rng.permutation(C) for C in partition.cores))
+    assert json.dumps(termination_report(G, shuffled, params),
+                      default=_json_default) == \
+        json.dumps(termination_report(G, partition, params),
+                   default=_json_default)
 
 
 def test_runs_free_their_state_by_reference_counting(monkeypatch):

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
 
-from wellclust.decomposition import _boundary, derive_params
+from wellclust.decomposition import (_boundary, _relative_conductance,
+                                     derive_params)
 from wellclust.graph import build_graph
 from wellclust.spectral import DEFAULT_TOL, SpectralResult
-from oracles import cut_weight_ORACLE
+from oracles import cut_weight_ORACLE, relative_conductance_ORACLE
 
 # Ties come from a few shared values; the rest spread over 24 decades.
 WEIGHTS = st.one_of(st.sampled_from([1e-12, 1.0, 2.5, 1e12]),
@@ -31,19 +32,24 @@ def graph_and_sets(draw):
                                              max_size=n)))
     else:
         in_s = in_p & (s_kind == "all")
-    return G, np.flatnonzero(in_s), np.flatnonzero(in_p)
+    return G, in_s, in_p
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(graph_and_sets())
 def test_boundary_equals_cut_weight(case):
-    """One edge pass gives exactly, not approximately, the two cut weights
-    an independent cut_weight_ORACLE pair measures."""
-    G, S, P = case
+    """One edge pass over the vertex masks gives exactly, not
+    approximately, the two cut weights an independent cut_weight_ORACLE
+    pair measures, and the loop's relative conductance is exactly
+    relative_conductance_ORACLE."""
+    G, in_s, in_p = case
+    S, P = np.flatnonzero(in_s), np.flatnonzero(in_p)
     outside = np.setdiff1d(np.arange(G.n), P)
-    assert _boundary(G, S, P) == (
+    assert _boundary(G, in_s, in_p) == (
         cut_weight_ORACLE(G, S, np.setdiff1d(P, S)),
         cut_weight_ORACLE(G, S, outside))
+    assert _relative_conductance(G, in_s, in_p) == \
+        relative_conductance_ORACLE(G, S, P)
 
 
 @st.composite

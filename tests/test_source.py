@@ -1,6 +1,7 @@
 """Checks on the package source itself: invariant checks that survive
 ``python -O``, no test code imported by the library, no private library
-code imported by the oracles, a clean ``__all__``."""
+code imported by the oracles, a clean ``__all__``, no sorted-id set
+algebra in the refinement loop."""
 
 import ast
 import pathlib
@@ -65,3 +66,19 @@ def test_public_names_resolve_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(wellclust, name)]
     assert not missing
+
+
+def test_decomposition_keeps_one_membership_representation():
+    """The refinement loop holds clusters as a label array and cores as a
+    mask; sorted-id set algebra would bring back a second representation
+    and its O(n log n) conversions."""
+    banned = {"intersect1d", "setdiff1d", "union1d", "vertex_set", "volume"}
+    calls = []
+    for node in ast.walk(_tree(SRC / "decomposition.py")):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name in banned:
+                calls.append((name, node.lineno))
+    assert not calls, f"decomposition.py calls {calls}"
