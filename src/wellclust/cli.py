@@ -205,6 +205,7 @@ def cmd_run(args, parser) -> int:
         if outcome.result is not None:
             payload["r"] = outcome.result.partition.r
             payload["stalled"] = outcome.result.decomposition_report["stalled"]
+            payload["pruned"] = len(outcome.result.pruned)
         print(json.dumps(payload, default=_json_default))
     else:
         print(format(outcome.cost, ".12g"))

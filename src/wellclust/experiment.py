@@ -74,7 +74,7 @@ def run_algorithm(G: Graph, algo: str, k: int = 2, seed: int = 0,
     cheapest over k = 2..best_k_max; otherwise ``_pipeline`` (a single-k
     ``prunemerge`` record of the same inputs) or a fresh run at ``k``.
     ``prunemerge`` keeps its pruned tree and scores its partition against
-    ``labels`` when given; ``naive`` folds the unpruned cluster trees.
+    ``labels`` when given; ``naive`` takes the record's ``naive_tree()``.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of "

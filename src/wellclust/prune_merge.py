@@ -13,10 +13,9 @@ first, so the caterpillar spine keeps heavy subtrees near the final root.
 
 The naive variant skips the prune phase entirely and is kept as a
 comparison point. Whenever no critical subtree is detached the two return
-the same tree, array for array. The advantage of pruning is asymptotic;
-a detachment need not lower the cost at small sizes either (the
-acceptance suite's crafted two-detachment pool costs exactly what the
-unpruned fold costs).
+the same tree object. The advantage of pruning is asymptotic; a detachment
+need not lower the cost at small sizes either (the acceptance suite's
+crafted two-detachment pool costs exactly what the unpruned fold costs).
 """
 
 from __future__ import annotations
@@ -47,9 +46,9 @@ class PruneMergeResult:
     leaf count of its parent in the final tree; ``condition_trace`` is
     the per-cluster sequence of boundary-test outcomes; ``whole`` holds
     each cluster's unpruned degree tree on local ids, as the decomposition
-    built it, and :meth:`naive_tree` folds them without pruning. The
-    run's thresholds are the ``params`` its caller passed to
-    :func:`run_prune_merge`, so the record does not repeat them.
+    built it; :meth:`naive_tree` folds them unpruned, or returns the same
+    tree object as ``tree`` when nothing was detached. The run's thresholds
+    are its caller's ``params`` to :func:`run_prune_merge`, not kept here.
     """
 
     tree: HCTree
@@ -62,7 +61,9 @@ class PruneMergeResult:
 
     def naive_tree(self) -> HCTree:
         """The naive variant: the whole cluster trees folded ascending by
-        size. Identical to ``tree`` whenever the run detached nothing."""
+        size; the same tree object as ``tree`` if the run detached nothing."""
+        if not self.pruned:
+            return self.tree
         return _merge_pool(self.partition.n,
                            [_PoolEntry(P, relabel_leaves(T, P), None)
                             for P, T in zip(self.partition.sets, self.whole)])

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, file round-trips, exit-code contract."""
 
 import csv
+import importlib
 import json
 import subprocess
 import sys
@@ -8,9 +9,11 @@ import sys
 import pytest
 
 from wellclust.cli import main
-from wellclust.graph import load_graph
+from wellclust.graph import load_graph, save_graph
 from wellclust.spectral import SpectralConvergenceError, smallest_eigenvalues
 from wellclust.tree import dasgupta_cost, load_tree
+
+from test_prune_merge import forced_decomposition, forced_prune_graph
 
 PATH3_GRAPH = "3 2\n0 1 1.0\n1 2 1.0\n"
 PATH3_TREE = "leaf 0 0\nleaf 1 1\nleaf 2 2\n3 0 1\n4 3 2\n"
@@ -105,7 +108,7 @@ def test_run_json_with_best_over_k(tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload == {"algo": "prunemerge", "cost": 16.0, "k": 2, "ms": None,
-                       "r": 2, "stalled": False}
+                       "r": 2, "stalled": False, "pruned": 0}
 
 
 @pytest.mark.parametrize("argv", [
@@ -197,6 +200,30 @@ def test_run_json_reports_partition(tmp_path, capsys, family, k, r, stalled):
     # the naive fold reports the same pipeline run as prunemerge at that k
     assert set(naive) == set(payload)
     assert (naive["r"], naive["stalled"]) == (r, stalled)
+    # a run that detached nothing gives both algorithms one tree
+    assert payload["pruned"] == naive["pruned"] == 0
+    assert naive["cost"] == payload["cost"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--best-over-k", "3"]])
+def test_run_json_counts_detached_subtrees(tmp_path, monkeypatch, capsys,
+                                           extra):
+    """`pruned` counts the subtrees the prune stage detached, here on the
+    crafted partition whose boundary test rejects both clusters whole."""
+    monkeypatch.setattr(importlib.import_module("wellclust.prune_merge"),
+                        "strong_decomposition", forced_decomposition)
+    g = str(tmp_path / "g.txt")
+    save_graph(forced_prune_graph(), g)
+    payloads = {}
+    for algo in ("prunemerge", "naive"):
+        argv = extra if algo == "prunemerge" else []
+        assert main(["run", "--graph", g, "--algo", algo, "--json",
+                     *argv]) == 0
+        payloads[algo] = json.loads(capsys.readouterr().out)
+    assert payloads["prunemerge"]["pruned"] == payloads["naive"]["pruned"] == 4
+    assert payloads["prunemerge"]["k"] == 2
+    # the naive op folds the detached subtrees back in place
+    assert payloads["naive"]["cost"] != payloads["prunemerge"]["cost"]
 
 
 def test_sweep_command(tmp_path):

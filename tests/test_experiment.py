@@ -233,7 +233,7 @@ def test_naive_rows_reuse_prunemerge_run(monkeypatch, points, k, best_k_max,
 
 def test_reusing_naive_row_is_its_own_timed_op(monkeypatch):
     """A reusing naive row is still one run_algorithm call, timed on the
-    fold it adds, so its tree and latency stay observable per op."""
+    work it adds, so its tree and latency stay observable per op."""
     calls = []
     original = experiment.run_algorithm
 
@@ -246,3 +246,16 @@ def test_reusing_naive_row_is_its_own_timed_op(monkeypatch):
                          k=3, timing="wall")
     assert calls == [("prunemerge", False), ("naive", True)] * 2
     assert all(float(r["ms"]) > 0 for r in rows if r["algo"] == "naive")
+
+
+def test_naive_op_on_a_reused_run_returns_its_tree():
+    """A pipeline run that detached nothing has one tree: a naive op given
+    that prunemerge record returns the record's own tree object and cost,
+    and folds nothing."""
+    G, _ = gen_sbm([50, 50, 50], 0.3, 0.002, 1)
+    pm = run_algorithm(G, "prunemerge", k=3)
+    assert pm.result.pruned == ()
+    naive = run_algorithm(G, "naive", k=3, _pipeline=pm.result)
+    assert naive.tree is pm.tree is pm.result.tree
+    assert naive.cost == pm.cost
+    assert naive.result is pm.result and naive.k == 3

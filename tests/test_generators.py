@@ -371,6 +371,35 @@ def test_block_families_pinned(family, seed):
     assert _instance_digest(G, labels) == BLOCK_DIGESTS[family, seed]
 
 
+# The two expander families make half of the benchmark's sweep and stall
+# there on every seed, so their bytes are pinned too. Computed on the
+# commit before these pins were added, from its tests/ directory:
+#   PYTHONPATH=../src python -c 'import test_generators as t; \
+#     [print(f, s, t._instance_digest(*t.EXPANDER_FAMILIES[f](s))) \
+#      for f in t.EXPANDER_FAMILIES for s in (0, 7)]'
+# after pasting EXPANDER_FAMILIES into that file.
+EXPANDER_FAMILIES = {
+    "planted_clique_expander": lambda s: gen_planted_clique_expander(64, s),
+    "bridged_two_cluster": lambda s: gen_bridged_two_cluster(64, s),
+}
+EXPANDER_DIGESTS = {
+    ("planted_clique_expander", 0):
+        "c4afb6316fc9cb63457e46a65e086fc84f3bc882ee8b2339024b05e0ea34561f",
+    ("planted_clique_expander", 7):
+        "5337d0789d4e5869dadbff54caca718d2e020966b580f9961a371e2c79fcaa19",
+    ("bridged_two_cluster", 0):
+        "c5aa7d436ea05f56f3b343826d37a9d80a1c69f1ceaa5d1b766ef4fd753df72e",
+    ("bridged_two_cluster", 7):
+        "40a0b2928cb3519e2094e7571e95cb096cb3f6e1f9b328c3f5a0266fb169aebe",
+}
+
+
+@pytest.mark.parametrize("family, seed", sorted(EXPANDER_DIGESTS))
+def test_expander_families_pinned(family, seed):
+    G, labels = EXPANDER_FAMILIES[family](seed)
+    assert _instance_digest(G, labels) == EXPANDER_DIGESTS[family, seed]
+
+
 def _stream_state(rng):
     state = rng.bit_generator.state
     return (state["state"]["counter"].tolist(), state["buffer"].tolist(),
