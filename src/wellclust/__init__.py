@@ -9,12 +9,11 @@ linkage baselines, and a prune-and-merge pipeline driven by a strong
 from .decomposition import (DecompositionError, DecompParams, Partition,
                             derive_params, strong_decomposition,
                             termination_report)
-from .degree_hc import hc_with_degrees, top_block_size
+from .degree_hc import hc_with_degrees
 from .experiment import (ALGORITHMS, RunOutcome, SweepPoint, compare_sweep,
                          run_algorithm, write_csv)
 from .generators import (GENERATOR_FAMILIES, GenSpec, PlantedLabels,
-                         gaussian_kernel_graph, generate, load_labels,
-                         save_labels)
+                         generate, load_labels, save_labels)
 from .graph import (Graph, build_graph, induced_subgraph, load_graph,
                     save_graph, set_conductance, volume)
 from .linkage import linkage
@@ -36,10 +35,9 @@ __all__ = [
     "adjusted_rand_index", "best_over_k", "brute_force_opt", "build_graph",
     "caterpillar_merge", "compare_sweep", "critical_nodes",
     "dasgupta_cost", "dasgupta_cost_cutform", "derive_params",
-    "gaussian_kernel_graph", "generate", "hc_with_degrees",
-    "induced_subgraph", "linkage", "load_graph", "load_labels", "load_tree",
-    "random_tree", "run_algorithm", "run_prune_merge",
-    "save_graph", "save_labels", "save_tree", "set_conductance",
-    "smallest_eigenvalues", "spectral_partition", "strong_decomposition",
-    "termination_report", "top_block_size", "volume", "write_csv",
+    "generate", "hc_with_degrees", "induced_subgraph", "linkage",
+    "load_graph", "load_labels", "load_tree", "random_tree", "run_algorithm",
+    "run_prune_merge", "save_graph", "save_labels", "save_tree",
+    "set_conductance", "smallest_eigenvalues", "spectral_partition",
+    "strong_decomposition", "termination_report", "volume", "write_csv",
 ]

@@ -16,10 +16,10 @@ import numpy as np
 from .graph import Graph
 from .tree import HCTree, _split_tree
 
-__all__ = ["hc_with_degrees", "top_block_size"]
+__all__ = ["hc_with_degrees"]
 
 
-def top_block_size(s: int | np.ndarray) -> int | np.ndarray:
+def _top_block_size(s: int | np.ndarray) -> int | np.ndarray:
     """Size of the heavy block when splitting s leaves: 2^floor(log2(s-1)).
     ``s`` is an int or an int64 array of block sizes."""
     if np.any(np.asarray(s) < 2):
@@ -32,5 +32,6 @@ def hc_with_degrees(G: Graph) -> HCTree:
     """Build the degree-ordered HC tree of ``G``."""
     if G.n == 0:
         raise ValueError("cannot cluster the empty graph")
-    return _split_tree(np.lexsort((np.arange(G.n), -G.degrees)), top_block_size)
+    return _split_tree(np.lexsort((np.arange(G.n), -G.degrees)),
+                       _top_block_size)
 

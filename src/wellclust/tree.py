@@ -25,12 +25,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .generators import _rng
 from .graph import Graph
 
 __all__ = [
     "HCTree",
     "TreeBuilder",
-    "node_volumes",
     "dasgupta_cost",
     "dasgupta_cost_cutform",
     "critical_nodes",
@@ -192,7 +192,7 @@ def _check_leaf_bijection(G: Graph, T: HCTree) -> None:
         raise ValueError("tree leaves do not biject with graph vertices")
 
 
-def node_volumes(G: Graph, T: HCTree) -> np.ndarray:
+def _node_volumes(G: Graph, T: HCTree) -> np.ndarray:
     """Volume of each node's leaf set, computed in ``G``."""
     vols = np.zeros(T.n_nodes, dtype=np.float64)
     leaves = T.left < 0
@@ -312,7 +312,7 @@ def critical_nodes(G: Graph, T: HCTree) -> tuple[int, ...]:
     """
     if T.n_leaves < 2:
         raise ValueError("critical nodes need a tree with at least 2 leaves")
-    vols = node_volumes(G, T)
+    vols = _node_volumes(G, T)
     branch = [int(T.root)]
     while T.left[branch[-1]] >= 0:
         child = _heavier_child(T, vols, branch[-1])
@@ -488,13 +488,13 @@ def _split_tree(leaves: np.ndarray, heavy: Callable) -> HCTree:
 def random_tree(n: int, seed: int) -> HCTree:
     """Balanced-split tree over a uniformly shuffled leaf order.
 
-    Uses the Philox4x64-10 counter-based generator keyed by ``seed``, so
-    the topology is reproducible across platforms.
+    Draws from the generators' Philox4x64-10 stream 0 of ``seed``, a
+    64-bit unsigned integer, so the topology is reproducible across
+    platforms.
     """
     if n < 1:
         raise ValueError("random_tree needs n >= 1")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return _split_tree(rng.permutation(n), lambda s: (s + 1) // 2)
+    return _split_tree(_rng(seed).permutation(n), lambda s: (s + 1) // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from wellclust.graph import load_graph, save_graph
 from wellclust.spectral import SpectralConvergenceError, smallest_eigenvalues
 from wellclust.tree import dasgupta_cost, load_tree
 
+from conftest import weighted_graph
+from test_decomposition import WIDE_RANGE_EDGES
 from test_prune_merge import forced_decomposition, forced_prune_graph
 
 PATH3_GRAPH = "3 2\n0 1 1.0\n1 2 1.0\n"
@@ -473,3 +475,24 @@ def test_numerical_failure_exit_two(tmp_path, capsys, monkeypatch):
     code = main(["run", "--graph", str(g), "--algo", "degrees"])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_random_seed_out_of_range_exits_1(tmp_path):
+    g = tmp_path / "g.txt"
+    g.write_text(TWO_TRIANGLES)
+    code, out, err = run_cli("run", "--graph", str(g), "--algo", "random",
+                             "--seed", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: seed must be a 64-bit unsigned integer\n"
+
+
+def test_wide_weight_range_graph_runs(tmp_path, capsys):
+    """Both commands exited 2 while the move check compared two float
+    totals of a 7.17e7 cut that a 3.9e-9 drop leaves unchanged."""
+    g = tmp_path / "g.txt"
+    save_graph(weighted_graph(11, WIDE_RANGE_EDGES), g)
+    assert main(["run", "--graph", str(g), "--algo", "prunemerge", "--k", "3",
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["r"] == 3
+    assert main(["decompose", "--graph", str(g), "--k", "3"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["sets"]) == 3

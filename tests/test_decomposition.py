@@ -446,6 +446,48 @@ def test_core_shrink_must_shrink(dumbbell):
     assert state.cores[0].tolist() == list(range(6)) and not state.trace
 
 
+@pytest.mark.parametrize("vertex", [3, 4], ids=["cut-grows", "cut-stays"])
+def test_move_must_reduce_cross_weight(dumbbell, vertex):
+    """Moving non-core 3 or 4 of {0..4} to {5} cuts 3 or 2 unit edges
+    where 2 were cut: a move that does not lower the cut is rejected."""
+    state = _shrink_state(dumbbell, [range(5), [5]], [range(3), [5]])
+    with pytest.raises(DecompositionError, match="failed to reduce"):
+        state.apply_move(0, mask(6, [vertex]), 1, "move")
+    assert not state.trace
+
+
+def test_move_below_an_ulp_of_the_cut_counts():
+    """Moving non-core 1 uncuts 2e-9 and cuts 1e-9 while the 1e8 edge
+    stays cut: the drop is below half an ulp of the total cut, yet the
+    move lowers it and is accepted."""
+    G = weighted_graph(4, [(0, 2, 1e8), (0, 1, 1e-9), (1, 3, 2e-9),
+                           (2, 3, 1.0)])
+    state = _shrink_state(G, [[0, 1], [2, 3]], [[0], [2, 3]])
+    state.apply_move(0, mask(4, [1]), 1, "move")
+    assert [P.tolist() for P in state.sets] == [[0], [1, 2, 3]]
+
+
+# Weights over 21 decades: the move-noncore step of this run lowers a
+# 7.17e7 cut by about 3.8e-9, below half an ulp (7.5e-9) of the total.
+WIDE_RANGE_EDGES = [
+    (0, 3, 3.8782440680446135e-09), (0, 5, 1773001017.381962),
+    (1, 2, 4.5217795953036595e-11), (1, 5, 71743885.59259473),
+    (1, 6, 110084.7982964406), (1, 7, 16655602331.526817),
+    (4, 8, 2.0953113946543278e-10), (5, 7, 8.036398898492988e-11),
+    (6, 7, 1151873.8953975022), (6, 9, 201.43104004653162),
+    (7, 9, 0.0005850784823014175), (7, 10, 3.333429506244352e-11),
+    (9, 10, 2.0312616994959482e-11)]
+
+
+def test_wide_weight_range_decomposes():
+    G = weighted_graph(11, WIDE_RANGE_EDGES)
+    partition, report = strong_decomposition(G, derive_params(G, 3))
+    assert [P.tolist() for P in partition.sets] == \
+        [[4, 8], [1, 6, 7, 9, 10], [0, 2, 3, 5]]
+    assert "move-noncore" in [e["branch"] for e in report["trace_tail"]]
+    assert not report["stalled"]
+
+
 def clique(vertices, w=1.0):
     return [(a, b, w) for a, b in itertools.combinations(vertices, 2)]
 

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from wellclust import (
-    dasgupta_cost,
-    hc_with_degrees,
-    top_block_size,
-)
+from wellclust import dasgupta_cost, hc_with_degrees
+from wellclust.degree_hc import _top_block_size
 from wellclust.tree import TreeBuilder
 
 from conftest import random_connected_graph, star_graph, unit_graph
@@ -24,10 +21,10 @@ def leaf_sets(T):
 
 
 def test_block_size_formula():
-    assert [top_block_size(s) for s in (2, 3, 4, 5, 6, 8, 9, 17)] == \
+    assert [_top_block_size(s) for s in (2, 3, 4, 5, 6, 8, 9, 17)] == \
         [1, 2, 2, 4, 4, 4, 8, 16]
     with pytest.raises(ValueError):
-        top_block_size(1)
+        _top_block_size(1)
 
 
 def test_single_vertex():

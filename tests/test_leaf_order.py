@@ -110,6 +110,14 @@ def test_split_builder_matches_recursive_oracle():
                                f"random n={n} seed={seed}")
 
 
+def test_random_tree_keeps_philox_keyed_by_seed_up_to_2_64():
+    """Routing the seed through the generators' stream 0 leaves every
+    in-range tree as ``Philox(key=seed)`` built it."""
+    for seed in (0, 2**63, 2**64 - 1):
+        assert_same_arrays(tree_arrays(random_tree(50, seed)),
+                           tree_arrays(oracle_random_tree(50, seed)))
+
+
 # -- spans: leaves_under and subtree -----------------------------------------
 
 def check_every_node(T, nodes=None):

@@ -1,14 +1,17 @@
 """Property tests over generated weighted graphs (hypothesis)."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import numpy as np
 
 from wellclust.decomposition import (_boundary, _relative_conductance,
                                      derive_params)
+from wellclust.experiment import ALGORITHMS, run_algorithm
 from wellclust.graph import build_graph
-from wellclust.spectral import DEFAULT_TOL, SpectralResult
+from wellclust.spectral import (DEFAULT_TOL, SpectralConvergenceError,
+                                SpectralResult)
 from oracles import cut_weight_ORACLE, relative_conductance_ORACLE
+from test_decomposition import WIDE_RANGE_EDGES
 
 # Ties come from a few shared values; the rest spread over 24 decades.
 WEIGHTS = st.one_of(st.sampled_from([1e-12, 1.0, 2.5, 1e12]),
@@ -76,3 +79,46 @@ def test_rho_star_is_lambda_k1_over_10(case, mode):
                           np.zeros(values.size))
     params = derive_params(G, k, phi_in_mode=mode, eigs=eigs)
     assert params.rho_star == values[k] / 10.0
+
+
+@st.composite
+def small_weighted_graphs(draw):
+    """1..12 vertices split into up to three components, each pair inside a
+    component an edge or not (so isolated vertices occur), with weights
+    from WEIGHTS."""
+    n = draw(st.integers(1, 12))
+    comp = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if comp[u] == comp[v]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
+                           max_size=len(pairs))) if pairs else []
+    return build_graph(n, [(u, v, draw(WEIGHTS)) for u, v in chosen])
+
+
+def _outcome(G, algo, k):
+    try:
+        out = run_algorithm(G, algo, k=k, seed=3)
+    except (ValueError, SpectralConvergenceError) as exc:
+        return type(exc), str(exc)
+    T = out.tree
+    return out.cost, T.left.tolist(), T.right.tolist(), T.leaf_vertex.tolist()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(small_weighted_graphs())
+@example(build_graph(11, WIDE_RANGE_EDGES))
+def test_every_algorithm_returns_a_tree_or_rejects_the_input(G):
+    """Every algorithm at k = 2 and 3 either returns a tree over the
+    vertices whose cost lies in [0, n·vol/2] (up to rounding of the sum)
+    and which a rerun repeats, or rejects the input with ValueError or
+    SpectralConvergenceError; a DecompositionError or any other error is a
+    bug."""
+    for algo in ALGORITHMS:
+        for k in (2, 3):
+            first = _outcome(G, algo, k)
+            assert _outcome(G, algo, k) == first
+            if isinstance(first[0], type):
+                continue
+            cost, _, _, leaf_vertex = first
+            assert sorted(v for v in leaf_vertex if v >= 0) == list(range(G.n))
+            assert 0.0 <= cost <= G.n * G.total_volume / 2 * (1 + 1e-12)

@@ -1,10 +1,12 @@
 """Checks on the package source itself: invariant checks that survive
 ``python -O``, no test code imported by the library, no private library
-code imported by the oracles, a clean ``__all__``, no sorted-id set
-algebra in the refinement loop."""
+code imported by the oracles, a clean ``__all__`` that holds only
+documented API and its types, no sorted-id set algebra in the refinement
+loop."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -12,6 +14,7 @@ import wellclust
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wellclust"
 ORACLES = pathlib.Path(__file__).resolve().parent / "oracles.py"
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -66,6 +69,40 @@ def test_public_names_resolve_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(wellclust, name)]
     assert not missing
+
+
+# Exported types that API functions return or raise; every other exported
+# name is named in the README's "Library API" list.
+RETURN_TYPES = {
+    "DecompParams",              # derive_params
+    "Partition",                 # strong_decomposition
+    "PlantedLabels",             # generate
+    "PruneMergeResult",          # run_prune_merge, best_over_k
+    "RunOutcome",                # run_algorithm
+    "SpectralResult",            # smallest_eigenvalues
+    "SweepCut",                  # spectral_partition
+    "DecompositionError",        # strong_decomposition
+    "SpectralConvergenceError",  # smallest_eigenvalues
+}
+
+
+def _readme_api_names():
+    text = README.read_text()
+    section = text.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    return {name for span in re.findall(r"`([^`]*)`", section)
+            for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def test_public_names_are_documented_api_or_its_types():
+    """A reader tells the API from the plumbing by the README alone: every
+    exported name is in its Library API list or is a type listed above."""
+    names, documented = set(wellclust.__all__), _readme_api_names()
+    assert RETURN_TYPES <= names
+    assert not RETURN_TYPES & documented, "listed twice"
+    undocumented = names - documented - RETURN_TYPES
+    assert not undocumented, f"exported but undocumented: {undocumented}"
+    assert all(isinstance(getattr(wellclust, name), type)
+               for name in RETURN_TYPES)
 
 
 def test_decomposition_keeps_one_membership_representation():

@@ -10,12 +10,12 @@ from wellclust import (
     Graph,
     SpectralConvergenceError,
     build_graph,
-    gaussian_kernel_graph,
     induced_subgraph,
     set_conductance,
     smallest_eigenvalues,
     spectral_partition,
 )
+from wellclust.generators import gaussian_kernel_graph
 
 from conftest import (
     complete_graph,

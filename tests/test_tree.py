@@ -12,7 +12,7 @@ from wellclust import (HCTree, TreeBuilder, brute_force_opt, build_graph,
                        dasgupta_cost_cutform, hc_with_degrees, linkage,
                        load_tree, random_tree, save_tree)
 from wellclust.experiment import checked_cost
-from wellclust.generators import gen_sbm
+from wellclust.generators import GenSpec, gen_sbm, generate
 from wellclust.linkage import LINKAGE_KINDS
 from wellclust.tree import relabel_leaves
 from conftest import (complete_graph, path_graph, random_connected_graph,
@@ -369,6 +369,18 @@ def test_random_tree_seeded():
     assert sorted(a.leaves_under(a.root)) == list(range(9))
     assert random_tree(1, 0).leaf_count[random_tree(1, 0).root] == 1
     assert random_tree(2, 0).leaf_count.max() == 2
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_random_tree_takes_the_generators_seed_rule(seed):
+    """One seed rule for every Philox stream: the generators' message, not
+    numpy's key check, which would accept seeds up to 2**128."""
+    for draw in (lambda: random_tree(5, seed),
+                 lambda: generate(GenSpec("sbm", {"sizes": [3, 3], "p": 1.0,
+                                                  "q": 0.0}, seed))):
+        with pytest.raises(ValueError,
+                           match="^seed must be a 64-bit unsigned integer$"):
+            draw()
 
 
 def test_save_load_roundtrip(tmp_path):
