@@ -20,7 +20,8 @@ from .decomposition import (PHI_IN_MODES, DecompositionError, derive_params,
                             strong_decomposition)
 from .experiment import (ALGORITHMS, SweepPoint, compare_sweep, run_algorithm,
                          write_csv)
-from .generators import GENERATOR_FAMILIES, GenSpec, generate, save_labels
+from .generators import (FAMILY_PARAMS, GENERATOR_FAMILIES, GenSpec,
+                         generate, save_labels)
 from .graph import load_graph, save_graph
 from .spectral import (SpectralConvergenceError, smallest_eigenvalues,
                        spectral_partition)
@@ -69,8 +70,8 @@ def _add_family_flags(sub: argparse.ArgumentParser, sweep: bool) -> None:
     sub.add_argument("--q", type=num, help="cross-block edge probability")
     sub.add_argument("--q-min", dest="q_min", type=float,
                      help="hsbm: smallest cross-block probability")
-    sub.add_argument("--size", type=int,
-                     help="hsbm: vertices per block (default 600)")
+    sub.add_argument("--size", type=int, help="hsbm: vertices per block "
+                     f"(default {FAMILY_PARAMS['hsbm'][1]['size']})")
     sub.add_argument("--n", type=cnt, help="vertex count (single-knob families)")
     sub.add_argument("--c-p", dest="c_p", type=num,
                      help="planted-clique fraction per block")
@@ -79,16 +80,6 @@ def _add_family_flags(sub: argparse.ArgumentParser, sweep: bool) -> None:
     sub.add_argument("--points-file", help="gaussian_kernel: one point per line")
     sub.add_argument("--sigma", type=float, help="gaussian_kernel: bandwidth")
 
-
-_FAMILY_PARAMS = {
-    "sbm": (("sizes", "p", "q"), ()),
-    "hsbm": (("p",), ("q_min", "size")),
-    "planted_clique_expander": (("n",), ()),
-    "bridged_two_cluster": (("n",), ()),
-    "sbm_planted_cliques": (("sizes", "p", "q", "c_p"), ()),
-    "sbm_unequal": (("c_p",), ("scale",)),
-    "gaussian_kernel": (("points_file", "sigma"), ()),
-}
 
 _SWEEPABLE = ("p", "q", "c_p", "n", "scale")
 
@@ -115,30 +106,36 @@ def _load_points(path: str) -> list[list[float]]:
     return points
 
 
+def _dest(name: str) -> str:
+    """The flag dest of a ``FAMILY_PARAMS`` name: the points come from a
+    file."""
+    return "points_file" if name == "points" else name
+
+
 def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
+    return "--" + _dest(name).replace("_", "-")
 
 
 def _family_params(args, parser: argparse.ArgumentParser) -> dict:
     """Collect this family's parameters from flags, rejecting missing ones
     and those of other families."""
-    required, optional = _FAMILY_PARAMS[args.family]
-    taken = required + optional
-    for other_required, other_optional in _FAMILY_PARAMS.values():
-        for name in other_required + other_optional:
-            if name not in taken and getattr(args, name) is not None:
+    required, optional = FAMILY_PARAMS[args.family]
+    taken = (*required, *optional)
+    for other_required, other_optional in FAMILY_PARAMS.values():
+        for name in (*other_required, *other_optional):
+            if name not in taken and getattr(args, _dest(name)) is not None:
                 parser.error(f"family {args.family!r} does not take "
                              f"{_flag(name)}")
     params = {}
     for name in taken:
-        value = getattr(args, name)
+        value = getattr(args, _dest(name))
         if value is None:
             if name in required:
                 parser.error(f"family {args.family!r} requires {_flag(name)}")
             continue
         params[name] = value
-    if "points_file" in params:
-        params["points"] = _load_points(params.pop("points_file"))
+    if "points" in params:
+        params["points"] = _load_points(params["points"])
     return params
 
 
@@ -153,18 +150,6 @@ def _sweep_points(args, parser: argparse.ArgumentParser) -> list[SweepPoint]:
         assign.update(zip(swept, combo))
         points.append(SweepPoint(args.family, assign))
     return points
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -206,7 +191,7 @@ def cmd_run(args, parser) -> int:
             payload["r"] = outcome.result.partition.r
             payload["stalled"] = outcome.result.decomposition_report["stalled"]
             payload["pruned"] = len(outcome.result.pruned)
-        print(json.dumps(payload, default=_json_default))
+        print(json.dumps(payload))
     else:
         print(format(outcome.cost, ".12g"))
         if outcome.ms is not None:
@@ -243,8 +228,7 @@ def cmd_decompose(args, parser) -> int:
         "stalled": stalled,
         "report": report,
     }
-    _emit(json.dumps(payload, indent=2, default=_json_default) + "\n",
-          args.out)
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 

@@ -124,8 +124,9 @@ class SweepPoint:
 def format_params(params: Mapping[str, Any]) -> str:
     """Stable one-token rendering: ``key=value;key=value``, keys sorted.
 
-    Sequence values join with ``|`` so the token stays comma-free and can
-    sit inside a CSV field unquoted.
+    Sequence values join with ``|``, and the coordinates of a point inside
+    one with ``:``, so the token stays comma-free and can sit inside a CSV
+    field unquoted.
     """
     parts = []
     for key in sorted(params):
@@ -139,6 +140,8 @@ def format_params(params: Mapping[str, Any]) -> str:
 
 
 def _scalar_str(x: Any) -> str:
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return ":".join(_scalar_str(c) for c in x)
     if isinstance(x, (bool, np.bool_)):
         return str(bool(x)).lower()
     if isinstance(x, (int, np.integer)):

@@ -44,15 +44,19 @@ KERNEL_WEIGHT_FLOOR = 1e-12
 # Uniforms drawn per call in a block-model pair set.
 _DRAW_CHUNK = 1 << 20
 
-GENERATOR_FAMILIES = (
-    "sbm",
-    "hsbm",
-    "planted_clique_expander",
-    "bridged_two_cluster",
-    "sbm_planted_cliques",
-    "sbm_unequal",
-    "gaussian_kernel",
-)
+# What each family's ``GenSpec.params`` holds: the names it requires, then
+# the names it may take, each with the value a spec that omits it gets.
+FAMILY_PARAMS = {
+    "sbm": (("sizes", "p", "q"), {}),
+    "hsbm": (("p",), {"q_min": 0.0005, "size": 600}),
+    "planted_clique_expander": (("n",), {}),
+    "bridged_two_cluster": (("n",), {}),
+    "sbm_planted_cliques": (("sizes", "p", "q", "c_p"), {}),
+    "sbm_unequal": (("c_p",), {"scale": 1.0}),
+    "gaussian_kernel": (("points", "sigma"), {}),
+}
+
+GENERATOR_FAMILIES = tuple(FAMILY_PARAMS)
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -101,29 +105,32 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in GENERATOR_FAMILIES:
+        if self.family not in FAMILY_PARAMS:
             raise ValueError(f"unknown family {self.family!r}; expected one "
                              f"of {GENERATOR_FAMILIES}")
+        required, optional = FAMILY_PARAMS[self.family]
+        for name in self.params:
+            if name not in required and name not in optional:
+                raise ValueError(f"family {self.family!r} does not take "
+                                 f"parameter {name!r}")
+        for name in required:
+            if name not in self.params:
+                raise ValueError(f"family {self.family!r} requires "
+                                 f"parameter {name!r}")
 
 
 def generate(spec: GenSpec) -> tuple[Graph, PlantedLabels | None]:
-    """Dispatch a :class:`GenSpec` to its family's generator."""
-    p = dict(spec.params)
-    fam = spec.family
-    if fam == "sbm":
-        return gen_sbm(p.pop("sizes"), p.pop("p"), p.pop("q"), spec.seed, **p)
-    if fam == "hsbm":
-        return gen_hsbm(p.pop("p"), p.pop("q_min", 0.0005), spec.seed, **p)
-    if fam == "planted_clique_expander":
-        return gen_planted_clique_expander(p.pop("n"), spec.seed, **p)
-    if fam == "bridged_two_cluster":
-        return gen_bridged_two_cluster(p.pop("n"), spec.seed, **p)
-    if fam == "sbm_planted_cliques":
-        return gen_sbm_planted_cliques(p.pop("sizes"), p.pop("p"), p.pop("q"),
-                                       p.pop("c_p"), spec.seed, **p)
-    if fam == "sbm_unequal":
-        return gen_sbm_unequal(spec.seed, p.pop("c_p"), **p)
-    return gaussian_kernel_graph(p.pop("points"), p.pop("sigma"), **p), None
+    """Dispatch a :class:`GenSpec` to its family's generator, filling in
+    the defaults of :data:`FAMILY_PARAMS`.
+
+    Every family but ``gaussian_kernel`` is drawn by ``gen_<family>``,
+    looked up in the module namespace at call time, so a wrapper set on
+    that module attribute sees the call.
+    """
+    params = {**FAMILY_PARAMS[spec.family][1], **spec.params}
+    if spec.family == "gaussian_kernel":
+        return gaussian_kernel_graph(**params), None
+    return globals()[f"gen_{spec.family}"](seed=spec.seed, **params)
 
 
 def _unit_graph(n: int, us: np.ndarray, vs: np.ndarray) -> Graph:
@@ -237,7 +244,7 @@ def _hsbm_qmat(p: float, q_min: float) -> np.ndarray:
 
 
 def gen_hsbm(p: float, q_min: float, seed: int,
-             size: int = 600) -> tuple[Graph, PlantedLabels]:
+             size: int) -> tuple[Graph, PlantedLabels]:
     """Five-cluster hierarchical block model with a fixed nested q-pattern.
 
     Cross-block probabilities step q_min / 2*q_min / 3*q_min according to
@@ -417,7 +424,7 @@ def gen_sbm_planted_cliques(sizes: Sequence[int], p: float, q: float, c_p: float
 
 
 def gen_sbm_unequal(seed: int, c_p: float,
-                    scale: float = 1.0) -> tuple[Graph, PlantedLabels]:
+                    scale: float) -> tuple[Graph, PlantedLabels]:
     """Three blocks of very different sizes, the smallest much denser.
 
     Full scale is sizes (1900, 900, 200) with intra probabilities

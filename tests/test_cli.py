@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from wellclust.cli import main
+from wellclust.cli import _flag, main
+from wellclust.generators import FAMILY_PARAMS, GENERATOR_FAMILIES
 from wellclust.graph import load_graph, save_graph
 from wellclust.spectral import SpectralConvergenceError, smallest_eigenvalues
 from wellclust.tree import dasgupta_cost, load_tree
@@ -385,6 +386,16 @@ def test_foreign_family_flag_rejected(tmp_path, capsys, argv, flag):
     family = argv[argv.index("--family") + 1]
     assert f"family {family!r} does not take {flag}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+@pytest.mark.parametrize("command", ["generate", "compare"])
+def test_family_flags_cover_the_generator_table(capsys, command, family):
+    assert main([command, "--help"]) == 0
+    options = capsys.readouterr().out.split("\noptions:\n")[1]
+    required, optional = FAMILY_PARAMS[family]
+    for name in (*required, *optional):
+        assert f"\n  {_flag(name)} " in options
 
 
 @pytest.mark.parametrize("argv", [

@@ -24,7 +24,6 @@ from wellclust import (
     strong_decomposition,
     termination_report,
 )
-from wellclust.cli import _json_default
 from wellclust.decomposition import (PHI_IN_MODES, _Candidate,
                                      _critical_candidates, _move_noncore,
                                      _scan_late_refinements, _State,
@@ -301,8 +300,7 @@ def test_loop_report_matches_independent_audit(audit_corpus, mode):
         for key in ("iterations", "stalled", "trace_tail"):
             del report[key]
         audit = termination_report(G, partition, params)
-        assert json.dumps(report, default=_json_default) == \
-            json.dumps(audit, default=_json_default)
+        assert json.dumps(report) == json.dumps(audit)
 
 
 def test_report_measures_critical_nodes_like_the_oracles(audit_corpus):
@@ -401,8 +399,7 @@ def test_loop_report_reuses_the_last_cross_weights(monkeypatch):
     assert in_report[1] > 0
     for key in ("iterations", "stalled", "trace_tail"):
         del report[key]
-    assert json.dumps(report, default=_json_default) == \
-        json.dumps(audit, default=_json_default)
+    assert json.dumps(report) == json.dumps(audit)
 
 
 def _shrink_state(G, sets, cores):
@@ -591,10 +588,8 @@ def test_report_ignores_the_order_inside_partition_sets():
     rng = np.random.default_rng(0)
     shuffled = Partition(tuple(rng.permutation(P) for P in partition.sets),
                          tuple(rng.permutation(C) for C in partition.cores))
-    assert json.dumps(termination_report(G, shuffled, params),
-                      default=_json_default) == \
-        json.dumps(termination_report(G, partition, params),
-                   default=_json_default)
+    assert json.dumps(termination_report(G, shuffled, params)) == \
+        json.dumps(termination_report(G, partition, params))
 
 
 def test_runs_free_their_state_by_reference_counting(monkeypatch):

@@ -16,7 +16,7 @@ from wellclust.experiment import (
     rows_to_csv,
     run_algorithm,
 )
-from wellclust.generators import gen_sbm
+from wellclust.generators import FAMILY_PARAMS, GENERATOR_FAMILIES, gen_sbm
 from wellclust.tree import dasgupta_cost
 
 from conftest import complete_graph
@@ -28,8 +28,9 @@ FOUR_ALGOS = ("degrees", "prunemerge", "single", "average")
 
 
 def test_format_params_stable_token():
-    token = format_params({"b": True, "a": 0.25, "n": [3, 4], "s": "x"})
-    assert token == "a=0.25;b=true;n=3|4;s=x"
+    token = format_params({"b": True, "a": 0.25, "n": [3, 4], "s": "x",
+                           "pts": [[0.0, 0.5], np.array([1.0, 2.0])]})
+    assert token == "a=0.25;b=true;n=3|4;pts=0:0.5|1:2;s=x"
     assert "," not in token
 
 
@@ -104,6 +105,15 @@ def test_generator_failure_becomes_rows():
         assert r["cost"] == ""
     good = [r for r in rows if not r["params"].startswith("p=2")]
     assert all(r["status"].startswith("ok") for r in good)
+
+
+@pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+def test_missing_parameter_becomes_value_error_rows(family):
+    required, _ = FAMILY_PARAMS[family]
+    point = SweepPoint(family, dict.fromkeys(required[1:], 1))
+    rows = compare_sweep([point], ("degrees", "single"), seeds=(1, 2))
+    assert [r["status"] for r in rows] == \
+        ["error:ValueError"] * 4 + ["error:empty"] * 2
 
 
 def test_algorithm_failure_leaves_others_running():

@@ -10,6 +10,7 @@ import pytest
 from wellclust import (GenSpec, PlantedLabels, generate, generators,
                        load_labels, save_labels)
 from wellclust.generators import (
+    FAMILY_PARAMS,
     gaussian_kernel_graph,
     gen_bridged_two_cluster,
     gen_hsbm,
@@ -116,7 +117,7 @@ def test_hsbm_q_pattern_statistics():
 
 def test_hsbm_rejects_large_qmin():
     with pytest.raises(ValueError):
-        gen_hsbm(0.5, 0.4, 0)
+        gen_hsbm(0.5, 0.4, 0, size=600)
 
 
 def test_planted_clique_expander_structure():
@@ -272,8 +273,30 @@ def test_generate_dispatch_and_determinism():
 
 
 def test_genspec_rejects_unknown_family():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown family 'erdos'"):
         GenSpec("erdos", {})
+    # A spec is checked against the family's row of the table when it is
+    # built, so a bad one never reaches a generator; values stay unchecked.
+    everything = {name for required, optional in FAMILY_PARAMS.values()
+                  for name in (*required, *optional)}
+    for family, (required, optional) in FAMILY_PARAMS.items():
+        full = dict.fromkeys((*required, *optional), 0)
+        GenSpec(family, full)
+        for name in required:
+            with pytest.raises(ValueError, match=f"family '{family}' "
+                               f"requires parameter '{name}'"):
+                GenSpec(family, {k: v for k, v in full.items() if k != name})
+        for name in sorted(everything - set(full)) + ["seed"]:
+            with pytest.raises(ValueError, match=f"family '{family}' "
+                               f"does not take parameter '{name}'"):
+                GenSpec(family, {**full, name: 0})
+
+
+def test_generate_fills_the_table_defaults():
+    # hsbm's q_min default lives only in FAMILY_PARAMS
+    spec = GenSpec("hsbm", {"p": 0.3, "size": 20}, seed=7)
+    assert _instance_digest(*generate(spec)) == \
+        _instance_digest(*gen_hsbm(0.3, 0.0005, 7, size=20))
 
 
 def test_seed_changes_output():
