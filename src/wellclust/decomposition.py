@@ -219,7 +219,7 @@ class _Critical(NamedTuple):
     """One critical node N of a cluster tree on P, measured."""
 
     node: int
-    local: np.ndarray   # N's leaves as ids of G[P], sorted
+    mask: np.ndarray    # N's leaves as a vertex mask of G
     w_out: float        # w(N, V \ P) in G
     vol_in: float       # vol(N) in G[P]
 
@@ -250,7 +250,7 @@ class _ClusterInfo:
         for node in critical_nodes(self.induced, self.tree):
             local = self.tree.leaves_under(node)
             in_n = _member_mask(self.G, self.P[local])
-            out.append(_Critical(int(node), local,
+            out.append(_Critical(int(node), in_n,
                                  _boundary(self.G, in_n, in_p)[1],
                                  float(self.induced.degrees[local].sum())))
         return tuple(out)
@@ -258,20 +258,21 @@ class _ClusterInfo:
 
 class _State:
     """Mutable working partition plus caches and progress checks: cluster i
-    is ``label == i`` and its core ``(label == i) & in_core``."""
+    is ``label == i``, its core ``(label == i) & in_core`` and its view,
+    once built, ``views[i]``; an ``apply_*`` drops the views of the
+    clusters whose vertices it moves."""
 
     def __init__(self, G: Graph, params: DecompParams,
                  sets: Sequence[np.ndarray] | None = None,
                  cores: Sequence[np.ndarray] | None = None):
         self.G = G
-        self.k = params.k
         self.params = params
         if sets is None:
             sets = cores = [np.arange(G.n)]
         self.r = len(sets)
         self.label = _cluster_labels(sets, G.n)
         self.in_core = _member_mask(G, np.concatenate(cores))
-        self._cache: dict[bytes, _ClusterInfo] = {}
+        self.views: list[_ClusterInfo | None] = [None] * self.r
         self._memo: dict[tuple, object] = {}
         self.trace: list[dict] = []
         self.iterations = 0
@@ -295,12 +296,9 @@ class _State:
         return [np.flatnonzero(self.core(i)) for i in range(self.r)]
 
     def info(self, i: int) -> _ClusterInfo:
-        in_p = self.member(i)
-        key = in_p.tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        P = np.flatnonzero(in_p)
+        if self.views[i] is not None:
+            return self.views[i]
+        P = np.flatnonzero(self.member(i))
         eigs = self.params.spectrum
         # The whole vertex set is G, already solved by derive_params. With
         # two or more nontrivial components (lambda_2 at zero) the solved
@@ -318,9 +316,7 @@ class _State:
             phi_max = max(sweep.conductance, _conductance(induced, rest))
             info = _ClusterInfo(self.G, P, induced,
                                 float(eigs.eigenvalues[1]), sweep.set, phi_max)
-        if len(self._cache) >= 256:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = info
+        self.views[i] = info
         return info
 
     # -- bookkeeping --------------------------------------------------------
@@ -341,11 +337,12 @@ class _State:
         return out
 
     def split_threshold(self) -> float:
-        return self.params.rho_star * (1.0 + 1.0 / (self.k + 1)) ** (self.r + 1)
+        p = self.params
+        return p.rho_star * (1.0 + 1.0 / (p.k + 1)) ** (self.r + 1)
 
     def rel_threshold(self) -> float:
         """Relative-conductance level below which a core half is shed."""
-        return 1.0 / (3.0 * (self.k + 1))
+        return 1.0 / (3.0 * (self.params.k + 1))
 
     def lambda2_order(self) -> list[int]:
         lams = np.asarray([self.info(i).lambda2 for i in range(self.r)])
@@ -370,8 +367,9 @@ class _State:
     # -- update application -------------------------------------------------
 
     def _check_invariants(self) -> None:
-        bound = self.params.rho_star * \
-            (1.0 + 1.0 / (self.k + 1)) ** self.r * (1.0 + _BOUND_RTOL) + 1e-12
+        p = self.params
+        bound = p.rho_star * \
+            (1.0 + 1.0 / (p.k + 1)) ** self.r * (1.0 + _BOUND_RTOL) + 1e-12
         for i in range(self.r):
             C = self.core(i)
             _require(C.any(), "a core emptied out")
@@ -396,6 +394,8 @@ class _State:
         self.label[removed] = self.r
         self.in_core[removed] = True
         self.r += 1
+        self.views[i] = None
+        self.views.append(None)
         self._memo.clear()
         self._record(tag, i, split_size=size)
         self._check_invariants()
@@ -419,6 +419,7 @@ class _State:
         _require(size > 0 and i != j, "move needs mass and a target")
         before = self.crossing()
         self.label[moved] = j
+        self.views[i] = self.views[j] = None
         self._memo.clear()
         after = self.crossing()
         # Decided on the edges whose status changed: a drop below half an
@@ -527,15 +528,11 @@ class _Candidate:
 
 
 @_per_state
-def _critical_candidates(state: _State, i: int,
-                         ) -> list[tuple[np.ndarray, _Candidate]]:
+def _critical_candidates(state: _State, i: int) -> list[_Candidate]:
     """One candidate per critical node of cluster i's degree tree, in their
-    canonical order, each with the node's leaves as local ids."""
-    info = state.info(i)
+    canonical order."""
     owner = weakref.proxy(state)  # the state's memo keeps them: no cycle
-    return [(c.local,
-             _Candidate(owner, i, _member_mask(state.G, info.P[c.local])))
-            for c in info.critical]
+    return [_Candidate(owner, i, c.mask) for c in state.info(i).critical]
 
 
 @_per_state
@@ -577,7 +574,7 @@ def _scan_late_refinements(state: _State) -> str | None:
     predicate is applied.
     """
     cands = [cand for i in range(state.r)
-             for _, cand in _critical_candidates(state, i)]
+             for cand in _critical_candidates(state, i)]
     for cand in cands:
         if cand.splits_core:
             return cand.split_core("late-split-core-half")
@@ -644,7 +641,7 @@ def strong_decomposition(G: Graph, params: DecompParams,
     report["stalled"] = stalled
     report["trace_tail"] = state.trace[-20:]
     out = _Decomposition((partition, report))
-    out.views = tuple(state.info(i) for i in range(state.r))
+    out.views = tuple(state.views)
     return out
 
 
@@ -687,8 +684,7 @@ def termination_report(G: Graph, partition: Partition, params: DecompParams,
             "inner_target": params.phi_in ** 2 / 4.0,
             "critical_nodes": [],
         }
-        for (local, cand), crit in zip(_critical_candidates(state, i),
-                                       info.critical):
+        for crit, cand in zip(info.critical, _critical_candidates(state, i)):
             a3_lhs, a3_rhs = crit.w_out, 6.0 * (k + 1) * crit.vol_in
             w_minus_in, w_minus_out = _boundary(G, cand.s_minus, in_p)
             # node first, so every node's predicate is evaluated
@@ -696,7 +692,7 @@ def termination_report(G: Graph, partition: Partition, params: DecompParams,
             if_7 = cand.shrinks_core_late or if_7
             if_8 = cand.moves_late or if_8
             entry["critical_nodes"].append({
-                "leaves": int(local.size),
+                "leaves": int(info.tree.leaf_count[crit.node]),
                 "a3_lhs": a3_lhs,
                 "a3_rhs": a3_rhs,
                 "a3_ok": a3_lhs <= a3_rhs * (1.0 + _BOUND_RTOL),

@@ -14,6 +14,7 @@ joins) the duplicates collapse to a single unit edge.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -59,6 +60,29 @@ FAMILY_PARAMS = {
 GENERATOR_FAMILIES = tuple(FAMILY_PARAMS)
 
 
+def _scalar(kind: type):
+    return lambda value: isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _sequence(value) -> bool:
+    if isinstance(value, np.ndarray):
+        return value.ndim > 0
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+
+
+_is_int = _scalar(numbers.Integral)
+# What each parameter of FAMILY_PARAMS must hold, in whichever family.
+_PARAM_TYPES = {
+    "sizes": ("a nonempty list of ints", lambda value: _sequence(value)
+              and len(value) > 0 and all(map(_is_int, value))),
+    "n": ("an int", _is_int),
+    "size": ("an int", _is_int),
+    **dict.fromkeys(("p", "q", "q_min", "c_p", "scale", "sigma"),
+                    ("a real number", _scalar(numbers.Real))),
+    "points": ("a sequence", _sequence),
+}
+
+
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     seed = int(seed)
     if not 0 <= seed < 2**64:
@@ -98,7 +122,8 @@ class PlantedLabels:
 
 @dataclass(frozen=True)
 class GenSpec:
-    """A generator family plus its parameters and seed."""
+    """A generator family plus its parameters and seed; each name and the
+    type of each value are checked against the family when it is built."""
 
     family: str
     params: Mapping[str, Any]
@@ -117,6 +142,11 @@ class GenSpec:
             if name not in self.params:
                 raise ValueError(f"family {self.family!r} requires "
                                  f"parameter {name!r}")
+        for name, value in self.params.items():
+            kind, ok = _PARAM_TYPES[name]
+            if not ok(value):
+                raise ValueError(f"family {self.family!r} parameter {name!r} "
+                                 f"must be {kind}, got {value!r}")
 
 
 def generate(spec: GenSpec) -> tuple[Graph, PlantedLabels | None]:

@@ -215,4 +215,7 @@ def load_graph(path) -> Graph:
                     f"{path}:{lineno}: bad edge line {line!r}") from None
     if len(edges) != m:
         raise ValueError(f"{path}: header claims {m} edges, found {len(edges)}")
-    return build_graph(n, edges)
+    try:
+        return build_graph(n, edges)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

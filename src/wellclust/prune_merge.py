@@ -65,7 +65,7 @@ class PruneMergeResult:
         if not self.pruned:
             return self.tree
         return _merge_pool(self.partition.n,
-                           [_PoolEntry(P, relabel_leaves(T, P), None)
+                           [_PoolEntry(relabel_leaves(T, P), None)
                             for P, T in zip(self.partition.sets, self.whole)])
 
 
@@ -89,7 +89,6 @@ def _keeps_whole(n: int, k: int, T: HCTree, live: tuple[_Critical, ...],
 
 @dataclass
 class _PoolEntry:
-    leaves: np.ndarray      # global vertex ids, sorted
     tree: HCTree            # leaf labels already global
     pruned_record: dict | None  # set for detached critical subtrees only
 
@@ -102,8 +101,7 @@ def _prune_cluster(G: Graph, view: _ClusterInfo, k: int, cluster: int,
     P, tree, live = view.P, view.tree, view.critical
 
     def pooled(node: int, record: dict | None) -> _PoolEntry:
-        glob = P[tree.leaves_under(node)]
-        return _PoolEntry(glob, relabel_leaves(tree.subtree(node), P), record)
+        return _PoolEntry(relabel_leaves(tree.subtree(node), P), record)
 
     root = tree.root
     entries: list[_PoolEntry] = []
@@ -140,7 +138,7 @@ def run_prune_merge(G: Graph, params: DecompParams) -> PruneMergeResult:
     tree = _merge_pool(G.n, pool)
     return PruneMergeResult(
         tree=tree, partition=partition, decomposition_report=report,
-        pool_sizes=tuple(int(e.leaves.size) for e in pool),
+        pool_sizes=tuple(e.tree.n_leaves for e in pool),
         pruned=tuple(e.pruned_record for e in pool
                      if e.pruned_record is not None),
         condition_trace=tuple(tuple(out) for _, out in clusters),
@@ -150,11 +148,12 @@ def run_prune_merge(G: Graph, params: DecompParams) -> PruneMergeResult:
 def _merge_pool(n: int, pool: list[_PoolEntry]) -> HCTree:
     """Sort ascending by leaf count (stable) and left-fold; fills each
     pruned record's parent size in the final tree from the prefix sums."""
-    pool.sort(key=lambda e: e.leaves.size)
-    covered = np.concatenate([e.leaves for e in pool])
+    pool.sort(key=lambda e: e.tree.n_leaves)
+    trees = [e.tree for e in pool]
+    covered = np.concatenate([T.leaf_vertex[T.left < 0] for T in trees])
     _require(np.array_equal(np.sort(covered), np.arange(n)),
              "pooled subtrees stopped partitioning the vertex set")
-    prefix = np.cumsum([e.leaves.size for e in pool])
+    prefix = np.cumsum([T.n_leaves for T in trees])
     for j, e in enumerate(pool):
         if e.pruned_record is None:
             continue
@@ -162,7 +161,7 @@ def _merge_pool(n: int, pool: list[_PoolEntry]) -> HCTree:
         parent = int(prefix[min(max(j, 1), len(pool) - 1)])
         e.pruned_record["parent_final_leaves"] = parent
         e.pruned_record["pool_index"] = j
-    return caterpillar_merge([e.tree for e in pool])
+    return caterpillar_merge(trees)
 
 
 def best_over_k(G: Graph, k_max: int, phi_in_mode: str = "practical",

@@ -49,8 +49,9 @@ class HCTree:
     Attributes
     ----------
     left, right : ndarray
-        Child node ids; -1 for leaves. Children ids are always smaller than
-        the parent id, so ascending id order is a valid bottom-up order.
+        Child node ids; -1 for leaves, and ``left < 0`` is the one leaf
+        test. Children ids are always smaller than the parent id, so
+        ascending id order is a valid bottom-up order.
     parent : ndarray
         Parent node id; -1 for the root.
     leaf_vertex : ndarray
@@ -140,6 +141,8 @@ class TreeBuilder:
         self._used: list[bool] = []
 
     def leaf(self, vertex: int) -> int:
+        if vertex < 0:
+            raise ValueError(f"leaf vertex {vertex} is negative")
         self._left.append(-1)
         self._right.append(-1)
         self._vertex.append(int(vertex))
@@ -187,7 +190,7 @@ def _from_children(left: np.ndarray, right: np.ndarray, leaf_vertex: np.ndarray,
 
 
 def _check_leaf_bijection(G: Graph, T: HCTree) -> None:
-    verts = np.sort(T.leaf_vertex[T.leaf_vertex >= 0])
+    verts = np.sort(T.leaf_vertex[T.left < 0])
     if verts.size != G.n or not np.array_equal(verts, np.arange(G.n)):
         raise ValueError("tree leaves do not biject with graph vertices")
 
@@ -345,8 +348,7 @@ def caterpillar_merge(trees: Sequence[HCTree]) -> HCTree:
         raise ValueError("caterpillar_merge needs at least one tree")
     if len(trees) == 1:
         return trees[0]
-    all_leaves = np.concatenate([t.leaf_vertex[t.leaf_vertex >= 0]
-                                 for t in trees])
+    all_leaves = np.concatenate([t.leaf_vertex[t.left < 0] for t in trees])
     if np.unique(all_leaves).size != all_leaves.size:
         raise ValueError("trees share leaf vertices")
     parts = []
@@ -370,7 +372,7 @@ def caterpillar_merge(trees: Sequence[HCTree]) -> HCTree:
 def relabel_leaves(T: HCTree, mapping: np.ndarray) -> HCTree:
     """New tree with each leaf vertex ``v`` replaced by ``mapping[v]``."""
     leaf_vertex = T.leaf_vertex.copy()
-    leaves = leaf_vertex >= 0
+    leaves = T.left < 0
     leaf_vertex[leaves] = np.asarray(mapping, dtype=np.int64)[leaf_vertex[leaves]]
     return HCTree(T.left.copy(), T.right.copy(), T.parent.copy(),
                   leaf_vertex, T.leaf_count.copy(), T.root)
@@ -526,6 +528,8 @@ def load_tree(path) -> HCTree:
                     raise ValueError
                 if parts[0] == "leaf":
                     node, table, entry = int(parts[1]), leaves, int(parts[2])
+                    if entry < 0:
+                        raise ValueError
                 else:
                     node, table = int(parts[0]), internals
                     entry = (int(parts[1]), int(parts[2]))

@@ -377,7 +377,7 @@ def forced_prune_pool():
                   cores=[cluster, ext]).info(0)
     entries, _ = _prune_cluster(G, view, 2, 0)
     ext_tree = relabel_leaves(hc_with_degrees(induced_subgraph(G, ext)), ext)
-    pool = entries + [_PoolEntry(ext, ext_tree, None)]
+    pool = entries + [_PoolEntry(ext_tree, None)]
     _merge_pool(G.n, pool)
     return [e.pruned_record for e in pool if e.pruned_record], 2
 

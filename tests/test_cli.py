@@ -422,6 +422,35 @@ def test_unreachable_tree_nodes_exit_one(tmp_path, capsys):
         f"error: {t}: 4 dendrogram node(s) unreachable from the root\n"
 
 
+def test_negative_leaf_vertex_exits_one(tmp_path, capsys):
+    g = tmp_path / "g.txt"
+    g.write_text("2 1\n0 1 1.0\n")
+    t = tmp_path / "t.txt"
+    t.write_text("leaf 0 0\nleaf 1 1\nleaf 2 -1\n3 0 1\n4 3 2\n")
+    assert main(["cost", str(g), str(t)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {t}:3: bad dendrogram line 'leaf 2 -1\\n'\n"
+
+
+@pytest.mark.parametrize("edges, message", [
+    ("0 5 1.0", "edge endpoint out of range"),
+    ("0 1 1.0\n1 0 2.0", "duplicate edge (0, 1)"),
+    ("0 1 -1.0", "edge weights must be strictly positive and finite"),
+    ("0 1 nan", "edge weights must be strictly positive and finite"),
+    ("2 2 1.0", "self-loops are not allowed in the public edge list"),
+], ids=["endpoint", "duplicate", "weight", "nan", "self-loop"])
+def test_graph_errors_name_the_file(tmp_path, capsys, edges, message):
+    g = tmp_path / "g.txt"
+    g.write_text(f"3 {edges.count(chr(10)) + 1}\n{edges}\n")
+    with pytest.raises(ValueError) as err:
+        load_graph(g)
+    assert str(err.value) == f"{g}: {message}"
+    t = tmp_path / "t.txt"
+    t.write_text(PATH3_TREE)
+    assert main(["cost", str(g), str(t)]) == 1
+    assert capsys.readouterr().err == f"error: {g}: {message}\n"
+
+
 def test_missing_file_exit_one(tmp_path, capsys):
     code = main(["run", "--graph", str(tmp_path / "absent.txt"),
                  "--algo", "degrees"])

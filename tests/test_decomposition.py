@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -34,6 +35,7 @@ from wellclust.generators import (GenSpec, gen_bridged_two_cluster,
                                   gen_sbm_planted_cliques, generate)
 from wellclust.graph import induced_subgraph, set_conductance
 from wellclust.metrics import adjusted_rand_index
+from wellclust.prune_merge import _prune_cluster
 from wellclust.spectral import (SpectralResult, smallest_eigenvalues,
                                 spectral_partition)
 from wellclust.tree import critical_nodes
@@ -353,11 +355,68 @@ def test_every_apply_clears_the_candidate_memo(dumbbell, sets, cores, apply):
     apply(state)
     fresh = _critical_candidates(state, 0)
     assert fresh is not cands and state.cond2_candidates() is not cond2
-    for _, cand in fresh:
+    for cand in fresh:
         assert np.array_equal(cand.P, mask(6, state.sets[0]))
         assert np.array_equal(cand.core, mask(6, state.cores[0]))
     assert np.array_equal(state.label, Partition(
         tuple(state.sets), tuple(state.cores)).labels)
+
+
+# three unit triangles in a chain: {0,1,2} - {3,4,5} - {6,7,8}
+TRIANGLE_CHAIN = [(a, b) for t in (0, 3, 6)
+                  for a, b in itertools.combinations(range(t, t + 3), 2)] \
+    + [(2, 3), (5, 6)]
+
+
+@pytest.mark.parametrize("sets, cores, apply, rebuilt", [
+    ([range(6), range(6, 9)], [range(6), range(6, 9)],
+     lambda st: st.apply_split(0, mask(9, [3, 4, 5]), "split"), {0, 2}),
+    ([range(6), range(6, 9)], [range(6), range(6, 9)],
+     lambda st: st.apply_core_shrink(0, mask(9, [0, 1, 2]), "shrink"),
+     set()),
+    ([[0, 1, 2, 3], [4, 5], range(6, 9)], [[0, 1, 2], [4, 5], range(6, 9)],
+     lambda st: st.apply_move(0, mask(9, [3]), 1, "move"), {0, 1}),
+], ids=["split", "core-shrink", "move"])
+def test_views_live_until_their_cluster_changes(sets, cores, apply, rebuilt):
+    """A cluster's view (induced graph, sweep, tree, critical nodes) holds
+    while its vertex set does: a core shrink keeps every view, a split
+    or a move rebuilds only the clusters whose vertices it changed."""
+    state = _shrink_state(unit_graph(9, TRIANGLE_CHAIN), sets, cores)
+    before = [state.info(i) for i in range(state.r)]
+    assert state.views == before
+    apply(state)
+    assert {i for i, view in enumerate(state.views) if view is None} \
+        == rebuilt
+    for i, view in enumerate(state.views):
+        assert view is None or view is before[i]
+    for i in rebuilt:
+        assert np.array_equal(state.info(i).P, state.sets[i])
+
+
+def test_one_vertex_cluster_has_no_solve_no_critical_node_and_no_test(
+        monkeypatch):
+    G = unit_graph(7, DUMBBELL_EDGES + [(0, 6)])
+    params = derive_params(G, 2)
+    solved = []
+    real = decomposition.smallest_eigenvalues
+    monkeypatch.setattr(decomposition, "smallest_eigenvalues",
+                        lambda H, k: solved.append(H.n) or real(H, k))
+    sets = (np.arange(6), np.array([6]))
+    view = _State(G, params, sets, sets).info(1)
+    assert solved == []
+    assert (view.lambda2, view.sweep_local, view.phi_max) == \
+        (math.inf, None, None)
+    assert view.critical == () and view.tree.n_leaves == 1
+    report = termination_report(G, Partition(sets, sets), params)
+    assert solved == [6]    # cluster 0's view, in the audit's own state
+    entry = report["clusters"][1]
+    assert entry["size"] == 1 and entry["critical_nodes"] == []
+    assert entry["lambda2_induced"] is None
+    assert entry["inner_certificate"] is None
+    entries, outcomes = _prune_cluster(G, view, 2, 1)
+    assert outcomes == []
+    assert [(e.tree.leaf_vertex.tolist(), e.pruned_record)
+            for e in entries] == [([6], None)]
 
 
 def test_loop_report_reuses_the_last_cross_weights(monkeypatch):
@@ -561,11 +620,8 @@ BRANCHES = [
 ]
 
 
-@pytest.mark.parametrize("n, triples, sets, cores, rho_star, fire, "
-                         "sets_after, cores_after, extra", BRANCHES)
-def test_refinement_branch(request, n, triples, sets, cores, rho_star, fire,
-                           sets_after, cores_after, extra):
-    tag = request.node.callspec.id
+def _fire_branch(tag, n, triples, sets, cores, rho_star, fire, sets_after,
+                 cores_after, extra):
     G = weighted_graph(n, triples)
     params = dataclasses.replace(derive_params(G, 2), rho_star=rho_star,
                                  phi_in=10.0)
@@ -577,6 +633,30 @@ def test_refinement_branch(request, n, triples, sets, cores, rho_star, fire,
     assert [C.tolist() for C in state.cores] == cores_after
     assert state.trace == [{"iteration": 0, "branch": tag, "cluster": 0,
                             "r": len(sets_after), **extra}]
+
+
+@pytest.mark.parametrize("n, triples, sets, cores, rho_star, fire, "
+                         "sets_after, cores_after, extra", BRANCHES)
+def test_refinement_branch(request, n, triples, sets, cores, rho_star, fire,
+                           sets_after, cores_after, extra):
+    _fire_branch(request.node.callspec.id, n, triples, sets, cores, rho_star,
+                 fire, sets_after, cores_after, extra)
+
+
+def test_sweep_case_moves_the_whole_noncore_part():
+    """The move-noncore state through the sweep loop: its cut {0, 6} has
+    no sparse core half, sheds no core half and no sparse S\\C, so the
+    sweep's fourth case moves all of P\\C before the cut's own rest."""
+    (branch,) = [p for p in BRANCHES if p.id == "move-noncore"]
+    n, triples, sets, cores, rho_star, _, *after = branch.values
+
+    def fire(state):
+        cut = dict(state.cond2_candidates())[0]
+        assert np.flatnonzero(cut).tolist() == [0, 6]
+        return sweep_refine(state)
+
+    _fire_branch("move-noncore", n, triples, sets, cores, rho_star, fire,
+                 *after)
 
 
 def test_report_ignores_the_order_inside_partition_sets():

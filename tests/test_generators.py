@@ -11,6 +11,7 @@ from wellclust import (GenSpec, PlantedLabels, generate, generators,
                        load_labels, save_labels)
 from wellclust.generators import (
     FAMILY_PARAMS,
+    GENERATOR_FAMILIES,
     gaussian_kernel_graph,
     gen_bridged_two_cluster,
     gen_hsbm,
@@ -272,15 +273,69 @@ def test_generate_dispatch_and_determinism():
             assert la.n == Ga.n
 
 
+# A value of the right type for every parameter name in FAMILY_PARAMS, and
+# values of the wrong type for each name.
+WELL_TYPED = {"sizes": [5, 5], "p": 0.5, "q": 0.1, "q_min": 0.01, "size": 8,
+              "n": 30, "c_p": 0.4, "scale": 0.02, "sigma": 1.0,
+              "points": [[0.0, 0.0], [1.0, 0.0]]}
+_NOT_INT = ["64", 64.0, True, np.bool_(True), None, [64]]
+_NOT_REAL = ["0.3", True, np.bool_(False), None, 1j, [0.3]]
+WRONG_TYPES = {
+    "sizes": [5, "55", [], [5.5, 5], [True, 5], [5, "5"], np.array(5),
+              np.array([5.0, 5.0]), {5: 5}],
+    "n": _NOT_INT, "size": _NOT_INT,
+    **dict.fromkeys(("p", "q", "q_min", "c_p", "scale", "sigma"), _NOT_REAL),
+    "points": [5, "0 0", b"00", True, None, np.array(1.0)],
+}
+
+
+@pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+def test_genspec_checks_each_value_type(family):
+    required, optional = FAMILY_PARAMS[family]
+    full = {name: WELL_TYPED[name] for name in (*required, *optional)}
+    for name in full:
+        for bad in WRONG_TYPES[name]:
+            with pytest.raises(ValueError, match=f"family '{family}' "
+                               f"parameter '{name}' must be "):
+                GenSpec(family, {**full, name: bad})
+    # numpy scalars and arrays, tuples and an int probability are right
+    for name, good in [("sizes", (5, 5)), ("sizes", np.array([5, 5])),
+                       ("n", np.int64(30)), ("size", np.int32(8)),
+                       ("p", 1), ("q", np.float64(0.1)),
+                       ("points", ((0.0,), (1.0,))),
+                       ("points", np.zeros((2, 2)))]:
+        if name in full:
+            GenSpec(family, {**full, name: good})
+
+
+@pytest.mark.parametrize("family, params, message", [
+    ("sbm", {"sizes": 5, "p": 0.3, "q": 0.01},
+     "'sizes' must be a nonempty list of ints, got 5"),
+    ("sbm", {"sizes": [5.5, 5], "p": 0.3, "q": 0.01},
+     "'sizes' must be a nonempty list of ints, got [5.5, 5]"),
+    ("sbm", {"sizes": [5, 5], "p": "0.3", "q": 0.01},
+     "'p' must be a real number, got '0.3'"),
+    ("hsbm", {"p": 0.3, "q_min": "0.01"},
+     "'q_min' must be a real number, got '0.01'"),
+    ("planted_clique_expander", {"n": "64"}, "'n' must be an int, got '64'"),
+], ids=["sizes-int", "sizes-floats", "p-str", "q_min-str", "n-str"])
+def test_generate_rejects_a_wrong_type_before_drawing(family, params,
+                                                      message):
+    # each used to raise TypeError in the generator, or to run on a string
+    with pytest.raises(ValueError) as err:
+        generate(GenSpec(family, params))
+    assert str(err.value) == f"family '{family}' parameter {message}"
+
+
 def test_genspec_rejects_unknown_family():
     with pytest.raises(ValueError, match="unknown family 'erdos'"):
         GenSpec("erdos", {})
     # A spec is checked against the family's row of the table when it is
-    # built, so a bad one never reaches a generator; values stay unchecked.
+    # built, so a bad one never reaches a generator.
     everything = {name for required, optional in FAMILY_PARAMS.values()
                   for name in (*required, *optional)}
     for family, (required, optional) in FAMILY_PARAMS.items():
-        full = dict.fromkeys((*required, *optional), 0)
+        full = {name: WELL_TYPED[name] for name in (*required, *optional)}
         GenSpec(family, full)
         for name in required:
             with pytest.raises(ValueError, match=f"family '{family}' "

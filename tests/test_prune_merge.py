@@ -179,7 +179,8 @@ def test_forced_prune_detaches_and_records():
     records = [e.pruned_record for e in entries if e.pruned_record]
     assert len(records) == 2
     assert sorted(r["leaf_count"] for r in records) == [2, 4]
-    covered = np.sort(np.concatenate([e.leaves for e in entries]))
+    covered = np.sort(np.concatenate([e.tree.leaves_under(e.tree.root)
+                                      for e in entries]))
     assert np.array_equal(covered, P)
     assert len(outcomes) <= 2 * (math.floor(math.log2(G.n)) + 3)
 
@@ -190,8 +191,8 @@ def test_forced_prune_parent_sizes_in_final_tree():
     entries, _ = _prune_cluster(G, view, 2, 0)
     ext = np.arange(8, 28)
     ind = induced_subgraph(G, ext)
-    pool = entries + [_PoolEntry(ext, relabel_leaves(build_degree_tree(ind),
-                                                     ext), None)]
+    pool = entries + [_PoolEntry(relabel_leaves(build_degree_tree(ind), ext),
+                                 None)]
     T = _merge_pool(G.n, pool)
     assert T.n_leaves == 28
     records = [e.pruned_record for e in pool if e.pruned_record]

@@ -41,6 +41,23 @@ def test_builder_rejects_garbage():
     b2.leaf(0)
     with pytest.raises(ValueError):
         b2.build()
+    with pytest.raises(ValueError, match="leaf vertex -1 is negative"):
+        TreeBuilder().leaf(-1)
+
+
+def test_a_leaf_is_a_node_without_children():
+    # built around the checks, a leaf carrying vertex -1 is still a leaf:
+    # the bijection check and the fold's overlap check both see it
+    T = HCTree(np.array([-1, -1, -1, 0, 3]), np.array([-1, -1, -1, 1, 2]),
+               np.array([3, 3, 4, 4, -1]), np.array([0, 1, -1, -1, -1]),
+               np.array([1, 1, 1, 2, 3]), 4)
+    G = unit_graph(2, [(0, 1)])
+    for cost in (dasgupta_cost, dasgupta_cost_cutform):
+        with pytest.raises(ValueError, match="do not biject"):
+            cost(G, T)
+    lone = HCTree(*(np.array([-1]),) * 4, np.array([1]), 0)
+    with pytest.raises(ValueError, match="share leaf vertices"):
+        caterpillar_merge([T, lone])
 
 
 def test_leaf_counts_and_leaves_under(path3):
@@ -400,6 +417,10 @@ def test_load_rejects_malformed(tmp_path):
         load_tree(p)
     p.write_text("leaf 0 0\nleaf 1 1\n")
     with pytest.raises(ValueError, match="root"):
+        load_tree(p)
+    p.write_text("leaf 0 0\nleaf 1 1\nleaf 2 -1\n3 0 1\n4 3 2\n")
+    with pytest.raises(ValueError, match=r":3: bad dendrogram line "
+                       r"'leaf 2 -1\\n'"):
         load_tree(p)
     p.write_text("leaf 0 0\nleaf 1 1\n2 0 1\n2 1 0\n")
     with pytest.raises(ValueError, match=r":4: duplicate node id 2"):
