@@ -377,13 +377,16 @@ class _State:
             _require(phi <= bound, "core conductance %.6g exceeds its "
                      "invariant bound %.6g", phi, bound)
 
-    def _record(self, tag: str, i: int, **extra) -> None:
-        entry = {"iteration": self.iterations, "branch": tag, "cluster": i,
-                 "r": self.r}
-        entry.update(extra)
-        self.trace.append(entry)
+    def _commit(self, tag: str, i: int, **extra) -> str:
+        """Close an ``apply_*`` step on cluster i: drop the memo, trace the
+        step and check every core against its bound; returns ``tag``."""
+        self._memo.clear()
+        self.trace.append({"iteration": self.iterations, "branch": tag,
+                           "cluster": i, "r": self.r, **extra})
         if len(self.trace) > 200:
             del self.trace[:100]
+        self._check_invariants()
+        return tag
 
     def apply_split(self, i: int, removed: np.ndarray, tag: str) -> str:
         """Make the mask ``removed`` ⊆ P_i a new cluster, all of it core."""
@@ -396,10 +399,7 @@ class _State:
         self.r += 1
         self.views[i] = None
         self.views.append(None)
-        self._memo.clear()
-        self._record(tag, i, split_size=size)
-        self._check_invariants()
-        return tag
+        return self._commit(tag, i, split_size=size)
 
     def apply_core_shrink(self, i: int, keep: np.ndarray, tag: str) -> str:
         """Shrink core_i to its part in the mask ``keep``."""
@@ -408,10 +408,7 @@ class _State:
         _require(0 < kept < np.count_nonzero(core),
                  "core shrink must strictly reduce a nonempty core")
         self.in_core[core & ~keep] = False
-        self._memo.clear()
-        self._record(tag, i, core_size=kept)
-        self._check_invariants()
-        return tag
+        return self._commit(tag, i, core_size=kept)
 
     def apply_move(self, i: int, moved: np.ndarray, j: int, tag: str) -> str:
         """Move the non-core mask ``moved`` ⊆ P_i to cluster j."""
@@ -420,7 +417,6 @@ class _State:
         before = self.crossing()
         self.label[moved] = j
         self.views[i] = self.views[j] = None
-        self._memo.clear()
         after = self.crossing()
         # Decided on the edges whose status changed: a drop below half an
         # ulp of the whole cut would not show in two totals.
@@ -429,9 +425,7 @@ class _State:
         newly_cut = float(w[after & ~before].sum())
         _require(newly_cut < uncut, "mass move failed to reduce cross weight "
                  "(%.6g uncut, %.6g newly cut)", uncut, newly_cut)
-        self._record(tag, i, moved=size, to=j)
-        self._check_invariants()
-        return tag
+        return self._commit(tag, i, moved=size, to=j)
 
 
 
@@ -608,7 +602,6 @@ def strong_decomposition(G: Graph, params: DecompParams,
     """
     state = _State(G, params)
     state._check_invariants()
-    stalled = False
     while True:
         if state.iterations >= params.max_iterations:
             raise DecompositionError(
@@ -616,8 +609,7 @@ def strong_decomposition(G: Graph, params: DecompParams,
                 f"(cap {params.max_iterations}); trace tail: {state.trace[-8:]}",
                 state.trace)
         fired = None
-        candidates = state.cond2_candidates()
-        for i, S in candidates:
+        for i, S in state.cond2_candidates():
             fired = _try_refine(state, i, S)
             if fired:
                 break
@@ -629,7 +621,6 @@ def strong_decomposition(G: Graph, params: DecompParams,
         if fired is None:
             fired = _scan_late_refinements(state)
         if fired is None:
-            stalled = bool(candidates)
             break
         state.iterations += 1
 
@@ -638,7 +629,9 @@ def strong_decomposition(G: Graph, params: DecompParams,
     partition = Partition(tuple(state.sets), tuple(state.cores))
     report = termination_report(G, partition, params, _state=state)
     report["iterations"] = state.iterations
-    report["stalled"] = stalled
+    # nothing fired, so the audit's while_2 read the exit state's memoised
+    # candidates: the loop stalled exactly when some sweep test still passed
+    report["stalled"] = report["predicates"]["while_2"]
     report["trace_tail"] = state.trace[-20:]
     out = _Decomposition((partition, report))
     out.views = tuple(state.views)

@@ -109,9 +109,10 @@ class PlantedLabels:
             raise ValueError("cluster labels must be a nonempty 1-d array")
         if clusters.min() < 0:
             raise ValueError("cluster ids must be nonnegative")
-        for cid, members in self.cliques.items():
-            members = np.asarray(members, dtype=np.int64)
-            self.cliques[cid] = members
+        cliques = {cid: np.asarray(members, dtype=np.int64)
+                   for cid, members in self.cliques.items()}
+        object.__setattr__(self, "cliques", cliques)
+        for cid, members in cliques.items():
             if np.any(clusters[members] != cid):
                 raise ValueError(f"clique of cluster {cid} leaves its cluster")
 

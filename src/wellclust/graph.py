@@ -90,12 +90,23 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}, vol={self.total_volume:g})"
 
 
+class _EdgeError(ValueError):
+    """A :func:`build_graph` error about entries of its edge list;
+    ``positions`` holds their list indices, ascending."""
+
+    def __init__(self, message: str, positions: tuple[int, ...]):
+        super().__init__(message)
+        self.positions = positions
+
+
 def build_graph(n: int, edge_list: Sequence[tuple[int, int, float]]) -> Graph:
     """Build a validated Graph from ``(u, v, w)`` triples.
 
     Endpoints must be distinct ids in ``0..n-1`` and weights strictly
     positive. Edges are canonicalized to ``u < v``; a pair appearing twice
-    (in either orientation) is rejected rather than merged.
+    (in either orientation) is rejected rather than merged. A bad edge
+    raises ``ValueError`` naming the first entry to break a rule, checked
+    in that order; a duplicate's is the first entry repeating an earlier one.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -108,22 +119,27 @@ def build_graph(n: int, edge_list: Sequence[tuple[int, int, float]]) -> Graph:
     eu = arr[:, 0].astype(np.int64)
     ev = arr[:, 1].astype(np.int64)
     ew = arr[:, 2]
-    if np.any((arr[:, 0] != eu) | (arr[:, 1] != ev)):
-        raise ValueError("vertex ids must be integers")
-    if np.any((eu < 0) | (eu >= n) | (ev < 0) | (ev >= n)):
-        raise ValueError("edge endpoint out of range")
-    if np.any(eu == ev):
-        raise ValueError("self-loops are not allowed in the public edge list")
-    if np.any(ew <= 0) or not np.all(np.isfinite(ew)):
-        raise ValueError("edge weights must be strictly positive and finite")
+    for bad, problem in (
+            ((arr[:, 0] != eu) | (arr[:, 1] != ev),
+             "has a non-integer endpoint"),
+            ((eu < 0) | (eu >= n) | (ev < 0) | (ev >= n),
+             f"has an endpoint outside 0..{n - 1}"),
+            (eu == ev, "is a self-loop"),
+            (~((ew > 0) & np.isfinite(ew)),
+             "has a weight that is not strictly positive and finite")):
+        if bad.any():
+            j = int(np.argmax(bad))
+            u, v, _ = edge_list[j]
+            raise _EdgeError(f"edge ({u}, {v}) {problem}", (j,))
     lo = np.minimum(eu, ev)
     hi = np.maximum(eu, ev)
     order = np.lexsort((hi, lo))
     lo, hi, ew = lo[order], hi[order], ew[order]
-    key = lo * n + hi
-    if np.any(np.diff(key) == 0):
-        dup = np.flatnonzero(np.diff(key) == 0)[0]
-        raise ValueError(f"duplicate edge ({lo[dup]}, {hi[dup]})")
+    repeats = np.flatnonzero(np.diff(lo * n + hi) == 0)
+    if repeats.size:    # a stable sort: entry order[d] came first
+        d = repeats[np.argmin(order[repeats + 1])]
+        raise _EdgeError(f"duplicate edge ({lo[d]}, {hi[d]})",
+                         (int(order[d]), int(order[d + 1])))
     return Graph(n, lo, hi, ew)
 
 
@@ -201,7 +217,7 @@ def load_graph(path) -> Graph:
         except ValueError:
             raise ValueError(
                 f"{path}:1: expected header 'n m', got {header!r}") from None
-        edges = []
+        edges, linenos = [], []
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
@@ -213,9 +229,14 @@ def load_graph(path) -> Graph:
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: bad edge line {line!r}") from None
+            linenos.append(lineno)
     if len(edges) != m:
         raise ValueError(f"{path}: header claims {m} edges, found {len(edges)}")
     try:
         return build_graph(n, edges)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    except _EdgeError as exc:
+        where = [str(linenos[j]) for j in exc.positions]
+        also = f" on lines {' and '.join(where)}" if len(where) > 1 else ""
+        raise ValueError(f"{path}:{where[0]}: {exc}{also}") from None
+    except ValueError as exc:   # the header's vertex count
+        raise ValueError(f"{path}:1: {exc}") from None

@@ -64,9 +64,9 @@ class PruneMergeResult:
         size; the same tree object as ``tree`` if the run detached nothing."""
         if not self.pruned:
             return self.tree
-        return _merge_pool(self.partition.n,
-                           [_PoolEntry(relabel_leaves(T, P), None)
-                            for P, T in zip(self.partition.sets, self.whole)])
+        return _fold(self.partition.n,
+                     [(relabel_leaves(T, P), None)
+                      for P, T in zip(self.partition.sets, self.whole)])[0]
 
 
 def _keeps_whole(n: int, k: int, T: HCTree, live: tuple[_Critical, ...],
@@ -87,24 +87,18 @@ def _keeps_whole(n: int, k: int, T: HCTree, live: tuple[_Critical, ...],
     return n * lhs <= 6.0 * (k + 1) * rhs
 
 
-@dataclass
-class _PoolEntry:
-    tree: HCTree            # leaf labels already global
-    pruned_record: dict | None  # set for detached critical subtrees only
+_Piece = tuple[HCTree, dict | None]   # a subtree on global ids, its record
 
 
 def _prune_cluster(G: Graph, view: _ClusterInfo, k: int, cluster: int,
-                   ) -> tuple[list[_PoolEntry], list[bool]]:
+                   ) -> tuple[list[_Piece], list[bool]]:
     """Prune one cluster's tree, with the critical nodes the decomposition
-    measured on it; returns pool entries in detach order (the kept
-    remainder last) and the condition-test outcomes."""
+    measured on it; returns the pieces in detach order (the kept remainder
+    last), each a subtree on global ids with its detach record, None for
+    the remainder, and the condition-test outcomes."""
     P, tree, live = view.P, view.tree, view.critical
-
-    def pooled(node: int, record: dict | None) -> _PoolEntry:
-        return _PoolEntry(relabel_leaves(tree.subtree(node), P), record)
-
     root = tree.root
-    entries: list[_PoolEntry] = []
+    pieces: list[_Piece] = []
     outcomes: list[bool] = []
     while live:  # a one-vertex cluster has no critical node and no test
         keep = _keeps_whole(G.n, k, tree, live, root)
@@ -117,13 +111,13 @@ def _prune_cluster(G: Graph, view: _ClusterInfo, k: int, cluster: int,
                      key=lambda c: (int(tree.leaf_count[c.node]), c.node))
         live = tuple(c for c in live if c is not victim)
         node = victim.node
-        record = {"cluster": cluster, "node": node,
-                  "leaf_count": int(tree.leaf_count[node])}
-        entries.append(pooled(node, record))
+        pieces.append((relabel_leaves(tree.subtree(node), P),
+                       {"cluster": cluster, "node": node,
+                        "leaf_count": int(tree.leaf_count[node])}))
         left, right = int(tree.left[root]), int(tree.right[root])
         root = right if left == node else left
-    entries.append(pooled(root, None))
-    return entries, outcomes
+    pieces.append((relabel_leaves(tree.subtree(root), P), None))
+    return pieces, outcomes
 
 
 def run_prune_merge(G: Graph, params: DecompParams) -> PruneMergeResult:
@@ -134,34 +128,34 @@ def run_prune_merge(G: Graph, params: DecompParams) -> PruneMergeResult:
     views = decomposition.views
     clusters = [_prune_cluster(G, view, params.k, i)
                 for i, view in enumerate(views)]
-    pool = [entry for entries, _ in clusters for entry in entries]
-    tree = _merge_pool(G.n, pool)
+    tree, pool_sizes, pruned = _fold(
+        G.n, [piece for pieces, _ in clusters for piece in pieces])
     return PruneMergeResult(
         tree=tree, partition=partition, decomposition_report=report,
-        pool_sizes=tuple(e.tree.n_leaves for e in pool),
-        pruned=tuple(e.pruned_record for e in pool
-                     if e.pruned_record is not None),
+        pool_sizes=pool_sizes, pruned=pruned,
         condition_trace=tuple(tuple(out) for _, out in clusters),
         whole=tuple(view.tree for view in views))
 
 
-def _merge_pool(n: int, pool: list[_PoolEntry]) -> HCTree:
-    """Sort ascending by leaf count (stable) and left-fold; fills each
-    pruned record's parent size in the final tree from the prefix sums."""
-    pool.sort(key=lambda e: e.tree.n_leaves)
-    trees = [e.tree for e in pool]
+def _fold(n: int, pieces: list[_Piece],
+          ) -> tuple[HCTree, tuple[int, ...], tuple[dict, ...]]:
+    """Left-fold the pieces, ascending by leaf count (stable), into one
+    caterpillar over 0..n-1. Returns it, the leaf counts in fold order and
+    each detach record completed with ``parent_final_leaves``, its
+    subtree's parent size in the fold; the pieces are left as they are."""
+    order = sorted(pieces, key=lambda p: p[0].n_leaves)
+    trees = [T for T, _ in order]
     covered = np.concatenate([T.leaf_vertex[T.left < 0] for T in trees])
     _require(np.array_equal(np.sort(covered), np.arange(n)),
              "pooled subtrees stopped partitioning the vertex set")
-    prefix = np.cumsum([T.n_leaves for T in trees])
-    for j, e in enumerate(pool):
-        if e.pruned_record is None:
-            continue
-        # j's parent in the fold spans entries 0..max(j, 1), or j if alone
-        parent = int(prefix[min(max(j, 1), len(pool) - 1)])
-        e.pruned_record["parent_final_leaves"] = parent
-        e.pruned_record["pool_index"] = j
-    return caterpillar_merge(trees)
+    sizes = tuple(T.n_leaves for T in trees)
+    prefix = np.cumsum(sizes)
+    # piece j's parent in the fold spans pieces 0..max(j, 1), or j if alone
+    pruned = tuple(
+        {**record, "parent_final_leaves":
+         int(prefix[min(max(j, 1), len(order) - 1)])}
+        for j, (_, record) in enumerate(order) if record is not None)
+    return caterpillar_merge(trees), sizes, pruned
 
 
 def best_over_k(G: Graph, k_max: int, phi_in_mode: str = "practical",

@@ -41,8 +41,7 @@ from wellclust.generators import (gen_bridged_two_cluster,
 from wellclust.graph import build_graph, induced_subgraph
 from wellclust.linkage import linkage
 from wellclust.metrics import adjusted_rand_index
-from wellclust.prune_merge import (_merge_pool, _PoolEntry, _prune_cluster,
-                                   run_prune_merge)
+from wellclust.prune_merge import _fold, _prune_cluster, run_prune_merge
 from wellclust.spectral import smallest_eigenvalues, spectral_partition
 from wellclust.tree import (brute_force_opt, caterpillar_merge,
                             critical_nodes, dasgupta_cost,
@@ -375,11 +374,9 @@ def forced_prune_pool():
     # decomposition hands it to the prune stage
     view = _State(G, derive_params(G, 2), sets=[cluster, ext],
                   cores=[cluster, ext]).info(0)
-    entries, _ = _prune_cluster(G, view, 2, 0)
+    pieces, _ = _prune_cluster(G, view, 2, 0)
     ext_tree = relabel_leaves(hc_with_degrees(induced_subgraph(G, ext)), ext)
-    pool = entries + [_PoolEntry(ext_tree, None)]
-    _merge_pool(G.n, pool)
-    return [e.pruned_record for e in pool if e.pruned_record], 2
+    return list(_fold(G.n, pieces + [(ext_tree, None)])[2]), 2
 
 
 def test_criterion_09_detached_subtree_parent_bound():

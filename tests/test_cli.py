@@ -433,22 +433,24 @@ def test_negative_leaf_vertex_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edges, message", [
-    ("0 5 1.0", "edge endpoint out of range"),
-    ("0 1 1.0\n1 0 2.0", "duplicate edge (0, 1)"),
-    ("0 1 -1.0", "edge weights must be strictly positive and finite"),
-    ("0 1 nan", "edge weights must be strictly positive and finite"),
-    ("2 2 1.0", "self-loops are not allowed in the public edge list"),
+    ("0 5 1.0", "2: edge (0, 5) has an endpoint outside 0..2"),
+    ("0 1 1.0\n1 0 2.0", "2: duplicate edge (0, 1) on lines 2 and 3"),
+    ("0 1 -1.0",
+     "2: edge (0, 1) has a weight that is not strictly positive and finite"),
+    ("0 1 1.0\n1 2 nan",
+     "3: edge (1, 2) has a weight that is not strictly positive and finite"),
+    ("0 1 1.0\n\n2 2 1.0", "4: edge (2, 2) is a self-loop"),
 ], ids=["endpoint", "duplicate", "weight", "nan", "self-loop"])
 def test_graph_errors_name_the_file(tmp_path, capsys, edges, message):
     g = tmp_path / "g.txt"
-    g.write_text(f"3 {edges.count(chr(10)) + 1}\n{edges}\n")
+    g.write_text(f"3 {len(edges.split()) // 3}\n{edges}\n")
     with pytest.raises(ValueError) as err:
         load_graph(g)
-    assert str(err.value) == f"{g}: {message}"
+    assert str(err.value) == f"{g}:{message}"
     t = tmp_path / "t.txt"
     t.write_text(PATH3_TREE)
     assert main(["cost", str(g), str(t)]) == 1
-    assert capsys.readouterr().err == f"error: {g}: {message}\n"
+    assert capsys.readouterr().err == f"error: {g}:{message}\n"
 
 
 def test_missing_file_exit_one(tmp_path, capsys):

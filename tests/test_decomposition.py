@@ -295,14 +295,20 @@ def audit_corpus():
 def test_loop_report_matches_independent_audit(audit_corpus, mode):
     """The report strong_decomposition builds from its own loop state, less
     the run metadata, serializes exactly like a fresh termination_report of
-    the partition (what ``decompose`` prints)."""
+    the partition (what ``decompose`` prints); the loop stalled exactly
+    when its exit state still passes the sweep test (``while_2``)."""
+    stalled = set()
     for G, k in audit_corpus:
         params = derive_params(G, k, phi_in_mode=mode)
         partition, report = strong_decomposition(G, params)
+        assert report["stalled"] is report["predicates"]["while_2"]
+        stalled.add(report["stalled"])
         for key in ("iterations", "stalled", "trace_tail"):
             del report[key]
         audit = termination_report(G, partition, params)
         assert json.dumps(report) == json.dumps(audit)
+    # paper mode's small phi_in leaves no sweep test passing at the exit
+    assert stalled == ({False} if mode == "paper" else {False, True})
 
 
 def test_report_measures_critical_nodes_like_the_oracles(audit_corpus):
@@ -413,10 +419,10 @@ def test_one_vertex_cluster_has_no_solve_no_critical_node_and_no_test(
     assert entry["size"] == 1 and entry["critical_nodes"] == []
     assert entry["lambda2_induced"] is None
     assert entry["inner_certificate"] is None
-    entries, outcomes = _prune_cluster(G, view, 2, 1)
+    pieces, outcomes = _prune_cluster(G, view, 2, 1)
     assert outcomes == []
-    assert [(e.tree.leaf_vertex.tolist(), e.pruned_record)
-            for e in entries] == [([6], None)]
+    assert [(T.leaf_vertex.tolist(), rec)
+            for T, rec in pieces] == [([6], None)]
 
 
 def test_loop_report_reuses_the_last_cross_weights(monkeypatch):

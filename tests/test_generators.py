@@ -406,6 +406,15 @@ def test_planted_labels_validation():
         PlantedLabels(np.array([-1, 0]))
 
 
+def test_planted_labels_keep_their_own_cliques_dict():
+    given = {0: [2, 1]}
+    labels = PlantedLabels(np.array([0, 0, 0]), given)
+    assert type(given[0]) is list and given == {0: [2, 1]}
+    assert labels.cliques is not given
+    assert labels.cliques[0].dtype == np.int64
+    assert labels.cliques[0].tolist() == [2, 1]
+
+
 def _instance_digest(G, labels):
     h = hashlib.sha256()
     for a in (G.edges_u, G.edges_v, G.edges_w, labels.clusters):

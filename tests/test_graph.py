@@ -164,6 +164,15 @@ def test_load_errors_carry_line_numbers(tmp_path):
     p.write_text("2 2\n0 1 1\n")
     with pytest.raises(ValueError, match="claims"):
         load_graph(p)
+    p.write_text("-1 0\n")
+    with pytest.raises(ValueError,
+                       match=r":1: vertex count must be nonnegative$"):
+        load_graph(p)
+    # the first entry that repeats an earlier one names the duplicate
+    p.write_text("3 4\n1 2 1\n0 1 1\n2 1 1\n1 0 1\n")
+    with pytest.raises(ValueError, match=r":2: duplicate edge \(1, 2\) on "
+                                         r"lines 2 and 4$"):
+        load_graph(p)
 
 
 def test_volume_complement_identity():

@@ -21,7 +21,7 @@ from wellclust import (
 from wellclust.decomposition import Partition, _Decomposition, _State
 from wellclust.degree_hc import hc_with_degrees as build_degree_tree
 from wellclust.graph import induced_subgraph
-from wellclust.prune_merge import _merge_pool, _PoolEntry, _prune_cluster
+from wellclust.prune_merge import _fold, _prune_cluster
 from wellclust.spectral import DENSE_LIMIT, DEFAULT_TOL, smallest_eigenvalues
 from wellclust.tree import critical_nodes, relabel_leaves
 from wellclust.generators import (GenSpec, gen_bridged_two_cluster, gen_sbm,
@@ -168,7 +168,7 @@ def test_forced_prune_detaches_and_records():
     G = forced_prune_graph()
     P = np.arange(8)
     view = forced_decomposition(G, derive_params(G, 2)).views[0]
-    entries, outcomes = _prune_cluster(G, view, 2, 0)
+    pieces, outcomes = _prune_cluster(G, view, 2, 0)
     tree = view.tree
     assert outcomes[0] is False
     # two detachments, then the current root is itself a live critical
@@ -176,11 +176,11 @@ def test_forced_prune_detaches_and_records():
     assert outcomes == [False, False, False]
     crit = critical_nodes(induced_subgraph(G, P), tree)
     assert outcomes[0] == prune_condition_ORACLE(G, tree, crit, P, 2)
-    records = [e.pruned_record for e in entries if e.pruned_record]
+    records = [rec for _, rec in pieces if rec]
     assert len(records) == 2
     assert sorted(r["leaf_count"] for r in records) == [2, 4]
-    covered = np.sort(np.concatenate([e.tree.leaves_under(e.tree.root)
-                                      for e in entries]))
+    covered = np.sort(np.concatenate([T.leaves_under(T.root)
+                                      for T, _ in pieces]))
     assert np.array_equal(covered, P)
     assert len(outcomes) <= 2 * (math.floor(math.log2(G.n)) + 3)
 
@@ -188,14 +188,12 @@ def test_forced_prune_detaches_and_records():
 def test_forced_prune_parent_sizes_in_final_tree():
     G = forced_prune_graph()
     view = forced_decomposition(G, derive_params(G, 2)).views[0]
-    entries, _ = _prune_cluster(G, view, 2, 0)
+    pieces, _ = _prune_cluster(G, view, 2, 0)
     ext = np.arange(8, 28)
     ind = induced_subgraph(G, ext)
-    pool = entries + [_PoolEntry(relabel_leaves(build_degree_tree(ind), ext),
-                                 None)]
-    T = _merge_pool(G.n, pool)
+    pool = pieces + [(relabel_leaves(build_degree_tree(ind), ext), None)]
+    T, _, records = _fold(G.n, pool)
     assert T.n_leaves == 28
-    records = [e.pruned_record for e in pool if e.pruned_record]
     by_size = {r["leaf_count"]: r for r in records}
     # pool sizes sort to (2, 2, 4, 20); the detached pair joins the other
     # two-leaf tree (parent 4), the detached quad sits under prefix 8
@@ -203,6 +201,21 @@ def test_forced_prune_parent_sizes_in_final_tree():
     assert by_size[4]["parent_final_leaves"] == 8
     for r in records:
         assert r["parent_final_leaves"] <= 12 * 2 * r["leaf_count"]
+
+
+def test_fold_leaves_its_pieces_as_they_are():
+    G = forced_prune_graph()
+    view = forced_decomposition(G, derive_params(G, 2)).views[0]
+    pieces, _ = _prune_cluster(G, view, 2, 0)
+    ext = np.arange(8, 28)
+    ext_tree = relabel_leaves(build_degree_tree(induced_subgraph(G, ext)), ext)
+    pool = [(ext_tree, None)] + pieces     # the largest piece first
+    before = [(T, rec, None if rec is None else dict(rec)) for T, rec in pool]
+    _, sizes, records = _fold(G.n, pool)
+    assert list(sizes) == [2, 2, 4, 20] and len(records) == 2
+    assert len(pool) == len(before) and all(
+        T is T0 and rec is rec0 and rec == copy
+        for (T, rec), (T0, rec0, copy) in zip(pool, before))
 
 
 def _same_tree(a, b):
@@ -237,6 +250,10 @@ def test_naive_tree_keeps_detached_subtrees_in_place(monkeypatch):
     monkeypatch.setattr(module, "strong_decomposition", forced_decomposition)
     res = run_prune_merge(G, derive_params(G, 2))
     assert len(res.pruned) == 4   # two subtrees detached from each cluster
+    assert all(list(rec) == ["cluster", "node", "leaf_count",
+                             "parent_final_leaves"] for rec in res.pruned)
+    assert list(res.pool_sizes) == sorted(res.pool_sizes)
+    assert sum(res.pool_sizes) == G.n
     assert _same_tree(res.naive_tree(), naive_merge_ORACLE(G, res.partition))
     assert not _same_tree(res.naive_tree(), res.tree)
     assert dasgupta_cost(G, res.naive_tree()) != dasgupta_cost(G, res.tree)
