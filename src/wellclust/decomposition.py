@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .degree_hc import hc_with_degrees
-from .graph import (Graph, _conductance, _member_mask, _volume,
+from .graph import (Graph, _conductance, _int_array, _member_mask, _volume,
                     induced_subgraph)
 from .spectral import (DEFAULT_TOL, SpectralResult, smallest_eigenvalues,
                        spectral_partition)
@@ -78,8 +78,8 @@ class Partition:
     def __post_init__(self):
         if len(self.sets) != len(self.cores) or not self.sets:
             raise ValueError("need matching nonempty sets and cores")
-        sets = tuple(np.asarray(P, dtype=np.int64) for P in self.sets)
-        cores = tuple(np.asarray(C, dtype=np.int64) for C in self.cores)
+        sets = tuple(_int_array(P, "partition set") for P in self.sets)
+        cores = tuple(_int_array(C, "partition core") for C in self.cores)
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "cores", cores)
         allv = np.concatenate(sets)

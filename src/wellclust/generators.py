@@ -20,7 +20,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _int_array, _is_int
 from .spectral import smallest_eigenvalues
 
 __all__ = [
@@ -60,17 +60,12 @@ FAMILY_PARAMS = {
 GENERATOR_FAMILIES = tuple(FAMILY_PARAMS)
 
 
-def _scalar(kind: type):
-    return lambda value: isinstance(value, kind) and not isinstance(value, bool)
-
-
 def _sequence(value) -> bool:
     if isinstance(value, np.ndarray):
         return value.ndim > 0
     return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
 
 
-_is_int = _scalar(numbers.Integral)
 # What each parameter of FAMILY_PARAMS must hold, in whichever family.
 _PARAM_TYPES = {
     "sizes": ("a nonempty list of ints", lambda value: _sequence(value)
@@ -78,16 +73,20 @@ _PARAM_TYPES = {
     "n": ("an int", _is_int),
     "size": ("an int", _is_int),
     **dict.fromkeys(("p", "q", "q_min", "c_p", "scale", "sigma"),
-                    ("a real number", _scalar(numbers.Real))),
+                    ("a real number", lambda value: not isinstance(value, bool)
+                     and isinstance(value, numbers.Real))),
     "points": ("a sequence", _sequence),
 }
 
 
+def _seed(seed: int) -> int:
+    if _is_int(seed) and 0 <= seed < 2**64:
+        return int(seed)
+    raise ValueError("seed must be a 64-bit unsigned integer")
+
+
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must be a 64-bit unsigned integer")
-    return np.random.Generator(np.random.Philox(key=seed + (int(stream) << 64)))
+    return np.random.Generator(np.random.Philox(key=_seed(seed) + (stream << 64)))
 
 
 @dataclass(frozen=True)
@@ -103,13 +102,13 @@ class PlantedLabels:
     cliques: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        clusters = np.asarray(self.clusters, dtype=np.int64)
+        clusters = _int_array(self.clusters, "cluster labels")
         object.__setattr__(self, "clusters", clusters)
         if clusters.ndim != 1 or clusters.size == 0:
             raise ValueError("cluster labels must be a nonempty 1-d array")
         if clusters.min() < 0:
             raise ValueError("cluster ids must be nonnegative")
-        cliques = {cid: np.asarray(members, dtype=np.int64)
+        cliques = {cid: _int_array(members, f"clique {cid} members")
                    for cid, members in self.cliques.items()}
         object.__setattr__(self, "cliques", cliques)
         for cid, members in cliques.items():
@@ -123,8 +122,8 @@ class PlantedLabels:
 
 @dataclass(frozen=True)
 class GenSpec:
-    """A generator family plus its parameters and seed; each name and the
-    type of each value are checked against the family when it is built."""
+    """A generator family plus its parameters and seed; each name, the type
+    of each value and the seed are checked when it is built."""
 
     family: str
     params: Mapping[str, Any]
@@ -148,6 +147,7 @@ class GenSpec:
             if not ok(value):
                 raise ValueError(f"family {self.family!r} parameter {name!r} "
                                  f"must be {kind}, got {value!r}")
+        _seed(self.seed)
 
 
 def generate(spec: GenSpec) -> tuple[Graph, PlantedLabels | None]:

@@ -7,6 +7,7 @@ vertex's degree is the total weight of its incident edges.
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,20 +24,32 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    """The integer rule for one value: integral and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _int_array(values, what: str) -> np.ndarray:
+    """The integer rule for many values, read as int64; a bool, fraction,
+    NaN, string or object value raises ``ValueError`` naming ``what``."""
+    arr = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+    if arr.dtype == np.int64:
+        return arr
+    with np.errstate(invalid="ignore"):  # NaN, inf, overflow fail below
+        ints = arr.astype(np.int64) if arr.dtype.kind in "iuf" else None
+    if ints is None or not np.array_equal(ints, arr):
+        raise ValueError(f"{what} must be integers, got {arr.dtype} {arr}")
+    return ints
+
+
 def vertex_set(vertices: Iterable[int], n: int) -> np.ndarray:
     """Canonicalize ``vertices`` to a sorted duplicate-free int64 array.
 
-    Raises ``ValueError`` if any id falls outside ``0..n-1``. An integer
-    array that is already strictly increasing is copied, not sorted.
+    Raises ``ValueError`` if an id breaks the integer rule or falls outside
+    ``0..n-1``. Ids already strictly increasing are copied, not sorted.
     """
-    if (isinstance(vertices, np.ndarray) and vertices.ndim == 1
-            and vertices.dtype.kind in "iu"
-            and np.can_cast(vertices.dtype, np.int64)):
-        arr = np.array(vertices, dtype=np.int64)
-        if not (arr[1:] > arr[:-1]).all():
-            arr = np.unique(arr)
-    else:
-        arr = np.unique(np.asarray(list(vertices), dtype=np.int64))
+    arr = _int_array(vertices, "vertex ids")
+    arr = arr.copy() if (arr[1:] > arr[:-1]).all() else np.unique(arr)
     if arr.size and (arr[0] < 0 or arr[-1] >= n):
         raise ValueError(f"vertex ids must lie in [0, {n}), got range "
                          f"[{arr[0]}, {arr[-1]}]")

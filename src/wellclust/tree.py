@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .generators import _rng
-from .graph import Graph
+from .graph import Graph, _int_array, _is_int
 
 __all__ = [
     "HCTree",
@@ -141,11 +141,13 @@ class TreeBuilder:
         self._used: list[bool] = []
 
     def leaf(self, vertex: int) -> int:
+        if not _is_int(vertex):
+            raise ValueError(f"leaf vertex must be an integer, got {vertex!r}")
         if vertex < 0:
             raise ValueError(f"leaf vertex {vertex} is negative")
         self._left.append(-1)
         self._right.append(-1)
-        self._vertex.append(int(vertex))
+        self._vertex.append(vertex)
         self._used.append(False)
         return len(self._left) - 1
 
@@ -373,7 +375,7 @@ def relabel_leaves(T: HCTree, mapping: np.ndarray) -> HCTree:
     """New tree with each leaf vertex ``v`` replaced by ``mapping[v]``."""
     leaf_vertex = T.leaf_vertex.copy()
     leaves = T.left < 0
-    leaf_vertex[leaves] = np.asarray(mapping, dtype=np.int64)[leaf_vertex[leaves]]
+    leaf_vertex[leaves] = _int_array(mapping, "leaf mapping")[leaf_vertex[leaves]]
     return HCTree(T.left.copy(), T.right.copy(), T.parent.copy(),
                   leaf_vertex, T.leaf_count.copy(), T.root)
 

@@ -275,6 +275,13 @@ def test_partition_type_validation():
         Partition((np.array([0, 1]),), (np.array([2]),))
     with pytest.raises(ValueError, match="distinct"):
         Partition((np.array([0, 1, 2]),), (np.array([0, 0, 1]),))
+    with pytest.raises(ValueError, match="^partition set must be integers"):
+        Partition(([0.0, 1.9], [2, 3, 4]), ([0], [2]))
+    with pytest.raises(ValueError, match="^partition core must be integers"):
+        Partition(([0, 1], [2, 3, 4]), ([True], [2]))
+    whole = Partition(([0.0, 1.0], [2, 3, 4]), ([0], [2.0]))
+    assert [P.tolist() for P in whole.sets] == [[0, 1], [2, 3, 4]]
+    assert whole.cores[1].dtype == np.int64
 
 
 @pytest.fixture(scope="module")

@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wellclust import (GenSpec, PlantedLabels, generate, generators,
-                       load_labels, save_labels)
+from wellclust import (GenSpec, PlantedLabels, SweepPoint, compare_sweep,
+                       generate, generators, load_labels, save_labels)
 from wellclust.generators import (
     FAMILY_PARAMS,
     GENERATOR_FAMILIES,
@@ -404,6 +404,24 @@ def test_planted_labels_validation():
         PlantedLabels(np.array([0, 1]), {0: np.array([1])})
     with pytest.raises(ValueError):
         PlantedLabels(np.array([-1, 0]))
+    with pytest.raises(ValueError, match="^cluster labels must be integers"):
+        PlantedLabels(np.array([0, 1.5, 1]))
+    with pytest.raises(ValueError, match="^clique 0 members must be integers"):
+        PlantedLabels(np.array([0, 0, 0]), {0: [0.5, 1]})
+
+
+@pytest.mark.parametrize("seed", [1.7, "3", True, np.float64(2.0), -1, 2**64])
+def test_genspec_checks_its_seed_when_built(seed):
+    """A seed breaking the integer rule or outside [0, 2**64) fails when
+    the spec is built, before any draw, so a sweep over it gives
+    ValueError rows rather than another seed's instance."""
+    params = {"sizes": [5, 5], "p": 0.5, "q": 0.1}
+    with pytest.raises(ValueError,
+                       match="^seed must be a 64-bit unsigned integer$"):
+        GenSpec("sbm", params, seed)
+    rows = compare_sweep([SweepPoint("sbm", params)], ("degrees",), [seed])
+    assert [r["status"] for r in rows] == ["error:ValueError", "error:empty"]
+    assert GenSpec("sbm", params, np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
 def test_planted_labels_keep_their_own_cliques_dict():

@@ -71,6 +71,8 @@ def test_vertex_set_fast_path_matches_oracle():
             if arr.size == 0 or (np.iinfo(dtype).min <= arr.min()
                                  and arr.max() <= np.iinfo(dtype).max):
                 corpus.append(arr.astype(dtype))
+        if arr.size == 0 or (0 <= arr.min() and arr.max() < n):
+            corpus.append(arr.astype(np.float64))
     for arr in corpus:
         want = _outcome(_vertex_set_ORACLE, arr, n)
         got = _outcome(vertex_set, arr, n)
@@ -79,6 +81,28 @@ def test_vertex_set_fast_path_matches_oracle():
         else:
             assert got.dtype == np.int64 and np.array_equal(got, want), arr
             assert not np.shares_memory(got, arr)
+
+
+def test_masks_and_fractions_are_not_vertex_ids():
+    """A vertex set is read by the integer rule: a boolean mask or a
+    fractional id raises, where a cast would read the mask's 0/1 values as
+    ids and truncate the fractions."""
+    G = unit_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4)])
+    mask = np.array([False, False, True, True, True])
+    for call in (set_conductance, volume, induced_subgraph):
+        with pytest.raises(ValueError, match="^vertex ids must be integers, "
+                                             "got bool"):
+            call(G, mask)
+    ids = np.flatnonzero(mask)
+    assert set_conductance(G, ids) == 1 / 7
+    assert volume(G, ids) == 7.0
+    assert induced_subgraph(G, ids).n == 3
+    with pytest.raises(ValueError, match="got float64"):
+        volume(G, [2.9, 3.2])
+    for bad in (["2"], [2, None], [np.nan], [np.inf], [2.0**70]):
+        with pytest.raises(ValueError, match="^vertex ids must be integers"):
+            volume(G, bad)
+    assert volume(G, [2.0, 3.0, 4.0]) == volume(G, {4, 2, 3}) == 7.0
 
 
 def test_volume(triangle, dumbbell):

@@ -10,6 +10,7 @@ from wellclust.experiment import ALGORITHMS, run_algorithm
 from wellclust.graph import build_graph
 from wellclust.spectral import (DEFAULT_TOL, SpectralConvergenceError,
                                 SpectralResult)
+from wellclust.tree import brute_force_opt
 from oracles import cut_weight_ORACLE, relative_conductance_ORACLE
 from test_decomposition import WIDE_RANGE_EDGES
 
@@ -83,15 +84,15 @@ def test_rho_star_is_lambda_k1_over_10(case, mode):
 
 @st.composite
 def small_weighted_graphs(draw):
-    """1..12 vertices split into up to three components, each pair inside a
-    component an edge or not (so isolated vertices occur), with weights
-    from WEIGHTS."""
-    n = draw(st.integers(1, 12))
+    """1..40 vertices split into up to three components, at most 160 of the
+    pairs inside a component edges (so isolated vertices occur), with
+    weights from WEIGHTS."""
+    n = draw(st.integers(1, 40))
     comp = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
              if comp[u] == comp[v]]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
-                           max_size=len(pairs))) if pairs else []
+                           max_size=min(len(pairs), 160))) if pairs else []
     return build_graph(n, [(u, v, draw(WEIGHTS)) for u, v in chosen])
 
 
@@ -101,7 +102,8 @@ def _outcome(G, algo, k):
     except (ValueError, SpectralConvergenceError) as exc:
         return type(exc), str(exc)
     T = out.tree
-    return out.cost, T.left.tolist(), T.right.tolist(), T.leaf_vertex.tolist()
+    r = out.result.partition.r if out.result else None
+    return out.cost, T.left.tolist(), T.right.tolist(), T.leaf_vertex.tolist(), r
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -109,16 +111,20 @@ def _outcome(G, algo, k):
 @example(build_graph(11, WIDE_RANGE_EDGES))
 def test_every_algorithm_returns_a_tree_or_rejects_the_input(G):
     """Every algorithm at k = 2 and 3 either returns a tree over the
-    vertices whose cost lies in [0, n·vol/2] (up to rounding of the sum)
-    and which a rerun repeats, or rejects the input with ValueError or
-    SpectralConvergenceError; a DecompositionError or any other error is a
-    bug."""
+    vertices whose cost lies in [OPT, n·vol/2] (up to rounding of the sum;
+    OPT by brute force where n <= 8, else 0) and which a rerun repeats, or
+    rejects the input with ValueError or SpectralConvergenceError; a
+    DecompositionError or any other error is a bug. A pipeline run keeps
+    at most k clusters."""
+    floor = brute_force_opt(G)[0] * (1 - 1e-9) if G.n <= 8 else 0.0
     for algo in ALGORITHMS:
         for k in (2, 3):
             first = _outcome(G, algo, k)
             assert _outcome(G, algo, k) == first
             if isinstance(first[0], type):
                 continue
-            cost, _, _, leaf_vertex = first
+            cost, _, _, leaf_vertex, r = first
             assert sorted(v for v in leaf_vertex if v >= 0) == list(range(G.n))
-            assert 0.0 <= cost <= G.n * G.total_volume / 2 * (1 + 1e-12)
+            assert floor <= cost <= G.n * G.total_volume / 2 * (1 + 1e-12)
+            assert (r is None) == (algo not in ("prunemerge", "naive"))
+            assert r is None or 1 <= r <= k

@@ -43,6 +43,9 @@ def test_builder_rejects_garbage():
         b2.build()
     with pytest.raises(ValueError, match="leaf vertex -1 is negative"):
         TreeBuilder().leaf(-1)
+    for vertex in (2.9, True, "2"):
+        with pytest.raises(ValueError, match="leaf vertex must be an integer"):
+            TreeBuilder().leaf(vertex)
 
 
 def test_a_leaf_is_a_node_without_children():
@@ -289,6 +292,10 @@ def test_relabel_leaves():
     T = chain_tree([0, 1, 2])
     R = relabel_leaves(T, np.array([10, 20, 30]))
     assert sorted(R.leaves_under(R.root)) == [10, 20, 30]
+    R = relabel_leaves(T, np.array([10.0, 20.0, 30.0]))
+    assert sorted(R.leaves_under(R.root)) == [10, 20, 30]
+    with pytest.raises(ValueError, match="^leaf mapping must be integers"):
+        relabel_leaves(T, np.array([10, 20.5, 30]))
 
 
 def test_topology_count_formula():
@@ -388,7 +395,7 @@ def test_random_tree_seeded():
     assert random_tree(2, 0).leaf_count.max() == 2
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 1.7, "3"])
 def test_random_tree_takes_the_generators_seed_rule(seed):
     """One seed rule for every Philox stream: the generators' message, not
     numpy's key check, which would accept seeds up to 2**128."""
