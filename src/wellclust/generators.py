@@ -14,6 +14,7 @@ joins) the duplicates collapse to a single unit edge.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
@@ -66,17 +67,51 @@ def _sequence(value) -> bool:
     return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
 
 
-# What each parameter of FAMILY_PARAMS must hold, in whichever family.
-_PARAM_TYPES = {
-    "sizes": ("a nonempty list of ints", lambda value: _sequence(value)
-              and len(value) > 0 and all(map(_is_int, value))),
-    "n": ("an int", _is_int),
-    "size": ("an int", _is_int),
-    **dict.fromkeys(("p", "q", "q_min", "c_p", "scale", "sigma"),
-                    ("a real number", lambda value: not isinstance(value, bool)
-                     and isinstance(value, numbers.Real))),
-    "points": ("a sequence", _sequence),
+def _float(value) -> float:
+    """A real as a Python float; an int too large for one reads as NaN."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
+
+
+_REAL = ("a real number", lambda value: isinstance(value, numbers.Real)
+         and not isinstance(value, bool), _float)
+
+# Each parameter's one rule: its type, how a value of that type is read
+# (ints as Python ints, reals as Python floats), then the range the read
+# value must lie in, each range test false on NaN and the infinities.
+_RULES = {
+    "sizes": ("a nonempty list of ints",
+              lambda value: _sequence(value) and len(value) > 0
+              and all(map(_is_int, value)),
+              lambda value: [int(size) for size in value],
+              "a list of positive ints", lambda sizes: min(sizes) >= 1),
+    "n": ("an int", _is_int, int, "at least 27", lambda n: n >= 27),
+    "size": ("an int", _is_int, int, "positive", lambda size: size >= 1),
+    **dict.fromkeys(("p", "q"), (*_REAL, "in [0, 1]", lambda x: 0 <= x <= 1)),
+    "q_min": (*_REAL, "in [0, 1/3]", lambda x: 0 <= 3 * x <= 1),
+    "c_p": (*_REAL, "in (0, 1]", lambda x: 0 < x <= 1),
+    **dict.fromkeys(("scale", "sigma"), (*_REAL, "positive and finite",
+                                         lambda x: 0 < x < math.inf)),
+    "points": ("a sequence", _sequence, lambda points: points,
+               "a sequence", lambda points: True),
 }
+
+
+def _read(family: str, /, **params) -> list:
+    """Each value of ``params``, in order, read by its rule; a wrong type
+    or range raises ``ValueError`` naming the family and the parameter."""
+    values = []
+    for name, value in params.items():
+        kind, is_kind, read, where, in_range = _RULES[name]
+        typed = is_kind(value)
+        if typed:
+            values.append(read(value))
+        if not typed or not in_range(values[-1]):
+            raise ValueError(f"family {family!r} parameter {name!r} must be "
+                             f"{where if typed else kind}, got {value!r}")
+    return values
 
 
 def _seed(seed: int) -> int:
@@ -122,8 +157,8 @@ class PlantedLabels:
 
 @dataclass(frozen=True)
 class GenSpec:
-    """A generator family plus its parameters and seed; each name, the type
-    of each value and the seed are checked when it is built."""
+    """A generator family plus its parameters and seed; each name, each
+    value's type and range, and the seed are checked when it is built."""
 
     family: str
     params: Mapping[str, Any]
@@ -142,11 +177,7 @@ class GenSpec:
             if name not in self.params:
                 raise ValueError(f"family {self.family!r} requires "
                                  f"parameter {name!r}")
-        for name, value in self.params.items():
-            kind, ok = _PARAM_TYPES[name]
-            if not ok(value):
-                raise ValueError(f"family {self.family!r} parameter {name!r} "
-                                 f"must be {kind}, got {value!r}")
+        _read(self.family, **self.params)
         _seed(self.seed)
 
 
@@ -172,13 +203,6 @@ def _unit_graph(n: int, us: np.ndarray, vs: np.ndarray) -> Graph:
     hi = np.maximum(us, vs)
     key = np.unique(lo * n + hi)
     return Graph(n, key // n, key % n, np.ones(len(key), dtype=np.float64))
-
-
-def _check_prob(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return value
 
 
 def _bernoulli_block(rng: np.random.Generator, A: np.ndarray, B: np.ndarray,
@@ -219,22 +243,13 @@ def _block_model(blocks: list[np.ndarray], qmat: np.ndarray,
     return us, vs
 
 
-def _blocks_of(sizes: Sequence[int]) -> list[np.ndarray]:
-    sizes = [int(s) for s in sizes]
-    if not sizes:
-        raise ValueError("need at least one cluster size")
-    if any(s < 1 for s in sizes):
-        raise ValueError("cluster sizes must be at least 1")
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    return [np.arange(bounds[i], bounds[i + 1]) for i in range(len(sizes))]
-
-
 def _block_graph(sizes: Sequence[int], qmat: np.ndarray, seed: int,
                  c_p: float | None = None) -> tuple[Graph, PlantedLabels]:
     """Unit-weight block model over blocks of ``sizes`` with edge
     probabilities ``qmat``, plus a planted clique of fraction ``c_p`` per
     block (drawn on the same stream, after the block edges) when given."""
-    blocks = _blocks_of(sizes)
+    bounds = np.cumsum([0, *sizes])
+    blocks = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     rng = _rng(seed)
     us, vs = _block_model(blocks, qmat, rng)
     cliques: dict[int, np.ndarray] = {}
@@ -249,8 +264,6 @@ def _block_graph(sizes: Sequence[int], qmat: np.ndarray, seed: int,
 
 def _sbm_qmat(sizes: Sequence[int], p: float, q: float) -> np.ndarray:
     """Probabilities ``p`` inside each block and ``q`` across blocks."""
-    p = _check_prob("p", p)
-    q = _check_prob("q", q)
     qmat = np.full((len(sizes), len(sizes)), q)
     np.fill_diagonal(qmat, p)
     return qmat
@@ -259,19 +272,8 @@ def _sbm_qmat(sizes: Sequence[int], p: float, q: float) -> np.ndarray:
 def gen_sbm(sizes: Sequence[int], p: float, q: float,
             seed: int) -> tuple[Graph, PlantedLabels]:
     """Stochastic block model: Bernoulli(p) inside blocks, Bernoulli(q) across."""
+    sizes, p, q = _read("sbm", sizes=sizes, p=p, q=q)
     return _block_graph(sizes, _sbm_qmat(sizes, p, q), seed)
-
-
-def _hsbm_qmat(p: float, q_min: float) -> np.ndarray:
-    # Two coarse groups {0,1,2} and {3,4}; similarity doubles per level of
-    # shared ancestry and triples for the closest pair (0,1).
-    q = np.full((5, 5), q_min)
-    for i in (0, 1):
-        q[i, 2] = q[2, i] = 2.0 * q_min
-    q[3, 4] = q[4, 3] = 2.0 * q_min
-    q[0, 1] = q[1, 0] = 3.0 * q_min
-    np.fill_diagonal(q, p)
-    return q
 
 
 def gen_hsbm(p: float, q_min: float, seed: int,
@@ -282,10 +284,16 @@ def gen_hsbm(p: float, q_min: float, seed: int,
     how early the two blocks split in the planted hierarchy
     ``((0, 1), 2) | (3, 4)``.
     """
-    p = _check_prob("p", p)
-    if q_min < 0 or 3.0 * q_min > 1.0:
-        raise ValueError("q_min must satisfy 0 <= 3*q_min <= 1")
-    return _block_graph([size] * 5, _hsbm_qmat(p, q_min), seed)
+    p, q_min, size = _read("hsbm", p=p, q_min=q_min, size=size)
+    # Two coarse groups {0,1,2} and {3,4}; similarity doubles per level of
+    # shared ancestry and triples for the closest pair (0,1).
+    q = np.full((5, 5), q_min)
+    for i in (0, 1):
+        q[i, 2] = q[2, i] = 2.0 * q_min
+    q[3, 4] = q[4, 3] = 2.0 * q_min
+    q[0, 1] = q[1, 0] = 3.0 * q_min
+    np.fill_diagonal(q, p)
+    return _block_graph([size] * 5, q, seed)
 
 
 def _floor_power(n: int, p: int, q: int) -> int:
@@ -357,10 +365,6 @@ def _random_regular(n: int, d: int, rng: np.random.Generator,
     Stub pairing plus swap repair; a draw whose normalized-Laplacian gap is
     below the threshold (in particular, a disconnected one) is redrawn.
     """
-    if n * d % 2:
-        raise ValueError("n*d must be even for a regular graph")
-    if d >= n:
-        raise ValueError("degree must be below the vertex count")
     for _ in range(20):
         stubs = rng.permutation(np.repeat(np.arange(n), d))
         repaired = _pair_repair(stubs[0::2], stubs[1::2], n, rng)
@@ -375,8 +379,7 @@ def _random_regular(n: int, d: int, rng: np.random.Generator,
 
 
 def _planted_clique_expander(n: int, rng: np.random.Generator) -> tuple[Graph, np.ndarray]:
-    if n < 27:
-        raise ValueError("planted-clique construction needs n >= 27")
+    # n >= 27 by its rule, so the 8-regular base exists (8 < n, 8n even).
     base = _random_regular(n, REGULAR_BASE_DEGREE, rng, EXPANDER_MIN_LAMBDA2)
     s = _floor_power(n, 2, 3)
     # Vertex ids of the regular base are exchangeable; the clique takes 0..s-1.
@@ -398,7 +401,8 @@ def gen_planted_clique_expander(n: int, seed: int) -> tuple[Graph, PlantedLabels
     of the remaining vertices. All weights are unit; overlapping sources
     collapse.
     """
-    G, clique = _planted_clique_expander(int(n), _rng(seed))
+    [n] = _read("planted_clique_expander", n=n)
+    G, clique = _planted_clique_expander(n, _rng(seed))
     labels = PlantedLabels(np.zeros(G.n, dtype=np.int64), {0: clique})
     return G, labels
 
@@ -409,14 +413,11 @@ def gen_bridged_two_cluster(n: int, seed: int) -> tuple[Graph, PlantedLabels]:
     floor(n^1.1) distinct cross pairs between the two cliques get unit
     edges, so each side keeps low but nonvanishing outer conductance.
     """
-    n = int(n)
+    [n] = _read("bridged_two_cluster", n=n)
     G1, clique1 = _planted_clique_expander(n, _rng(seed, 1))
     G2, clique2 = _planted_clique_expander(n, _rng(seed, 2))
     s = len(clique1)
     bridges = _floor_power(n, 11, 10)
-    if bridges > s * s:
-        raise ValueError(f"floor(n^1.1) = {bridges} exceeds the {s * s} "
-                         f"available clique pairs at n = {n}")
     pick = _rng(seed, 3).choice(s * s, size=bridges, replace=False)
     cross_u = clique1[pick // s]
     cross_v = n + clique2[pick % s]
@@ -431,8 +432,6 @@ def _plant_cliques(blocks: list[np.ndarray], c_p: float,
                    rng: np.random.Generator) -> tuple[dict[int, np.ndarray],
                                                       list[np.ndarray],
                                                       list[np.ndarray]]:
-    if not 0.0 < c_p <= 1.0:
-        raise ValueError(f"clique fraction must lie in (0, 1], got {c_p}")
     cliques: dict[int, np.ndarray] = {}
     us: list[np.ndarray] = []
     vs: list[np.ndarray] = []
@@ -451,6 +450,8 @@ def _plant_cliques(blocks: list[np.ndarray], c_p: float,
 def gen_sbm_planted_cliques(sizes: Sequence[int], p: float, q: float, c_p: float,
                             seed: int) -> tuple[Graph, PlantedLabels]:
     """Block model plus a planted clique on a random c_p-fraction per block."""
+    sizes, p, q, c_p = _read("sbm_planted_cliques", sizes=sizes, p=p, q=q,
+                             c_p=c_p)
     return _block_graph(sizes, _sbm_qmat(sizes, p, q), seed, c_p)
 
 
@@ -465,8 +466,7 @@ def gen_sbm_unequal(seed: int, c_p: float,
     fraction ``c_p`` are added per block as in
     :func:`gen_sbm_planted_cliques`.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    c_p, scale = _read("sbm_unequal", c_p=c_p, scale=scale)
     sizes = [int(round(base * scale)) for base in (1900, 900, 200)]
     if any(s < 1 for s in sizes):
         raise ValueError(f"scale {scale} shrinks a block below one vertex")
@@ -492,6 +492,7 @@ def gaussian_kernel_graph(points: Sequence[Sequence[float]] | np.ndarray,
     Weights below 1e-12 are dropped, so far-apart points simply lack an
     edge; duplicate points get weight exactly 1.
     """
+    points, sigma = _read("gaussian_kernel", points=points, sigma=sigma)
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -499,9 +500,6 @@ def gaussian_kernel_graph(points: Sequence[Sequence[float]] | np.ndarray,
         raise ValueError("need at least two points, as rows of a 2-d array")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    sigma = float(sigma)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     n = len(pts)
     d2 = _squared_distances(pts)
     iu, iv = np.triu_indices(n, 1)

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .graph import Graph, set_conductance, vertex_set
+from .graph import Graph, _conductance, _member_mask
 
 __all__ = [
     "SpectralResult",
@@ -213,5 +213,5 @@ def spectral_partition(G: Graph, eigs: SpectralResult | None = None) -> SweepCut
     chosen = order[:best_t + 1]
     if float(G.degrees[chosen].sum()) > total / 2:
         chosen = order[best_t + 1:]
-    chosen = vertex_set(chosen, n)
-    return SweepCut(chosen, set_conductance(G, chosen))
+    chosen = np.sort(chosen)
+    return SweepCut(chosen, _conductance(G, _member_mask(G, chosen)))

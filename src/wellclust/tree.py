@@ -496,8 +496,8 @@ def random_tree(n: int, seed: int) -> HCTree:
     64-bit unsigned integer, so the topology is reproducible across
     platforms.
     """
-    if n < 1:
-        raise ValueError("random_tree needs n >= 1")
+    if not (_is_int(n) and n >= 1):
+        raise ValueError(f"random_tree needs an int n >= 1, got {n!r}")
     return _split_tree(_rng(seed).permutation(n), lambda s: (s + 1) // 2)
 
 

@@ -1,14 +1,18 @@
 """Seeded graph generator tests: extremes, statistics, determinism."""
 
 import hashlib
+import math
 import re
 import tracemalloc
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from wellclust import (GenSpec, PlantedLabels, SweepPoint, compare_sweep,
-                       generate, generators, load_labels, save_labels)
+from wellclust import (GenSpec, Graph, PlantedLabels, SweepPoint,
+                       compare_sweep, generate, generators, load_labels,
+                       save_labels)
 from wellclust.generators import (
     FAMILY_PARAMS,
     GENERATOR_FAMILIES,
@@ -318,13 +322,136 @@ def test_genspec_checks_each_value_type(family):
     ("hsbm", {"p": 0.3, "q_min": "0.01"},
      "'q_min' must be a real number, got '0.01'"),
     ("planted_clique_expander", {"n": "64"}, "'n' must be an int, got '64'"),
-], ids=["sizes-int", "sizes-floats", "p-str", "q_min-str", "n-str"])
+    ("sbm", {"sizes": [5, 0], "p": 0.3, "q": 0.01},
+     "'sizes' must be a list of positive ints, got [5, 0]"),
+    ("hsbm", {"p": 0.3, "q_min": 0.4}, "'q_min' must be in [0, 1/3], got 0.4"),
+    ("planted_clique_expander", {"n": 20}, "'n' must be at least 27, got 20"),
+    ("sbm_unequal", {"c_p": 0.1, "scale": math.inf},
+     "'scale' must be positive and finite, got inf"),
+    ("gaussian_kernel", {"points": [[0.0], [1.0]], "sigma": math.nan},
+     "'sigma' must be positive and finite, got nan"),
+], ids=["sizes-int", "sizes-floats", "p-str", "q_min-str", "n-str",
+        "sizes-range", "q_min-range", "n-range", "scale-inf", "sigma-nan"])
 def test_generate_rejects_a_wrong_type_before_drawing(family, params,
                                                       message):
-    # each used to raise TypeError in the generator, or to run on a string
+    # each used to raise TypeError in the generator, or to run on a string;
+    # an out-of-range value raised the generator's own message, and a NaN
+    # sigma or q_min drew a graph
     with pytest.raises(ValueError) as err:
         generate(GenSpec(family, params))
     assert str(err.value) == f"family '{family}' parameter {message}"
+
+
+# Values of the right type outside each parameter's range, NaN and the
+# infinities among them; an int too large for a float is no finite real.
+OUT_OF_RANGE = {
+    "sizes": [[5, 0], [-1], (3, -2), np.array([4, 0])],
+    "n": [26, 0, -64, np.int64(20)], "size": [0, -1],
+    **dict.fromkeys(("p", "q"), [-0.1, 1.5, 2, math.inf, -math.inf, math.nan,
+                                 np.float64("nan"), 10**400]),
+    "q_min": [-1e-9, 0.34, 1, math.nan, math.inf],
+    "c_p": [0, 0.0, 1.01, -0.5, math.nan, math.inf],
+    **dict.fromkeys(("scale", "sigma"), [0, 0.0, -1.0, math.inf, -math.inf,
+                                         math.nan, np.float32("inf"),
+                                         10**400]),
+    "points": [],
+}
+
+
+def _direct(family, params):
+    """The family's public generator, called on ``params`` directly."""
+    if family == "gaussian_kernel":
+        return gaussian_kernel_graph(**params)
+    return getattr(generators, f"gen_{family}")(seed=1, **params)
+
+
+@pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+def test_gen_functions_and_genspec_reject_alike(family):
+    """Each parameter has one rule: a direct call raises exactly the
+    ValueError that GenSpec raises for the same bad value. Each generator
+    used to cast (sizes [5.7, 5] drew [5, 5]), accept NaN or overflow in its
+    own way."""
+    required, optional = FAMILY_PARAMS[family]
+    full = {name: WELL_TYPED[name] for name in (*required, *optional)}
+    for name in full:
+        for bad in WRONG_TYPES[name] + OUT_OF_RANGE[name]:
+            params = {**full, name: bad}
+            with pytest.raises(ValueError, match=f"^family '{family}' "
+                               f"parameter '{name}' must be ") as built:
+                GenSpec(family, params)
+            with pytest.raises(ValueError) as direct:
+                _direct(family, params)
+            assert str(direct.value) == str(built.value)
+    _direct(family, full)
+
+
+def test_int_parameters_draw_their_float_forms_graph():
+    """An int probability reads as its float. An int q_min of 0 used to
+    make hsbm's probability matrix int64, so p truncated to 0 and the graph
+    had no edge."""
+    hsbm = {"p": 0.3, "size": 20}
+    for as_int, as_float in [
+            (lambda: gen_sbm([6, 6], 1, 0, 3),
+             lambda: gen_sbm([6, 6], 1.0, 0.0, 3)),
+            (lambda: gen_hsbm(0.3, 0, 7, size=20),
+             lambda: gen_hsbm(0.3, 0.0, 7, size=20)),
+            (lambda: generate(GenSpec("hsbm", {**hsbm, "q_min": 0}, 7)),
+             lambda: generate(GenSpec("hsbm", {**hsbm, "q_min": 0.0}, 7))),
+            (lambda: gen_sbm_planted_cliques([4, 5], 0, 0, 1, 2),
+             lambda: gen_sbm_planted_cliques([4, 5], 0.0, 0.0, 1.0, 2))]:
+        G, labels = as_int()
+        assert G.m > 0
+        assert _instance_digest(G, labels) == _instance_digest(*as_float())
+
+
+_NOT_A_PARAMETER = st.sampled_from(["1", None, True, [1], b"x", 1j])
+_ANY_REAL = st.one_of(st.floats(), st.sampled_from([-1, 0, 1, 2, 10**400]))
+# Each parameter draws a value in its range or any value of its type (NaN,
+# the infinities and an int too large for a float among them). The sizes
+# are bounded so that no draw allocates a large graph: at most four blocks
+# of 12, an hsbm block of 12, n up to 60 and a scale up to 0.05 (blocks of
+# 95, 45 and 10).
+_PARAM_VALUES = {
+    "sizes": st.one_of(st.lists(st.integers(1, 12), min_size=1, max_size=4),
+                       st.lists(st.integers(-1, 12), max_size=4)),
+    "n": st.one_of(st.integers(27, 60), st.integers(-3, 60)),
+    "size": st.one_of(st.integers(1, 12), st.integers(-2, 12)),
+    **dict.fromkeys(("p", "q", "c_p"), st.one_of(st.floats(0, 1), _ANY_REAL)),
+    "q_min": st.one_of(st.floats(0, 1 / 3), _ANY_REAL),
+    "scale": st.one_of(st.floats(0.0025, 0.05), st.floats(max_value=0.05),
+                       st.sampled_from([math.nan, math.inf, 10**400])),
+    "sigma": st.one_of(st.floats(0.01, 10), _ANY_REAL),
+    "points": st.one_of(
+        st.lists(st.lists(st.floats(-10, 10), min_size=2, max_size=2),
+                 min_size=2, max_size=6),
+        st.lists(st.lists(st.floats(), max_size=2), max_size=6)),
+}
+
+
+@st.composite
+def gen_specs(draw):
+    """A family, a value for each of its parameters (one in ten of another
+    type) and a seed."""
+    family = draw(st.sampled_from(GENERATOR_FAMILIES))
+    required, optional = FAMILY_PARAMS[family]
+    params = {name: draw(_PARAM_VALUES[name] if draw(st.integers(0, 9))
+                         else _NOT_A_PARAMETER)
+              for name in (*required, *optional)}
+    return family, params, draw(st.integers(-1, 2**64))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(gen_specs())
+def test_generate_returns_a_graph_or_raises_value_error(case):
+    """Whatever the values, a spec either draws a graph or is rejected
+    with ValueError; any other error is a bug."""
+    try:
+        G, labels = generate(GenSpec(*case))
+    except ValueError:
+        return
+    assert isinstance(G, Graph)
+    assert np.all(np.isfinite(G.edges_w)) and np.all(G.edges_w > 0)
+    assert labels is None or labels.n == G.n
 
 
 def test_genspec_rejects_unknown_family():

@@ -395,15 +395,25 @@ def test_random_tree_seeded():
     assert random_tree(2, 0).leaf_count.max() == 2
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, True, 1.7, "3"])
-def test_random_tree_takes_the_generators_seed_rule(seed):
+SEED_RULE = "^seed must be a 64-bit unsigned integer$"
+
+
+@pytest.mark.parametrize("n, seed, message", [
+    *[(5, seed, SEED_RULE) for seed in (-1, 2**64, True, 1.7, "3")],
+    (True, 1, "^random_tree needs an int n >= 1, got True$"),
+    (6.5, 1, r"^random_tree needs an int n >= 1, got 6\.5$"),
+], ids=["-1", "18446744073709551616", "True", "1.7", "3", "n-True", "n-6.5"])
+def test_random_tree_takes_the_generators_seed_rule(n, seed, message):
     """One seed rule for every Philox stream: the generators' message, not
-    numpy's key check, which would accept seeds up to 2**128."""
-    for draw in (lambda: random_tree(5, seed),
-                 lambda: generate(GenSpec("sbm", {"sizes": [3, 3], "p": 1.0,
-                                                  "q": 0.0}, seed))):
-        with pytest.raises(ValueError,
-                           match="^seed must be a 64-bit unsigned integer$"):
+    numpy's key check, which would accept seeds up to 2**128. The leaf
+    count takes the integer rule too: n = True drew a 1-leaf tree and
+    n = 6.5 raised numpy's AxisError."""
+    draws = [lambda: random_tree(n, seed)]
+    if message == SEED_RULE:
+        draws.append(lambda: generate(GenSpec(
+            "sbm", {"sizes": [3, 3], "p": 1.0, "q": 0.0}, seed)))
+    for draw in draws:
+        with pytest.raises(ValueError, match=message):
             draw()
 
 
