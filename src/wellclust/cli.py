@@ -86,7 +86,7 @@ _SWEEPABLE = ("p", "q", "c_p", "n", "scale")
 
 def _load_points(path: str) -> list[list[float]]:
     points = []
-    with open(path) as fh:
+    with open(path, encoding="ascii", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
@@ -160,6 +160,18 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _check_best_over_k(args, parser, algos) -> None:
+    """``--best-over-k`` needs prunemerge among ``algos`` and a KMAX of at
+    least 2; ``run`` and ``compare`` check it before reading any file."""
+    if args.best_over_k is None:
+        return
+    if "prunemerge" not in algos:
+        parser.error(f"--best-over-k applies to prunemerge only, not "
+                     f"{','.join(algos)}")
+    if args.best_over_k < 2:
+        parser.error("--best-over-k must be at least 2")
+
+
 def cmd_generate(args, parser) -> int:
     params = _family_params(args, parser)
     G, labels = generate(GenSpec(args.family, params, args.seed))
@@ -174,9 +186,7 @@ def cmd_generate(args, parser) -> int:
 
 
 def cmd_run(args, parser) -> int:
-    if args.best_over_k is not None and args.algo != "prunemerge":
-        parser.error(f"--best-over-k applies to prunemerge only, not "
-                     f"{args.algo}")
+    _check_best_over_k(args, parser, [args.algo])
     G = load_graph(args.graph)
     outcome = run_algorithm(G, args.algo, k=args.k, seed=args.seed,
                             best_k_max=args.best_over_k,
@@ -249,19 +259,15 @@ def cmd_sweep(args, parser) -> int:
 
 
 def cmd_compare(args, parser) -> int:
-    points = _sweep_points(args, parser)
     algos = [tok.strip() for tok in args.algos.split(",") if tok.strip()]
     for algo in algos:
         if algo not in ALGORITHMS:
             parser.error(f"unknown algorithm {algo!r}; choose from "
                          f"{','.join(ALGORITHMS)}")
-    if args.best_over_k is not None and "prunemerge" not in algos:
-        parser.error("--best-over-k applies to prunemerge only, which "
-                     "--algos does not name")
-    if args.best_over_k is not None and args.best_over_k < 2:
-        parser.error("--best-over-k must be at least 2")
+    _check_best_over_k(args, parser, algos)
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
+    points = _sweep_points(args, parser)
     rows = compare_sweep(points, algos, seeds=range(1, args.seeds + 1),
                          k=args.k, best_k_max=args.best_over_k,
                          phi_in_mode=args.phi_in_mode, timing=args.timing)
@@ -359,6 +365,10 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a graph header claiming 10**13 vertices
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}",
+              file=sys.stderr)
         return 1
 
 

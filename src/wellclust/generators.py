@@ -490,7 +490,7 @@ def gaussian_kernel_graph(points: Sequence[Sequence[float]] | np.ndarray,
     """Complete similarity graph w_uv = exp(-|x_u - x_v|^2 / (2 sigma^2)).
 
     Weights below 1e-12 are dropped, so far-apart points simply lack an
-    edge; duplicate points get weight exactly 1.
+    edge; duplicate points get weight exactly 1, whatever sigma.
     """
     points, sigma = _read("gaussian_kernel", points=points, sigma=sigma)
     pts = np.asarray(points, dtype=np.float64)
@@ -501,9 +501,12 @@ def gaussian_kernel_graph(points: Sequence[Sequence[float]] | np.ndarray,
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
     n = len(pts)
-    d2 = _squared_distances(pts)
     iu, iv = np.triu_indices(n, 1)
-    w = np.exp(-d2[iu, iv] / (2.0 * sigma * sigma))
+    d2 = _squared_distances(pts)[iu, iv]
+    # a tiny sigma can make 2 sigma^2 underflow to 0 or the ratio overflow;
+    # the weight is then 0, and 1 for duplicates
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = np.where(d2 == 0, 1.0, np.exp(-d2 / (2.0 * sigma * sigma)))
     keep = w >= KERNEL_WEIGHT_FLOOR
     return Graph(n, iu[keep].astype(np.int64), iv[keep].astype(np.int64),
                  w[keep])
@@ -526,7 +529,7 @@ def save_labels(path: str, labels: PlantedLabels) -> None:
 
 def load_labels(path: str) -> PlantedLabels:
     rows = []
-    with open(path, encoding="ascii") as fh:
+    with open(path, encoding="ascii", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:

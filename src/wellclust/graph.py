@@ -217,13 +217,13 @@ def save_graph(G: Graph, path) -> None:
     lines = [f"{G.n} {G.m}\n"]
     for u, v, w in zip(G.edges_u, G.edges_v, G.edges_w):
         lines.append(f"{u} {v} {float(w)!r}\n")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="ascii") as fh:
         fh.writelines(lines)
 
 
 def load_graph(path) -> Graph:
-    """Read the edge-list format written by :func:`save_graph`."""
-    with open(path) as fh:
+    """Read the ASCII edge-list format written by :func:`save_graph`."""
+    with open(path, encoding="ascii", errors="replace") as fh:
         header = fh.readline()
         try:
             n, m = (int(tok) for tok in header.split())

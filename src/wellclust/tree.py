@@ -143,8 +143,9 @@ class TreeBuilder:
     def leaf(self, vertex: int) -> int:
         if not _is_int(vertex):
             raise ValueError(f"leaf vertex must be an integer, got {vertex!r}")
-        if vertex < 0:
-            raise ValueError(f"leaf vertex {vertex} is negative")
+        if not 0 <= vertex < 1 << 63:
+            raise ValueError(f"leaf vertex {vertex} is "
+                             f"{'negative' if vertex < 0 else 'not below 2**63'}")
         self._left.append(-1)
         self._right.append(-1)
         self._vertex.append(vertex)
@@ -153,11 +154,11 @@ class TreeBuilder:
 
     def internal(self, left: int, right: int) -> int:
         node = len(self._left)
-        for child in (left, right):
+        for side, child in (("left", left), ("right", right)):
             if not 0 <= child < node:
                 raise ValueError(f"child id {child} out of range")
             if self._used[child]:
-                raise ValueError(f"node {child} already has a parent")
+                raise ValueError(f"the {side} child already has a parent")
             self._used[child] = True
         self._left.append(left)
         self._right.append(right)
@@ -512,64 +513,44 @@ def save_tree(T: HCTree, path) -> None:
             lines.append(f"leaf {node} {T.leaf_vertex[node]}\n")
         else:
             lines.append(f"{node} {T.left[node]} {T.right[node]}\n")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="ascii") as fh:
         fh.writelines(lines)
 
 
 def load_tree(path) -> HCTree:
-    """Read a dendrogram file; node ids are renumbered children-first."""
-    leaves: dict[int, int] = {}
-    internals: dict[int, tuple[int, int]] = {}
-    with open(path) as fh:
+    """Read an ASCII dendrogram file: each line adds one node to a
+    :class:`TreeBuilder`, so children come before their parent, the last
+    line is the root, and the tree numbers its nodes in file order. Errors
+    name ``path:line``."""
+    builder = TreeBuilder()
+    ids: dict[int, int] = {}  # file id -> tree node id
+    with open(path, encoding="ascii", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
                 continue
+            leaf = parts[0] == "leaf"
             try:
                 if len(parts) != 3:
                     raise ValueError
-                if parts[0] == "leaf":
-                    node, table, entry = int(parts[1]), leaves, int(parts[2])
-                    if entry < 0:
-                        raise ValueError
-                else:
-                    node, table = int(parts[0]), internals
-                    entry = (int(parts[1]), int(parts[2]))
+                node, *entry = map(int, parts[1:] if leaf else parts)
+                added = builder.leaf(entry[0]) if leaf else None
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: bad dendrogram line {line!r}") from None
-            if node in leaves or node in internals:
-                raise ValueError(f"{path}:{lineno}: duplicate node id {node}")
-            table[node] = entry
-    ids = set(leaves) | set(internals)
-    children = [c for pair in internals.values() for c in pair]
-    child_set = set(children)
-    if len(children) != len(child_set):
-        raise ValueError(f"{path}: node referenced as child twice")
-    if not child_set <= ids:
-        raise ValueError(
-            f"{path}: unknown child id(s): {sorted(child_set - ids)}")
-    roots = ids - child_set
-    if len(roots) != 1:
-        raise ValueError(f"{path}: dendrogram must have exactly one root, "
-                         f"found {len(roots)}")
-    root = roots.pop()
-    builder = TreeBuilder()
-    remap: dict[int, int] = {}
-    stack = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if node in leaves:
-            remap[node] = builder.leaf(leaves[node])
-        elif done:
-            l, r = internals[node]
-            remap[node] = builder.internal(remap[l], remap[r])
-        else:
-            l, r = internals[node]
-            stack.append((node, True))
-            stack.append((r, False))
-            stack.append((l, False))
-    if len(remap) < len(ids):
-        raise ValueError(f"{path}: {len(ids) - len(remap)} dendrogram "
-                         "node(s) unreachable from the root")
-    return builder.build()
+            try:
+                if node in ids:
+                    raise ValueError(f"duplicate node id {node}")
+                if not leaf:
+                    for child in entry:
+                        if child not in ids:
+                            raise ValueError(f"child {child} is not defined "
+                                             "on an earlier line")
+                    added = builder.internal(ids[entry[0]], ids[entry[1]])
+                ids[node] = added
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    try:
+        return builder.build()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

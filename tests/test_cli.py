@@ -3,13 +3,15 @@
 import csv
 import importlib
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from wellclust.cli import _flag, main
-from wellclust.generators import FAMILY_PARAMS, GENERATOR_FAMILIES
+from wellclust.cli import _flag, _load_points, main
+from wellclust.generators import (FAMILY_PARAMS, GENERATOR_FAMILIES,
+                                  load_labels)
 from wellclust.graph import load_graph, save_graph
 from wellclust.spectral import SpectralConvergenceError, smallest_eigenvalues
 from wellclust.tree import dasgupta_cost, load_tree
@@ -167,8 +169,9 @@ def test_compare_best_over_k_scores_planted_labels(tmp_path):
 
 
 def test_compare_best_over_k_below_two(tmp_path, monkeypatch, capsys):
-    """Like ``run --best-over-k 1``, compare rejects the flag up front
-    instead of writing an error row for every prunemerge op."""
+    """``run`` and ``compare`` reject the flag before reading any file,
+    instead of failing inside ``best_over_k`` or writing an error row for
+    every prunemerge op; ``run`` names a graph that does not exist."""
     monkeypatch.chdir(tmp_path)
     assert main(["compare", "--family", "sbm", "--sizes", "20,20", "--p",
                  "0.5", "--q", "0.05", "--algos", "prunemerge,naive",
@@ -178,6 +181,13 @@ def test_compare_best_over_k_below_two(tmp_path, monkeypatch, capsys):
     assert captured.err.startswith("usage: wellclust compare ")
     assert "--best-over-k must be at least 2" in captured.err
     assert not (tmp_path / "c.csv").exists()
+    assert main(["run", "--graph", "missing.txt", "--algo", "prunemerge",
+                 "--best-over-k", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: wellclust run ")
+    assert captured.err.endswith(
+        "wellclust run: error: --best-over-k must be at least 2\n")
 
 
 @pytest.mark.parametrize("family, k, r, stalled", [
@@ -411,7 +421,8 @@ def test_c0_flag_rejected(capsys, argv):
 
 
 def test_unreachable_tree_nodes_exit_one(tmp_path, capsys):
-    # leaves 2 and 3 hang under the 2-cycle 5 <-> 6, which root 4 never reaches
+    # leaves 2 and 3 hang under the 2-cycle 5 <-> 6, which root 4 never
+    # reaches; line 6 names node 6 before the line that defines it
     g = tmp_path / "g.txt"
     g.write_text("2 1\n0 1 1.0\n")
     t = tmp_path / "t.txt"
@@ -419,7 +430,7 @@ def test_unreachable_tree_nodes_exit_one(tmp_path, capsys):
                  "5 6 2\n6 5 3\n")
     assert main(["cost", str(g), str(t)]) == 1
     assert capsys.readouterr().err == \
-        f"error: {t}: 4 dendrogram node(s) unreachable from the root\n"
+        f"error: {t}:6: child 6 is not defined on an earlier line\n"
 
 
 def test_negative_leaf_vertex_exits_one(tmp_path, capsys):
@@ -430,6 +441,43 @@ def test_negative_leaf_vertex_exits_one(tmp_path, capsys):
     assert main(["cost", str(g), str(t)]) == 1
     assert capsys.readouterr().err == \
         f"error: {t}:3: bad dendrogram line 'leaf 2 -1\\n'\n"
+
+
+def test_leaf_vertex_beyond_int64_exits_one(tmp_path, capsys):
+    g = tmp_path / "g.txt"
+    g.write_text("2 1\n0 1 1.0\n")
+    t = tmp_path / "t.txt"
+    t.write_text("leaf 0 99999999999999999999\n")
+    assert main(["cost", str(g), str(t)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {t}:1: bad dendrogram line 'leaf 0 99999999999999999999\\n'\n"
+
+
+@pytest.mark.parametrize("read, text", [
+    (load_graph, b"2 1\n0 1 1.0\xff\n"),
+    (load_labels, b"0 0\n1 \xff\n"),
+    (_load_points, b"0 0\n1 1\xff\n"),
+    (load_tree, b"leaf 0 0\nleaf 1 \xff1\n2 0 1\n"),
+], ids=["graph", "labels", "points", "tree"])
+def test_non_ascii_byte_fails_its_line(tmp_path, read, text):
+    path = tmp_path / "in.txt"
+    path.write_bytes(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: bad "):
+        read(path)
+
+
+def test_out_of_memory_exits_one(monkeypatch, capsys):
+    import wellclust.cli as cli_mod
+
+    def load_graph(path):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array with "
+                          "shape (10000000000000,) and data type float64")
+
+    monkeypatch.setattr(cli_mod, "load_graph", load_graph)
+    assert main(["sweep", "--graph", "g.txt"]) == 1
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 72.8 TiB for an array with "
+        "shape (10000000000000,) and data type float64\n")
 
 
 @pytest.mark.parametrize("edges, message", [

@@ -225,11 +225,20 @@ def test_sbm_unequal_scale_validation():
         gen_sbm_unequal(0, c_p=0.1, scale=0.001)
 
 
+@pytest.mark.filterwarnings("error")
 def test_gaussian_kernel_values():
     G = gaussian_kernel_graph([[0.0], [0.0]], 1.0)
     assert G.m == 1 and G.edges_w[0] == 1.0
     G = gaussian_kernel_graph([[0.0], [np.sqrt(2.0)]], 1.0)
     assert G.edges_w[0] == pytest.approx(np.exp(-1.0))
+    # 2 sigma^2 underflows to 0, and every squared distance with it
+    G = gaussian_kernel_graph([[0.0], [0.0], [1e-300]], 1e-200)
+    assert G.m == 3 and (G.edges_w == 1.0).all()
+    # 1 / (2 sigma^2) overflows, or only 2 sigma^2 underflows: the
+    # duplicates keep weight 1
+    for sigma in (1e-160, 1e-170):
+        G = gaussian_kernel_graph([[0.0], [0.0], [1.0]], sigma)
+        assert list(zip(G.edges_u, G.edges_v, G.edges_w)) == [(0, 1, 1.0)]
 
 
 def test_gaussian_kernel_collinear_power():
