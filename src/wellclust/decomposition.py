@@ -16,7 +16,7 @@ and the inner-conductance certificates) use the cluster's own edges.
 from __future__ import annotations
 
 import math
-import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -48,11 +48,7 @@ _BOUND_RTOL = 1e-9
 
 
 class DecompositionError(RuntimeError):
-    """Refinement failed to settle; carries the tail of the loop trace."""
-
-    def __init__(self, message: str, trace: list[dict] | None = None):
-        super().__init__(message)
-        self.trace = trace or []
+    """Refinement failed to settle, or broke one of its invariants."""
 
 
 def _require(ok: bool, message: str, *args) -> None:
@@ -205,16 +201,6 @@ def derive_params(G: Graph, k: int, phi_in_mode: str = "practical",
                         phi_in_mode=phi_in_mode, spectrum=eigs)
 
 
-def _per_state(method):
-    """Memoise ``method(state, *args)`` until the state's next ``apply_*``."""
-    def memoized(state, *args):
-        key = (method.__name__, *args)
-        if key not in state._memo:
-            state._memo[key] = method(state, *args)
-        return state._memo[key]
-    return memoized
-
-
 class _Critical(NamedTuple):
     """One critical node N of a cluster tree on P, measured."""
 
@@ -257,10 +243,10 @@ class _ClusterInfo:
 
 
 class _State:
-    """Mutable working partition plus caches and progress checks: cluster i
-    is ``label == i``, its core ``(label == i) & in_core`` and its view,
-    once built, ``views[i]``; an ``apply_*`` drops the views of the
-    clusters whose vertices it moves."""
+    """Mutable working partition plus what outlives a refinement step:
+    cluster i is ``label == i``, its core ``(label == i) & in_core`` and its
+    view, once built, ``views[i]``; an ``apply_*`` drops the views of the
+    clusters whose vertices it moves and traces the step (the last 20)."""
 
     def __init__(self, G: Graph, params: DecompParams,
                  sets: Sequence[np.ndarray] | None = None,
@@ -273,23 +259,17 @@ class _State:
         self.label = _cluster_labels(sets, G.n)
         self.in_core = _member_mask(G, np.concatenate(cores))
         self.views: list[_ClusterInfo | None] = [None] * self.r
-        self._memo: dict[tuple, object] = {}
-        self.trace: list[dict] = []
+        self.trace: deque[dict] = deque(maxlen=20)
         self.iterations = 0
 
-    # -- cached per-cluster views ------------------------------------------
+    # -- per-cluster reads ----------------------------------------------------
 
-    @_per_state
-    def member(self, i: int) -> np.ndarray:
-        return self.label == i
-
-    @_per_state
     def core(self, i: int) -> np.ndarray:
-        return self.member(i) & self.in_core
+        return (self.label == i) & self.in_core
 
     @property
     def sets(self) -> list[np.ndarray]:
-        return [np.flatnonzero(self.member(i)) for i in range(self.r)]
+        return [np.flatnonzero(self.label == i) for i in range(self.r)]
 
     @property
     def cores(self) -> list[np.ndarray]:
@@ -298,7 +278,7 @@ class _State:
     def info(self, i: int) -> _ClusterInfo:
         if self.views[i] is not None:
             return self.views[i]
-        P = np.flatnonzero(self.member(i))
+        P = np.flatnonzero(self.label == i)
         eigs = self.params.spectrum
         # The whole vertex set is G, already solved by derive_params. With
         # two or more nontrivial components (lambda_2 at zero) the solved
@@ -344,26 +324,6 @@ class _State:
         """Relative-conductance level below which a core half is shed."""
         return 1.0 / (3.0 * (self.params.k + 1))
 
-    def lambda2_order(self) -> list[int]:
-        lams = np.asarray([self.info(i).lambda2 for i in range(self.r)])
-        return [int(i) for i in np.lexsort((np.arange(self.r), lams))]
-
-    @_per_state
-    def cond2_candidates(self) -> list[tuple[int, np.ndarray]]:
-        """Clusters passing the inner sweep test, in ascending-lambda2 order,
-        paired with the candidate mask (swapped so vol(S∩core) stays small)."""
-        out = []
-        for i in self.lambda2_order():
-            info = self.info(i)
-            if info.phi_max is None or not info.phi_max < self.params.phi_in:
-                continue
-            S = _member_mask(self.G, info.P[info.sweep_local])
-            core = self.core(i)
-            if _volume(self.G, S & core) > _volume(self.G, core) / 2.0:
-                S = self.member(i) & ~S
-            out.append((i, S))
-        return out
-
     # -- update application -------------------------------------------------
 
     def _check_invariants(self) -> None:
@@ -378,13 +338,10 @@ class _State:
                      "invariant bound %.6g", phi, bound)
 
     def _commit(self, tag: str, i: int, **extra) -> str:
-        """Close an ``apply_*`` step on cluster i: drop the memo, trace the
-        step and check every core against its bound; returns ``tag``."""
-        self._memo.clear()
+        """Close an ``apply_*`` step on cluster i: trace the step and check
+        every core against its bound; returns ``tag``."""
         self.trace.append({"iteration": self.iterations, "branch": tag,
                            "cluster": i, "r": self.r, **extra})
-        if len(self.trace) > 200:
-            del self.trace[:100]
         self._check_invariants()
         return tag
 
@@ -392,7 +349,7 @@ class _State:
         """Make the mask ``removed`` ⊆ P_i a new cluster, all of it core."""
         size = int(np.count_nonzero(removed))
         _require(size > 0, "split removes nothing")
-        _require((self.member(i) & ~removed).any(),
+        _require(((self.label == i) & ~removed).any(),
                  "split removes the whole cluster")
         self.label[removed] = self.r
         self.in_core[removed] = True
@@ -428,17 +385,68 @@ class _State:
         return self._commit(tag, i, moved=size, to=j)
 
 
+class _Step:
+    """One refinement step's reads of the state, each built at most once:
+    member and core masks, the lambda_2 order, the sweep candidates, and
+    the whole-cluster and critical-node candidates. An ``apply_*`` ends the
+    step; the next one reads the changed state afresh."""
+
+    def __init__(self, state: _State):
+        self.state = state
+
+    @cached_property
+    def members(self) -> list[np.ndarray]:
+        return [self.state.label == i for i in range(self.state.r)]
+
+    @cached_property
+    def cores(self) -> list[np.ndarray]:
+        return [P & self.state.in_core for P in self.members]
+
+    @cached_property
+    def by_lambda2(self) -> list[int]:
+        lams = [self.state.info(i).lambda2 for i in range(self.state.r)]
+        return [int(i) for i in np.lexsort((np.arange(len(lams)), lams))]
+
+    @cached_property
+    def cond2(self) -> list[tuple[int, np.ndarray]]:
+        """Clusters passing the inner sweep test, in ascending-lambda2 order,
+        paired with the candidate mask (swapped so vol(S∩core) stays small)."""
+        state, out = self.state, []
+        for i in self.by_lambda2:
+            info = state.info(i)
+            if info.phi_max is None or not info.phi_max < state.params.phi_in:
+                continue
+            S = _member_mask(state.G, info.P[info.sweep_local])
+            core = self.cores[i]
+            if _volume(state.G, S & core) > _volume(state.G, core) / 2.0:
+                S = self.members[i] & ~S
+            out.append((i, S))
+        return out
+
+    @cached_property
+    def whole(self) -> list[_Candidate]:
+        """Each cluster as its own candidate, so S\\C is P_i \\ core_i."""
+        return [_Candidate(self, i, P) for i, P in enumerate(self.members)]
+
+    @cached_property
+    def critical(self) -> list[list[_Candidate]]:
+        """Per cluster, one candidate per critical node of its degree tree,
+        in their canonical order."""
+        return [[_Candidate(self, i, crit.mask) for crit in
+                 self.state.info(i).critical] for i in range(self.state.r)]
+
 
 class _Candidate:
     """Cluster i split by a candidate vertex mask S (a sweep cut, the leaves
     of a critical node, or the whole cluster) and its core C:
     ``s_plus = S∩C``, ``s_minus = S\\C``, ``s_plus_bar = C\\S``, each a
     vertex mask. Every measurement the refinement predicates read is
-    computed on first use and at most once."""
+    computed on first use and at most once. It keeps the step's state, not
+    the step, whose cached candidates would otherwise form a cycle."""
 
-    def __init__(self, state: _State, i: int, S: np.ndarray):
-        self.state, self.G, self.i = state, state.G, i
-        self.P, self.core = state.member(i), state.core(i)
+    def __init__(self, step: _Step, i: int, S: np.ndarray):
+        self.state, self.G, self.i = step.state, step.state.G, i
+        self.P, self.core = step.members[i], step.cores[i]
         self.s_plus = S & self.core
         self.s_minus = S & ~self.core
         self.s_plus_bar = self.core & ~S
@@ -481,13 +489,20 @@ class _Candidate:
         return self.plus_is_small and self.rel_plus <= self.state.rel_threshold()
 
     @cached_property
+    def target(self) -> int:
+        """The other cluster receiving the most of S\\C's weight, ties to the
+        lowest index; i itself when there is no other cluster."""
+        cross = self.cross_minus.copy()
+        cross[self.i] = -math.inf
+        return int(np.argmax(cross))
+
+    @cached_property
     def moves_rest(self) -> bool:
-        """S\\C is nonempty and sends more weight to another cluster than to
-        its own."""
+        """S\\C is nonempty and sends more weight to ``target`` than to its
+        own cluster."""
         if not self.s_minus.any():
             return False
-        others = np.delete(self.cross_minus, self.i)
-        return bool(others.size and others.max() > self.cross_minus[self.i])
+        return bool(self.cross_minus[self.target] > self.cross_minus[self.i])
 
     @cached_property
     def moves_late(self) -> bool:
@@ -513,38 +528,21 @@ class _Candidate:
         return self.state.apply_core_shrink(self.i, keep, tag=tag)
 
     def move_rest(self, tag: str) -> str:
-        """Move S\\C to the other cluster receiving the most of its weight,
-        ties to the smallest index."""
-        cross = self.cross_minus.copy()
-        cross[self.i] = -math.inf
-        return self.state.apply_move(self.i, self.s_minus,
-                                     int(np.argmax(cross)), tag=tag)
+        """Move S\\C to ``target``."""
+        return self.state.apply_move(self.i, self.s_minus, self.target,
+                                     tag=tag)
 
 
-@_per_state
-def _critical_candidates(state: _State, i: int) -> list[_Candidate]:
-    """One candidate per critical node of cluster i's degree tree, in their
-    canonical order."""
-    owner = weakref.proxy(state)  # the state's memo keeps them: no cycle
-    return [_Candidate(owner, i, c.mask) for c in state.info(i).critical]
-
-
-@_per_state
-def _whole_cluster(state: _State, i: int) -> _Candidate:
-    """Cluster i as its own candidate, so S\\C is P_i \\ core_i."""
-    return _Candidate(weakref.proxy(state), i, state.member(i))
-
-
-def _move_noncore(state: _State, i: int) -> str | None:
-    cand = _whole_cluster(state, i)
+def _move_noncore(step: _Step, i: int) -> str | None:
+    cand = step.whole[i]
     return cand.move_rest("move-noncore") if cand.moves_rest else None
 
 
-def _try_refine(state: _State, i: int, S: np.ndarray) -> str | None:
+def _try_refine(step: _Step, i: int, S: np.ndarray) -> str | None:
     """Run the five refinement cases for cluster i and sweep mask S; apply
     the first that fires and name it, or return None."""
-    G = state.G
-    cand = _Candidate(state, i, S)
+    state, G = step.state, step.state.G
+    cand = _Candidate(step, i, S)
     if cand.splits_core:
         return cand.split_core("split-core-half")
     rel_plus_bar = _relative_conductance(G, cand.s_plus_bar, cand.core)
@@ -552,7 +550,7 @@ def _try_refine(state: _State, i: int, S: np.ndarray) -> str | None:
         return cand.shrink_core("core-shrink")
     if _conductance(G, cand.s_minus) <= state.split_threshold():
         return state.apply_split(i, cand.s_minus, tag="split-outside-core")
-    fired = _move_noncore(state, i)
+    fired = _move_noncore(step, i)
     if fired:
         return fired
     if cand.moves_rest:
@@ -560,15 +558,14 @@ def _try_refine(state: _State, i: int, S: np.ndarray) -> str | None:
     return None
 
 
-def _scan_late_refinements(state: _State) -> str | None:
+def _scan_late_refinements(step: _Step) -> str | None:
     """The three critical-node refinements run when the sweep loop is quiet.
 
     Clusters are scanned in index order; within a cluster, critical nodes in
     their canonical order (a one-vertex cluster has none). The first firing
     predicate is applied.
     """
-    cands = [cand for i in range(state.r)
-             for cand in _critical_candidates(state, i)]
+    cands = [cand for per_cluster in step.critical for cand in per_cluster]
     for cand in cands:
         if cand.splits_core:
             return cand.split_core("late-split-core-half")
@@ -579,6 +576,21 @@ def _scan_late_refinements(state: _State) -> str | None:
         if cand.moves_late:
             return cand.move_rest("late-move")
     return None
+
+
+def _refine(step: _Step) -> str | None:
+    """Apply the first refinement that fires on this step and name it, or
+    return None: the sweep cases per cluster in ascending-lambda2 order,
+    then the non-core moves in that order, then the critical-node cases."""
+    for i, S in step.cond2:
+        fired = _try_refine(step, i, S)
+        if fired:
+            return fired
+    for i in step.by_lambda2:
+        fired = _move_noncore(step, i)
+        if fired:
+            return fired
+    return _scan_late_refinements(step)
 
 
 class _Decomposition(tuple):
@@ -606,40 +618,29 @@ def strong_decomposition(G: Graph, params: DecompParams,
         if state.iterations >= params.max_iterations:
             raise DecompositionError(
                 f"no fixed point after {state.iterations} refinement steps "
-                f"(cap {params.max_iterations}); trace tail: {state.trace[-8:]}",
-                state.trace)
-        fired = None
-        for i, S in state.cond2_candidates():
-            fired = _try_refine(state, i, S)
-            if fired:
-                break
-        if fired is None:
-            for i in state.lambda2_order():
-                fired = _move_noncore(state, i)
-                if fired:
-                    break
-        if fired is None:
-            fired = _scan_late_refinements(state)
-        if fired is None:
+                f"(cap {params.max_iterations}); trace tail: "
+                f"{list(state.trace)[-8:]}")
+        step = _Step(state)
+        if _refine(step) is None:
             break
         state.iterations += 1
 
     _require(state.r <= params.k, "refinement produced %d > k = %d clusters",
              state.r, params.k)
     partition = Partition(tuple(state.sets), tuple(state.cores))
-    report = termination_report(G, partition, params, _state=state)
+    report = termination_report(G, partition, params, _step=step)
     report["iterations"] = state.iterations
-    # nothing fired, so the audit's while_2 read the exit state's memoised
+    # nothing fired, so the audit's while_2 read the exit step's sweep
     # candidates: the loop stalled exactly when some sweep test still passed
     report["stalled"] = report["predicates"]["while_2"]
-    report["trace_tail"] = state.trace[-20:]
+    report["trace_tail"] = list(state.trace)
     out = _Decomposition((partition, report))
     out.views = tuple(state.views)
     return out
 
 
 def termination_report(G: Graph, partition: Partition, params: DecompParams,
-                       _state: _State | None = None) -> dict:
+                       _step: _Step | None = None) -> dict:
     """Audit a partition against every termination predicate and bound.
 
     Pure measurement: evaluates the two loop conditions, the three late
@@ -653,17 +654,15 @@ def termination_report(G: Graph, partition: Partition, params: DecompParams,
     if partition.n != G.n:
         raise ValueError(f"partition covers {partition.n} vertices, graph "
                          f"has {G.n}")
-    state = _state
-    if state is None:
-        state = _State(G, params, partition.sets, partition.cores)
-    r = state.r
+    step = _step or _Step(_State(G, params, partition.sets, partition.cores))
+    state, r = step.state, step.state.r
     while_1 = False
-    while_2 = bool(state.cond2_candidates())
+    while_2 = bool(step.cond2)
     if_6 = if_7 = if_8 = False
     clusters = []
     for i in range(r):
-        while_1 = while_1 or _whole_cluster(state, i).moves_rest
-        info, in_p, core = state.info(i), state.member(i), state.core(i)
+        while_1 = while_1 or step.whole[i].moves_rest
+        info, in_p, core = state.info(i), step.members[i], step.cores[i]
         entry = {
             "size": int(info.P.size),
             "core_size": int(np.count_nonzero(core)),
@@ -677,7 +676,7 @@ def termination_report(G: Graph, partition: Partition, params: DecompParams,
             "inner_target": params.phi_in ** 2 / 4.0,
             "critical_nodes": [],
         }
-        for crit, cand in zip(info.critical, _critical_candidates(state, i)):
+        for crit, cand in zip(info.critical, step.critical[i]):
             a3_lhs, a3_rhs = crit.w_out, 6.0 * (k + 1) * crit.vol_in
             w_minus_in, w_minus_out = _boundary(G, cand.s_minus, in_p)
             # node first, so every node's predicate is evaluated

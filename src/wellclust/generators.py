@@ -502,11 +502,16 @@ def gaussian_kernel_graph(points: Sequence[Sequence[float]] | np.ndarray,
         raise ValueError("points must be finite")
     n = len(pts)
     iu, iv = np.triu_indices(n, 1)
-    d2 = _squared_distances(pts)[iu, iv]
     # a tiny sigma can make 2 sigma^2 underflow to 0 or the ratio overflow;
-    # the weight is then 0, and 1 for duplicates
+    # the weight is then 0, and 1 for duplicates; a pair whose squared
+    # distance overflows is measured in units of sigma instead
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w = np.where(d2 == 0, 1.0, np.exp(-d2 / (2.0 * sigma * sigma)))
+        d2 = _squared_distances(pts)[iu, iv]
+        ratio = d2 / (2.0 * sigma * sigma)
+        far = np.isinf(d2)
+        if far.any():
+            ratio[far] = _squared_distances(pts / sigma)[iu[far], iv[far]] / 2
+        w = np.where(d2 == 0, 1.0, np.exp(-ratio))
     keep = w >= KERNEL_WEIGHT_FLOOR
     return Graph(n, iu[keep].astype(np.int64), iv[keep].astype(np.int64),
                  w[keep])

@@ -369,6 +369,17 @@ def test_ragged_points_line_numbered(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {pts}:3: ")
 
 
+def test_empty_points_file_exits_one(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("\n  \n")
+    g = tmp_path / "g.txt"
+    code = main(["generate", "--family", "gaussian_kernel", "--points-file",
+                 str(pts), "--sigma", "1.0", "--seed", "1", "--out", str(g)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {pts}: no points found\n"
+    assert not g.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_points_line_numbered(tmp_path, capsys, value):
     pts = tmp_path / "pts.txt"
@@ -523,9 +534,19 @@ def test_command_checks_print_the_command_usage(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     pts.write_text("0 0\n1 0\n0 1\n")
     g, csv = str(tmp_path / "g.txt"), str(tmp_path / "c.csv")
+    no_sizes = ["--family", "sbm", "--p", "0.3", "--q", "0.01"]
     for argv, message in (
             (["generate", *family, "--n", "50", "--seed", "1", "--out", g],
              "family 'sbm' does not take --n"),
+            (["generate", *no_sizes, "--seed", "1", "--out", g],
+             "family 'sbm' requires --sizes"),
+            (["compare", *no_sizes, "--algos", "naive", "--out", csv],
+             "family 'sbm' requires --sizes"),
+            (["generate", *no_sizes, "--sizes", "3,x", "--seed", "1",
+              "--out", g], "argument --sizes: bad integer list '3,x'"),
+            (["compare", *family[:4], "--p", "0.3,x", "--q", "0.01",
+              "--algos", "naive", "--out", csv],
+             "argument --p: bad number list '0.3,x'"),
             (["generate", "--family", "gaussian_kernel", "--points-file",
               str(pts), "--sigma", "1.0", "--seed", "1", "--out", g,
               "--labels", str(tmp_path / "lab.txt")],
@@ -539,6 +560,7 @@ def test_command_checks_print_the_command_usage(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"usage: wellclust {argv[0]} "), err
         assert f"wellclust {argv[0]}: error: {message}" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pts.txt"]
 
 
 def test_infeasible_parameters_exit_one(tmp_path, capsys):

@@ -26,9 +26,8 @@ from wellclust import (
     termination_report,
 )
 from wellclust.decomposition import (PHI_IN_MODES, _Candidate,
-                                     _critical_candidates, _move_noncore,
-                                     _scan_late_refinements, _State,
-                                     _try_refine)
+                                     _move_noncore, _scan_late_refinements,
+                                     _State, _Step, _try_refine)
 from wellclust.degree_hc import hc_with_degrees
 from wellclust.generators import (GenSpec, gen_bridged_two_cluster,
                                   gen_planted_clique_expander, gen_sbm,
@@ -76,7 +75,7 @@ def test_candidate_partitions_cluster():
     P = np.arange(8)
     core = np.array([0, 1, 2, 3])
     state = _State(G, derive_params(G, 2), sets=[P], cores=[core])
-    cand = _Candidate(state, 0, mask(8, [2, 3, 4]))
+    cand = _Candidate(_Step(state), 0, mask(8, [2, 3, 4]))
     assert not (cand.s_plus & cand.s_plus_bar).any()
     assert np.array_equal(cand.s_plus | cand.s_plus_bar, mask(8, core))
     assert np.flatnonzero(cand.s_plus).tolist() == [2, 3]
@@ -354,23 +353,31 @@ def test_report_measures_critical_nodes_like_the_oracles(audit_corpus):
     ([[0, 1, 2, 3], [4, 5]], [[0, 1, 2], [4, 5]],
      lambda st: st.apply_move(0, mask(6, [3]), 1, "move")),
 ])
-def test_every_apply_clears_the_candidate_memo(dumbbell, sets, cores, apply):
-    """Candidates are measured once per partition state, so the report can
-    reuse the loop's last pass; any change of sets or cores drops them."""
-    # a loose rho_star keeps the core-conductance invariant out of the way
-    params = dataclasses.replace(derive_params(dumbbell, 2), rho_star=10.0)
-    state = _State(dumbbell, params,
-                   sets=[np.array(P) for P in sets],
+def test_a_step_reads_once_and_the_next_reads_the_apply(dumbbell, sets,
+                                                        cores, apply):
+    """A step measures its candidates once, so the report can reuse the
+    loop's last step; the step made after any change of sets or cores
+    reads the new ones."""
+    # a loose rho_star keeps the core-conductance invariant out of the way,
+    # and phi_in = 10 passes every sweep test
+    params = dataclasses.replace(derive_params(dumbbell, 2), rho_star=10.0,
+                                 phi_in=10.0)
+    state = _State(dumbbell, params, sets=[np.array(P) for P in sets],
                    cores=[np.array(C) for C in cores])
-    cands, cond2 = _critical_candidates(state, 0), state.cond2_candidates()
-    assert cands and _critical_candidates(state, 0) is cands
-    assert state.cond2_candidates() is cond2
+    step = _Step(state)
+    reads = (step.critical, step.whole, step.cond2)
+    assert step.critical[0] and step.cond2
+    assert all(again is first for again, first in
+               zip((step.critical, step.whole, step.cond2), reads))
     apply(state)
-    fresh = _critical_candidates(state, 0)
-    assert fresh is not cands and state.cond2_candidates() is not cond2
-    for cand in fresh:
-        assert np.array_equal(cand.P, mask(6, state.sets[0]))
-        assert np.array_equal(cand.core, mask(6, state.cores[0]))
+    fresh = _Step(state)
+    assert len(fresh.whole) == state.r == len(fresh.critical)
+    for cand in [c for per_cluster in fresh.critical for c in per_cluster] \
+            + fresh.whole:
+        assert np.array_equal(cand.P, mask(6, state.sets[cand.i]))
+        assert np.array_equal(cand.core, mask(6, state.cores[cand.i]))
+    for i, S in fresh.cond2:
+        assert not (S & ~mask(6, state.sets[i])).any()
     assert np.array_equal(state.label, Partition(
         tuple(state.sets), tuple(state.cores)).labels)
 
@@ -501,7 +508,7 @@ def _shrink_state(G, sets, cores):
 ])
 def test_shrink_core_tie_rules(edges, n, P, core, S, kept):
     state = _shrink_state(unit_graph(n, edges), [list(P)], [list(core)])
-    cand = _Candidate(state, 0, mask(n, S))
+    cand = _Candidate(_Step(state), 0, mask(n, S))
     assert cand.shrink_core("core-shrink") == "core-shrink"
     assert state.cores[0].tolist() == kept
     assert state.trace[-1]["branch"] == "core-shrink"
@@ -561,9 +568,9 @@ def clique(vertices, w=1.0):
     return [(a, b, w) for a, b in itertools.combinations(vertices, 2)]
 
 
-def sweep_refine(state):
+def sweep_refine(step):
     """Cluster 0's sweep candidate through the five sweep-loop cases."""
-    return _try_refine(state, 0, dict(state.cond2_candidates())[0])
+    return _try_refine(step, 0, dict(step.cond2)[0])
 
 
 # One crafted state per refinement branch that the benchmark families and
@@ -594,7 +601,7 @@ BRANCHES = [
         7, clique([0, 1, 2]) + clique([3, 4, 5])
         + [(2, 3, 1.0), (6, 3, 1.0), (6, 4, 1.0), (6, 0, 1.0)],
         [[0, 1, 2, 6], [3, 4, 5]], [[0, 1, 2], [3, 4, 5]], 0.2,
-        lambda state: _move_noncore(state, 0),
+        lambda step: _move_noncore(step, 0),
         [[0, 1, 2], [3, 4, 5, 6]], [[0, 1, 2], [3, 4, 5]],
         {"moved": 1, "to": 1}, id="move-noncore"),
     # cluster 0's non-core part {8..11} leans to its own cluster (5 : 2),
@@ -641,10 +648,10 @@ def _fire_branch(tag, n, triples, sets, cores, rho_star, fire, sets_after,
     state = _State(G, params, sets=[np.array(P) for P in sets],
                    cores=[np.array(C) for C in cores])
     state._check_invariants()
-    assert fire(state) == tag
+    assert fire(_Step(state)) == tag
     assert [P.tolist() for P in state.sets] == sets_after
     assert [C.tolist() for C in state.cores] == cores_after
-    assert state.trace == [{"iteration": 0, "branch": tag, "cluster": 0,
+    assert list(state.trace) == [{"iteration": 0, "branch": tag, "cluster": 0,
                             "r": len(sets_after), **extra}]
 
 
@@ -663,10 +670,10 @@ def test_sweep_case_moves_the_whole_noncore_part():
     (branch,) = [p for p in BRANCHES if p.id == "move-noncore"]
     n, triples, sets, cores, rho_star, _, *after = branch.values
 
-    def fire(state):
-        cut = dict(state.cond2_candidates())[0]
+    def fire(step):
+        cut = dict(step.cond2)[0]
         assert np.flatnonzero(cut).tolist() == [0, 6]
-        return sweep_refine(state)
+        return sweep_refine(step)
 
     _fire_branch("move-noncore", n, triples, sets, cores, rho_star, fire,
                  *after)

@@ -241,6 +241,21 @@ def test_gaussian_kernel_values():
         assert list(zip(G.edges_u, G.edges_v, G.edges_w)) == [(0, 1, 1.0)]
 
 
+@pytest.mark.filterwarnings("error")
+def test_gaussian_kernel_measures_far_pairs_in_units_of_sigma():
+    """A squared distance past the float range is measured in units of
+    sigma. Points 2e154 apart under sigma = 1e160 keep their edge, of
+    weight exp(-2e-12), while the finite squared distances keep weight
+    exactly 1, as 2 sigma^2 overflows. Points 2e308 apart under
+    sigma = 1e300 lie 2e8 sigmas apart: no edge, and no warning."""
+    G = gaussian_kernel_graph([[0.0], [1e154], [2e154]], 1e160)
+    assert list(zip(G.edges_u.tolist(), G.edges_v.tolist())) == \
+        [(0, 1), (0, 2), (1, 2)]
+    assert G.edges_w[0] == G.edges_w[2] == 1.0
+    assert G.edges_w[1] == pytest.approx(math.exp(-2e-12), rel=1e-15)
+    assert gaussian_kernel_graph([[-1e308], [1e308]], 1e300).m == 0
+
+
 def test_gaussian_kernel_collinear_power():
     G = gaussian_kernel_graph([[0.0], [1.0], [2.0]], 0.7)
     w = {(int(u), int(v)): float(x)

@@ -1,11 +1,14 @@
 """Property tests over generated weighted graphs (hypothesis)."""
 
+import json
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import numpy as np
 
-from wellclust.decomposition import (_boundary, _relative_conductance,
-                                     derive_params)
+from wellclust.decomposition import (PHI_IN_MODES, _boundary,
+                                     _relative_conductance, derive_params,
+                                     strong_decomposition, termination_report)
 from wellclust.experiment import ALGORITHMS, run_algorithm
 from wellclust.graph import build_graph
 from wellclust.spectral import (DEFAULT_TOL, SpectralConvergenceError,
@@ -128,3 +131,24 @@ def test_every_algorithm_returns_a_tree_or_rejects_the_input(G):
             assert floor <= cost <= G.n * G.total_volume / 2 * (1 + 1e-12)
             assert (r is None) == (algo not in ("prunemerge", "naive"))
             assert r is None or 1 <= r <= k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_weighted_graphs())
+def test_loop_report_is_the_audit_of_its_exit_step(G):
+    """Wherever a decomposition at k = 2 or 3, in either mode, is accepted,
+    it stalled exactly when its exit step still passes a sweep test, and
+    its report less the run metadata serializes exactly like a fresh
+    termination_report of its partition."""
+    for k in (2, 3):
+        for mode in PHI_IN_MODES:
+            try:
+                params = derive_params(G, k, phi_in_mode=mode)
+                partition, report = strong_decomposition(G, params)
+            except (ValueError, SpectralConvergenceError):
+                continue
+            assert report["stalled"] is report["predicates"]["while_2"]
+            for key in ("iterations", "stalled", "trace_tail"):
+                del report[key]
+            assert json.dumps(report) == \
+                json.dumps(termination_report(G, partition, params))
