@@ -20,7 +20,7 @@ from .decomposition import (PHI_IN_MODES, DecompositionError, derive_params,
                             strong_decomposition)
 from .experiment import (ALGORITHMS, SweepPoint, compare_sweep, run_algorithm,
                          write_csv)
-from .generators import (FAMILY_PARAMS, GENERATOR_FAMILIES, GenSpec,
+from .generators import (_RULES, FAMILY_PARAMS, GENERATOR_FAMILIES, GenSpec,
                          generate, save_labels)
 from .graph import load_graph, save_graph
 from .spectral import (SpectralConvergenceError, smallest_eigenvalues,
@@ -41,47 +41,42 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from None
+def _list_of(cast, what: str):
+    """A flag type reading a comma list of ``cast`` values."""
+    def read(text: str) -> list:
+        try:
+            return [cast(tok) for tok in text.split(",") if tok.strip() != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"bad {what} list {text!r}") from None
+    return read
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad number list {text!r}") from None
+# How a flag reads each kind of rule in ``generators._RULES``: alone, then
+# under ``compare``, whose sweep runs the cartesian product of the int and
+# real flags' comma lists.
+_SCALAR_KINDS = ("an int", "a real number")
+_FLAG_TYPES = {
+    "an int": (int, _list_of(int, "integer")),
+    "a real number": (float, _list_of(float, "number")),
+    "a nonempty list of ints": (_list_of(int, "integer"),) * 2,
+    "a sequence": (str, str),   # a file of points
+}
 
 
 def _add_family_flags(sub: argparse.ArgumentParser, sweep: bool) -> None:
-    """Generator-family parameter flags.
-
-    Under ``sweep`` the scalar knobs accept comma lists and the sweep runs
-    their cartesian product.
-    """
-    num = _float_list if sweep else float
-    cnt = _int_list if sweep else int
+    """One flag per generator parameter, typed by its rule; its help names
+    the families that take it, its range and any default."""
     sub.add_argument("--family", required=True, choices=GENERATOR_FAMILIES)
-    sub.add_argument("--sizes", type=_int_list, metavar="N1,N2,...",
-                     help="block sizes (sbm, sbm_planted_cliques)")
-    sub.add_argument("--p", type=num, help="intra-block edge probability")
-    sub.add_argument("--q", type=num, help="cross-block edge probability")
-    sub.add_argument("--q-min", dest="q_min", type=float,
-                     help="hsbm: smallest cross-block probability")
-    sub.add_argument("--size", type=int, help="hsbm: vertices per block "
-                     f"(default {FAMILY_PARAMS['hsbm'][1]['size']})")
-    sub.add_argument("--n", type=cnt, help="vertex count (single-knob families)")
-    sub.add_argument("--c-p", dest="c_p", type=num,
-                     help="planted-clique fraction per block")
-    sub.add_argument("--scale", type=num,
-                     help="sbm_unequal: proportional size multiplier")
-    sub.add_argument("--points-file", help="gaussian_kernel: one point per line")
-    sub.add_argument("--sigma", type=float, help="gaussian_kernel: bandwidth")
-
-
-_SWEEPABLE = ("p", "q", "c_p", "n", "scale")
+    for name, (kind, _, _, where, _) in _RULES.items():
+        takers = [family for family, (required, optional)
+                  in FAMILY_PARAMS.items() if name in (*required, *optional)]
+        defaults = "".join(f" (default {optional[name]})" for _, optional
+                           in FAMILY_PARAMS.values() if name in optional)
+        where = "one point per line" if name == "points" else where
+        sub.add_argument(_flag(name), dest=_dest(name),
+                         type=_FLAG_TYPES[kind][sweep],
+                         help=f"{', '.join(takers)}: {where}{defaults}")
 
 
 def _load_points(path: str) -> list[list[float]]:
@@ -121,11 +116,9 @@ def _family_params(args, parser: argparse.ArgumentParser) -> dict:
     and those of other families."""
     required, optional = FAMILY_PARAMS[args.family]
     taken = (*required, *optional)
-    for other_required, other_optional in FAMILY_PARAMS.values():
-        for name in (*other_required, *other_optional):
-            if name not in taken and getattr(args, _dest(name)) is not None:
-                parser.error(f"family {args.family!r} does not take "
-                             f"{_flag(name)}")
+    for name in _RULES:
+        if name not in taken and getattr(args, _dest(name)) is not None:
+            parser.error(f"family {args.family!r} does not take {_flag(name)}")
     params = {}
     for name in taken:
         value = getattr(args, _dest(name))
@@ -140,10 +133,11 @@ def _family_params(args, parser: argparse.ArgumentParser) -> dict:
 
 
 def _sweep_points(args, parser: argparse.ArgumentParser) -> list[SweepPoint]:
-    """Cartesian product over the comma-list knobs, in fixed knob order."""
+    """Cartesian product over the int and real parameters' lists, in
+    ``FAMILY_PARAMS`` order."""
     params = _family_params(args, parser)
-    swept = [k for k in _SWEEPABLE if isinstance(params.get(k), list)]
-    grids = [params[k] for k in swept]
+    swept = [name for name in params if _RULES[name][0] in _SCALAR_KINDS]
+    grids = [params[name] for name in swept]
     points = []
     for combo in itertools.product(*grids):
         assign = dict(params)
@@ -333,8 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--graph", required=True)
     p_sw.set_defaults(func=cmd_sweep)
 
-    p_cmp = subs.add_parser("compare",
-                            help="multi-seed algorithm comparison to CSV")
+    p_cmp = subs.add_parser(
+        "compare", help="multi-seed algorithm comparison to CSV",
+        description="Each int or real family flag takes a comma list; the "
+        "sweep runs the cartesian product of those lists.")
     _add_family_flags(p_cmp, sweep=True)
     p_cmp.add_argument("--algos", required=True,
                        metavar="A1,A2,...", help=",".join(ALGORITHMS))

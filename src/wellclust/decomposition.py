@@ -193,8 +193,9 @@ def derive_params(G: Graph, k: int, phi_in_mode: str = "practical",
     phi_out = 90.0 * C0 * (k + 1) ** 6 * math.sqrt(lambda_k)
     max_iterations = DEFAULT_ITERATION_CAP
     if G.w_min is not None:
-        max_iterations = min(max_iterations,
-                             math.ceil(k * G.n * G.total_volume / G.w_min))
+        bound = k * G.n * G.total_volume / G.w_min   # inf past the float range
+        if bound < max_iterations:
+            max_iterations = math.ceil(bound)
     return DecompParams(k=k, lambda_k=lambda_k, lambda_k1=lambda_k1,
                         rho_star=rho_star, phi_in=phi_in, phi_out=phi_out,
                         max_iterations=max_iterations,

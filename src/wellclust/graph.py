@@ -120,6 +120,8 @@ def build_graph(n: int, edge_list: Sequence[tuple[int, int, float]]) -> Graph:
     (in either orientation) is rejected rather than merged. A bad edge
     raises ``ValueError`` naming the first entry to break a rule, checked
     in that order; a duplicate's is the first entry repeating an earlier one.
+    So does a graph whose volume, or cost bound ``n * vol / 2``, is not
+    finite.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -153,7 +155,13 @@ def build_graph(n: int, edge_list: Sequence[tuple[int, int, float]]) -> Graph:
         d = repeats[np.argmin(order[repeats + 1])]
         raise _EdgeError(f"duplicate edge ({lo[d]}, {hi[d]})",
                          (int(order[d]), int(order[d + 1])))
-    return Graph(n, lo, hi, ew)
+    with np.errstate(over="ignore"):    # an overflowing volume fails below
+        G = Graph(n, lo, hi, ew)
+        vol = G.total_volume
+    if not np.isfinite(n * (vol / 2)):
+        raise ValueError(f"edge weights too large: the volume {vol:g} and "
+                         f"the cost bound n * vol / 2 must be finite")
+    return G
 
 
 def _member_mask(G: Graph, S: np.ndarray) -> np.ndarray:
@@ -251,5 +259,5 @@ def load_graph(path) -> Graph:
         where = [str(linenos[j]) for j in exc.positions]
         also = f" on lines {' and '.join(where)}" if len(where) > 1 else ""
         raise ValueError(f"{path}:{where[0]}: {exc}{also}") from None
-    except ValueError as exc:   # the header's vertex count
-        raise ValueError(f"{path}:1: {exc}") from None
+    except ValueError as exc:   # the header's vertex count, or the volume
+        raise ValueError(f"{path}:{'1:' if n < 0 else ''} {exc}") from None

@@ -307,6 +307,30 @@ def test_compare_sweeps_cartesian_grid(tmp_path):
     assert points == {"p=0.4;q=0.1;sizes=8|8", "p=0.6;q=0.1;sizes=8|8"}
 
 
+@pytest.mark.parametrize("family, points", [
+    (["hsbm", "--p", "0.3", "--q-min", "0.001,0.002", "--size", "20,40"],
+     {"p=0.3;q_min=0.001;size=20", "p=0.3;q_min=0.001;size=40",
+      "p=0.3;q_min=0.002;size=20", "p=0.3;q_min=0.002;size=40"}),
+    (["gaussian_kernel", "--points-file", "PTS", "--sigma", "0.5,1"],
+     {"points=0:0|1:0|5:5;sigma=0.5", "points=0:0|1:0|5:5;sigma=1"}),
+], ids=["hsbm", "gaussian_kernel"])
+def test_compare_sweeps_every_int_and_real_flag(tmp_path, capsys, family,
+                                                points):
+    """--q-min, --size and --sigma exited 1 on a comma list, while --p and
+    --n swept."""
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0 0\n1 0\n5 5\n")
+    family = [str(pts) if tok == "PTS" else tok for tok in family]
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--family", *family, "--algos", "degrees",
+                 "--seeds", "1", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    data = [row["params"] for row in rows if row["seed"] != "mean"]
+    assert sorted(data) == sorted(points)
+    assert capsys.readouterr().out == \
+        f"wrote {out}: {len(points)} data rows + {len(points)} mean rows\n"
+
+
 def test_compare_reruns_byte_identical(tmp_path):
     args = ["compare", "--family", "sbm", "--sizes", "10,10", "--p", "0.5",
             "--q", "0.05", "--algos", "degrees,prunemerge,single",
@@ -411,12 +435,17 @@ def test_foreign_family_flag_rejected(tmp_path, capsys, argv, flag):
 
 @pytest.mark.parametrize("family", GENERATOR_FAMILIES)
 @pytest.mark.parametrize("command", ["generate", "compare"])
-def test_family_flags_cover_the_generator_table(capsys, command, family):
+def test_family_flags_cover_the_generator_table(capsys, monkeypatch,
+                                               command, family):
+    monkeypatch.setenv("COLUMNS", "200")    # no help line wraps
     assert main([command, "--help"]) == 0
     options = capsys.readouterr().out.split("\noptions:\n")[1]
     required, optional = FAMILY_PARAMS[family]
     for name in (*required, *optional):
         assert f"\n  {_flag(name)} " in options
+        # each flag's help names every family that takes it
+        help = options.split(f"\n  {_flag(name)} ")[1].split("\n  -")[0]
+        assert family in help.split(":")[0].replace(",", " ").split()
 
 
 @pytest.mark.parametrize("argv", [
@@ -596,6 +625,27 @@ def test_random_seed_out_of_range_exits_1(tmp_path):
                              "--seed", "-1")
     assert (code, out) == (1, "")
     assert err == "error: seed must be a 64-bit unsigned integer\n"
+
+
+def test_weights_past_the_float_range(tmp_path):
+    """A volume-to-weight ratio past the float range made the iteration
+    budget raise OverflowError; a volume past it loaded with a numpy
+    RuntimeWarning and scored inf."""
+    wide, over = tmp_path / "wide.txt", tmp_path / "over.txt"
+    wide.write_text("3 2\n0 1 1e-300\n1 2 1e300\n")
+    over.write_text("3 2\n0 1 1.7e308\n1 2 1.7e308\n")
+    code, out, err = run_cli("run", "--graph", str(wide), "--algo",
+                             "prunemerge", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"algo": "prunemerge", "cost": 2e300, "k": 2,
+                               "ms": None, "r": 1, "stalled": True,
+                               "pruned": 0}
+    for argv in (["run", "--graph", str(over), "--algo", "degrees"],
+                 ["spectrum", "--graph", str(over), "--k", "2"]):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "")
+        assert err == (f"error: {over}: edge weights too large: the volume "
+                       "inf and the cost bound n * vol / 2 must be finite\n")
 
 
 def test_wide_weight_range_graph_runs(tmp_path, capsys):

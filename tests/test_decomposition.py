@@ -165,6 +165,22 @@ def test_derive_params_iteration_budget(triangle):
     assert params.max_iterations == 18
 
 
+@pytest.mark.parametrize("edges", [
+    [(0, 1, 1e-300), (1, 2, 1e300)],
+    [(0, 1, 1e-320), (1, 2, 1.0)],
+], ids=["wide", "subnormal"])
+def test_derive_params_iteration_budget_past_the_float_range(edges):
+    """ceil(k * n * vol / w_min) raised OverflowError once the ratio
+    overflowed; the cap stands whenever the bound is not below it."""
+    G = weighted_graph(3, edges)
+    assert derive_params(G, 1).max_iterations == \
+        decomposition.DEFAULT_ITERATION_CAP
+    result = run_prune_merge(G, derive_params(G, 2))
+    assert result.partition.r == 1
+    assert result.decomposition_report["stalled"]
+    assert wellclust.best_over_k(G, 2)[1].partition.r == 1
+
+
 def test_two_components_split_exactly(two_triangles):
     partition, report = strong_decomposition(
         two_triangles, derive_params(two_triangles, 2))

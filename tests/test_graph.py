@@ -199,6 +199,27 @@ def test_load_errors_carry_line_numbers(tmp_path):
         load_graph(p)
 
 
+@pytest.mark.parametrize("n, edges", [
+    (3, [(0, 1, 1.7e308), (1, 2, 1.7e308)]),   # a degree overflows
+    (4, [(0, 1, 6e307), (2, 3, 6e307)]),       # the degree sum overflows
+    (4, [(0, 1, 2.5e307), (2, 3, 2.5e307)]),   # only n * vol / 2 does
+], ids=["degree", "volume", "cost-bound"])
+def test_overflowing_volume_rejected(tmp_path, recwarn, n, edges):
+    with pytest.raises(ValueError, match=r"^edge weights too large: the "
+                       r"volume .* and the cost bound n \* vol / 2 must be "
+                       r"finite$"):
+        build_graph(n, edges)
+    p = tmp_path / "g.txt"
+    p.write_text(f"{n} {len(edges)}\n"
+                 + "".join(f"{u} {v} {w!r}\n" for u, v, w in edges))
+    with pytest.raises(ValueError, match=f"^{p}: edge weights too large"):
+        load_graph(p)
+    assert not recwarn.list
+    # the largest weights whose cost bound stays finite still load
+    assert build_graph(3, [(0, 1, 2.5e307), (1, 2, 2.5e307)]).total_volume \
+        == 1e308
+
+
 def test_volume_complement_identity():
     G = complete_graph(5)
     S = [0, 3]
