@@ -12,8 +12,12 @@ lexicographically smallest pair of cluster representatives (each cluster
 represented by its minimum vertex id). Zero-similarity merges are allowed
 and naturally occur last, completing the tree on disconnected inputs.
 
-A merge keeps the smaller representative, so each live row of the dense
-similarity matrix is indexed by its representative. Each row caches its
+Every rule keeps one dense n x n matrix. A merge keeps the smaller
+representative, so each live row is indexed by its representative; the
+diagonal and merged-away rows and columns hold -inf. Single and complete
+linkage store similarities and merge two rows by maximum or minimum;
+average linkage stores summed cross weights, merges rows by adding them
+and divides by |A|*|B| only where a scan reads them. Each row caches its
 maximum right of the diagonal and the first column attaining it; the
 first row attaining the largest cached maximum, with its cached column,
 is the tie rule's pair. A merge rewrites two columns, so only rows whose
@@ -31,7 +35,7 @@ __all__ = ["LINKAGE_KINDS", "linkage"]
 
 LINKAGE_KINDS = ("single", "complete", "average")
 
-# Dense n x n float64: 8·n^2 bytes, 800 MB at the ceiling (average keeps two).
+# One dense n x n float64 for every rule: 8·n^2 bytes, 800 MB at the ceiling.
 LINKAGE_MAX_N = 10_000
 
 
@@ -55,23 +59,27 @@ def linkage(G: Graph, kind: str) -> HCTree:
     if n == 1:
         return builder.build()
 
-    base = np.zeros((n, n), dtype=np.float64)
-    base[G.edges_u, G.edges_v] = G.edges_w
-    base[G.edges_v, G.edges_u] = G.edges_w
-    average = kind == "average"
-    if average:
-        totals = base.copy()
-    sim = base
+    sim = np.zeros((n, n), dtype=np.float64)
+    sim[G.edges_u, G.edges_v] = G.edges_w
+    sim[G.edges_v, G.edges_u] = G.edges_w
     np.fill_diagonal(sim, -np.inf)
+    average = kind == "average"
     alive = np.ones(n, dtype=bool)
-    sizes = np.ones(n, dtype=np.int64)
-    # best[i] = max(sim[i, i+1:]) and arg[i] its first column; -inf when dead
+    sizes = np.ones(n)  # exact float64 counts: no int cast per division
+    # best[i] = max similarity right of i, arg[i] its first column; dead: -inf
     best = np.full(n, -np.inf)
     arg = np.zeros(n, dtype=np.int64)
 
+    def similarities(i: int, cols) -> np.ndarray:
+        # -inf entries stay -inf: sizes are positive
+        if average:
+            return sim[i, cols] / (sizes[i] * sizes[cols])
+        return sim[i, cols]
+
     def refresh(i: int) -> None:
-        j = i + 1 + int(np.argmax(sim[i, i + 1:]))
-        arg[i], best[i] = j, sim[i, j]
+        row = similarities(i, slice(i + 1, None))
+        j = int(np.argmax(row))
+        arg[i], best[i] = i + 1 + j, row[j]
 
     for i in range(n - 1):
         refresh(i)
@@ -83,15 +91,12 @@ def linkage(G: Graph, kind: str) -> HCTree:
         alive[b] = False
         sizes[a] += sizes[b]
         if average:
-            totals[a] += totals[b]
-            totals[:, a] = totals[a]
-            row = np.where(alive, totals[a] / (sizes[a] * sizes), -np.inf)
+            row = sim[a] + sim[b]
         elif kind == "single":
             row = np.maximum(sim[a], sim[b])
         else:
             row = np.minimum(sim[a], sim[b])
-        row[~alive] = -np.inf
-        row[a] = -np.inf
+        row[a] = -np.inf  # dead columns already hold -inf; b's is set below
         sim[a] = row
         sim[:, a] = row
         sim[b, :] = -np.inf
@@ -101,7 +106,7 @@ def linkage(G: Graph, kind: str) -> HCTree:
         refresh(a)
         # rows above a: column b is gone and column a changed
         lo = np.flatnonzero(alive[:a])
-        new, cached = row[lo], arg[lo]
+        new, cached = similarities(a, lo), arg[lo]
         stale = (cached == a) | (cached == b)
         gain = ~stale & ((new > best[lo]) | ((new == best[lo]) & (a < cached)))
         best[lo[gain]], arg[lo[gain]] = new[gain], a

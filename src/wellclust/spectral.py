@@ -66,8 +66,11 @@ def _normalized_adjacency(G: Graph) -> sp.csr_array:
     d = G.degrees
     inv_sqrt = np.zeros_like(d)
     inv_sqrt[d > 0] = 1.0 / np.sqrt(d[d > 0])
-    rows = np.concatenate([G.edges_u, G.edges_v])
-    cols = np.concatenate([G.edges_v, G.edges_u])
+    # Edges are sorted with u < v, so putting each vertex's lower neighbours
+    # (the (v, u) half) first lists every row's columns in ascending order:
+    # the COO -> CSR conversion comes out canonical and skips its index sort.
+    rows = np.concatenate([G.edges_v, G.edges_u])
+    cols = np.concatenate([G.edges_u, G.edges_v])
     vals = np.concatenate([G.edges_w, G.edges_w])
     vals = vals * inv_sqrt[rows] * inv_sqrt[cols]
     return sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(G.n, G.n)))

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from wellclust import (
@@ -26,7 +27,7 @@ from conftest import (
 )
 from wellclust.generators import (GenSpec, gen_bridged_two_cluster, gen_sbm,
                                   generate)
-from wellclust.spectral import DEFAULT_TOL
+from wellclust.spectral import DEFAULT_TOL, _normalized_adjacency
 from oracles import (_sweep_ORACLE, graph_conductance_exact_ORACLE,
                      laplacian_apply_ORACLE)
 
@@ -287,6 +288,33 @@ def test_sweep_matches_oracle():
             assert (gap <= 1e-12 * ref.conductance
                     or gap * G.degrees[cut.set].sum()
                     <= 1e-12 * G.total_volume), G
+
+
+def _sorted_normalized_adjacency(G):
+    """The normalized adjacency built with the (u, v) half first, its
+    entries put in row-major order by ``sum_duplicates`` before the CSR
+    conversion."""
+    inv_sqrt = np.zeros_like(G.degrees)
+    inv_sqrt[G.degrees > 0] = 1.0 / np.sqrt(G.degrees[G.degrees > 0])
+    rows = np.concatenate([G.edges_u, G.edges_v])
+    cols = np.concatenate([G.edges_v, G.edges_u])
+    vals = np.concatenate([G.edges_w, G.edges_w])
+    vals = vals * inv_sqrt[rows] * inv_sqrt[cols]
+    coo = sp.coo_array((vals, (rows, cols)), shape=(G.n, G.n))
+    coo.sum_duplicates()
+    return coo.tocsr()
+
+
+def test_normalized_adjacency_is_built_canonical():
+    # the (v, u) half comes first so the conversion needs no sort; the
+    # arrays must match, byte for byte, the build that sorts them
+    for G in _sweep_corpus() + [build_graph(1, [])]:
+        got = _normalized_adjacency(G)
+        want = _sorted_normalized_adjacency(G)
+        assert got.has_canonical_format, G
+        for field in ("indptr", "indices", "data"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (G, field)
 
 
 def test_sweep_speed_guard():
