@@ -541,9 +541,12 @@ def load_labels(path: str) -> PlantedLabels:
                 continue
             width = len(rows[0]) if rows else len(parts)
             try:
-                if len(parts) != width or width not in (2, 3):
+                row = [int(x) for x in parts]
+                # cluster ids are nonnegative, a clique flag is 0 or 1
+                if len(row) != width or width not in (2, 3) or row[1] < 0 \
+                        or row[2:] not in ([], [0], [1]):
                     raise ValueError
-                rows.append([int(x) for x in parts])
+                rows.append(row)
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: bad label line {line!r}") from None

@@ -12,16 +12,21 @@ lexicographically smallest pair of cluster representatives (each cluster
 represented by its minimum vertex id). Zero-similarity merges are allowed
 and naturally occur last, completing the tree on disconnected inputs.
 
-Every rule keeps one dense n x n matrix. A merge keeps the smaller
-representative, so each live row is indexed by its representative; the
-diagonal and merged-away rows and columns hold -inf. Single and complete
-linkage store similarities and merge two rows by maximum or minimum;
-average linkage stores summed cross weights, merges rows by adding them
-and divides by |A|*|B| only where a scan reads them. Each row caches its
-maximum right of the diagonal and the first column attaining it; the
-first row attaining the largest cached maximum, with its cached column,
-is the tie rule's pair. A merge rewrites two columns, so only rows whose
-cached column was one of them are rescanned: about O(n^2) in practice.
+Every rule keeps only the pairs i < j, in one float64 vector of
+n(n-1)/2 entries in scipy's condensed order: pair (i, j) sits at
+``col[i] + j`` with ``col[i] = i*n - i*(i+1)/2 - i - 1``, so row i right of
+the diagonal is one slice and column j above it is ``col[:j] + j``. A merge
+keeps the smaller representative, so each live row is indexed by its
+representative; merged-away pairs hold -inf. Merging a < b combines row a
+with row b over three segments (x < a, a < x < b, x > b): single and
+complete linkage store similarities and take the maximum or minimum;
+average linkage stores summed cross weights, adds them and divides by
+|A|*|B| only where a scan reads them. Row a gets the result and every slot
+of b gets -inf. Each row caches its maximum right of the diagonal and the
+first column attaining it; the first row attaining the largest cached
+maximum, with its cached column, is the tie rule's pair. A merge rewrites
+rows a and b, so only rows whose cached column was a or b are rescanned:
+about O(n^2) in practice.
 """
 
 from __future__ import annotations
@@ -35,16 +40,16 @@ __all__ = ["LINKAGE_KINDS", "linkage"]
 
 LINKAGE_KINDS = ("single", "complete", "average")
 
-# One dense n x n float64 for every rule: 8·n^2 bytes, 800 MB at the ceiling.
+# n(n-1)/2 float64 for every rule: 4·n(n-1) bytes, 400 MB at the ceiling.
 LINKAGE_MAX_N = 10_000
 
 
 def linkage(G: Graph, kind: str) -> HCTree:
     """Merge dendrogram of ``G`` under the given linkage rule.
 
-    Dense O(n^2) memory with a cached maximum per row (see the module
-    docstring); above ``LINKAGE_MAX_N`` vertices it raises ``ValueError``
-    before allocating anything.
+    O(n^2) memory, the condensed upper triangle, with a cached maximum per
+    row (see the module docstring); above ``LINKAGE_MAX_N`` vertices it
+    raises ``ValueError`` before allocating anything.
     """
     if kind not in LINKAGE_KINDS:
         raise ValueError(f"unknown linkage kind {kind!r}; expected one of {LINKAGE_KINDS}")
@@ -53,31 +58,33 @@ def linkage(G: Graph, kind: str) -> HCTree:
         raise ValueError("cannot cluster the empty graph")
     if n > LINKAGE_MAX_N:
         raise ValueError(f"linkage is limited to n <= {LINKAGE_MAX_N} (it keeps "
-                         f"a dense n x n matrix); got n = {n}")
+                         f"all n(n-1)/2 pair similarities); got n = {n}")
     builder = TreeBuilder()
     node_of = [builder.leaf(v) for v in range(n)]
     if n == 1:
         return builder.build()
 
-    sim = np.zeros((n, n), dtype=np.float64)
-    sim[G.edges_u, G.edges_v] = G.edges_w
-    sim[G.edges_v, G.edges_u] = G.edges_w
-    np.fill_diagonal(sim, -np.inf)
+    ids = np.arange(n)
+    col = ids * (n - 1) - ids * (ids + 1) // 2 - 1  # pair (i, j) sits at col[i] + j
+    at = col.tolist()  # the same offsets as Python ints, for slice bounds
+    sim = np.zeros(n * (n - 1) // 2, dtype=np.float64)
+    sim[col[G.edges_u] + G.edges_v] = G.edges_w
     average = kind == "average"
+    combine = {"single": np.maximum, "complete": np.minimum, "average": np.add}[kind]
     alive = np.ones(n, dtype=bool)
     sizes = np.ones(n)  # exact float64 counts: no int cast per division
     # best[i] = max similarity right of i, arg[i] its first column; dead: -inf
     best = np.full(n, -np.inf)
     arg = np.zeros(n, dtype=np.int64)
 
-    def similarities(i: int, cols) -> np.ndarray:
+    def similarities(values: np.ndarray, i: int, cols) -> np.ndarray:
         # -inf entries stay -inf: sizes are positive
         if average:
-            return sim[i, cols] / (sizes[i] * sizes[cols])
-        return sim[i, cols]
+            return values / (sizes[i] * sizes[cols])
+        return values
 
     def refresh(i: int) -> None:
-        row = similarities(i, slice(i + 1, None))
+        row = similarities(sim[at[i] + i + 1:at[i] + n], i, slice(i + 1, None))
         j = int(np.argmax(row))
         arg[i], best[i] = i + 1 + j, row[j]
 
@@ -90,23 +97,23 @@ def linkage(G: Graph, kind: str) -> HCTree:
         node_of[a] = builder.internal(node_of[a], node_of[b])
         alive[b] = False
         sizes[a] += sizes[b]
-        if average:
-            row = sim[a] + sim[b]
-        elif kind == "single":
-            row = np.maximum(sim[a], sim[b])
-        else:
-            row = np.minimum(sim[a], sim[b])
-        row[a] = -np.inf  # dead columns already hold -inf; b's is set below
-        sim[a] = row
-        sim[:, a] = row
-        sim[b, :] = -np.inf
-        sim[:, b] = -np.inf
+        # row a takes op(row a, row b) on x < a, a < x < b and x > b, where
+        # dead columns hold -inf on both sides; then b's slots all go -inf
+        up_a, up_b = col[:a] + a, col[:b] + b
+        above = combine(sim[up_a], sim[up_b[:a]])
+        sim[up_a] = above
+        between = slice(at[a] + a + 1, at[a] + b)
+        sim[between] = combine(sim[between], sim[up_b[a + 1:]])
+        right_a, right_b = slice(at[a] + b + 1, at[a] + n), slice(at[b] + b + 1, at[b] + n)
+        combine(sim[right_a], sim[right_b], out=sim[right_a])
+        sim[up_b] = -np.inf  # (a, b) included
+        sim[right_b] = -np.inf
 
         best[b] = -np.inf
         refresh(a)
         # rows above a: column b is gone and column a changed
         lo = np.flatnonzero(alive[:a])
-        new, cached = similarities(a, lo), arg[lo]
+        new, cached = similarities(above[lo], a, lo), arg[lo]
         stale = (cached == a) | (cached == b)
         gain = ~stale & ((new > best[lo]) | ((new == best[lo]) & (a < cached)))
         best[lo[gain]], arg[lo[gain]] = new[gain], a

@@ -544,6 +544,8 @@ def test_labels_load_validation(tmp_path):
                         ("0 0 1 9\n", ":1"),       # too many columns
                         ("0 0\n1 x\n", ":2"),      # not an integer
                         ("0 0 1\n1 1\n", ":2"),    # columns change
+                        ("0 0 2\n1 0 1\n", ":1"),  # clique flag not 0 or 1
+                        ("0 0\n1 -1\n", ":2"),     # negative cluster id
                         ("", "")]:
         bad.write_text(text)
         with pytest.raises(ValueError, match=rf"^{prefix}{where}: "):

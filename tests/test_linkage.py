@@ -247,16 +247,17 @@ def test_linkage_ceiling_raises_before_allocating(tmp_path, capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20  # one dense matrix would be 800 MB
+    assert peak < 1 << 20  # the condensed triangle would be 400 MB
     g = tmp_path / "g.txt"
     g.write_text(f"{LINKAGE_MAX_N + 1} 0\n")
     assert main(["run", "--graph", str(g), "--algo", "single"]) == 1
     assert "linkage is limited to n <= 10000" in capsys.readouterr().err
 
 
-def test_every_rule_keeps_one_dense_matrix():
-    # every rule peaked at 1.11 x 8n^2 bytes; average linkage peaked at
-    # 2.11 x when it kept its summed cross weights in a second matrix
+def test_every_rule_keeps_one_condensed_triangle():
+    # with one dense n x n matrix every rule peaked at 1.11 x 8n^2 bytes
+    # (average linkage at 2.11 x with a second matrix); the condensed
+    # n(n-1)/2 vector peaks at about 0.63 x
     G = gen_sbm([100] * 3, 0.12, 0.002, 1)[0]
     for kind in LINKAGE_KINDS:
         tracemalloc.start()
@@ -265,7 +266,7 @@ def test_every_rule_keeps_one_dense_matrix():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * G.n ** 2, (kind, peak)
+        assert peak < 0.75 * 8 * G.n ** 2, (kind, peak)
 
 
 def test_linkage_speed_guard():
