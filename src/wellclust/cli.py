@@ -22,7 +22,7 @@ from .experiment import (ALGORITHMS, SweepPoint, compare_sweep, run_algorithm,
                          write_csv)
 from .generators import (_RULES, FAMILY_PARAMS, GENERATOR_FAMILIES, GenSpec,
                          generate, save_labels)
-from .graph import load_graph, save_graph
+from .graph import _number, load_graph, save_graph
 from .spectral import (SpectralConvergenceError, smallest_eigenvalues,
                        spectral_partition)
 from .tree import dasgupta_cost, load_tree, save_tree
@@ -87,7 +87,7 @@ def _load_points(path: str) -> list[list[float]]:
             if not parts:
                 continue
             try:
-                point = [float(tok) for tok in parts]
+                point = [_number(tok, float) for tok in parts]
                 if points and len(point) != len(points[0]):
                     raise ValueError
                 if not all(map(math.isfinite, point)):

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .graph import Graph, _int_array, _is_int
+from .graph import Graph, _int_array, _is_int, _number
 from .spectral import smallest_eigenvalues
 
 __all__ = [
@@ -311,51 +312,40 @@ def _pair_repair(us: np.ndarray, vs: np.ndarray, n: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray] | None:
     """Degree-preserving endpoint swaps until no self-loop or duplicate remains.
 
-    Returns None when the attempt budget runs out (caller redraws stubs).
+    Edges bad at the start are repaired in ascending order: a swap moves two
+    edges onto pairs no edge holds, so no good edge turns bad (two swapped
+    self-loops share a pair, but both were bad). Returns None when the
+    attempt budget runs out (caller redraws stubs).
     """
-    us = us.astype(np.int64).copy()
-    vs = vs.astype(np.int64).copy()
+    us, vs = us.tolist(), vs.tolist()
     m = len(us)
 
     def key_of(a: int, b: int) -> int:
         return a * n + b if a <= b else b * n + a
 
-    slots: dict[int, set[int]] = {}
-    for i in range(m):
-        slots.setdefault(key_of(us[i], vs[i]), set()).add(i)
+    count = Counter(map(key_of, us, vs))
 
     def is_bad(i: int) -> bool:
-        return us[i] == vs[i] or len(slots[key_of(us[i], vs[i])]) > 1
+        return us[i] == vs[i] or count[key_of(us[i], vs[i])] > 1
 
-    bad = {i for i in range(m) if is_bad(i)}
+    bad = [i for i in range(m) if is_bad(i)]
     budget = 200 * (len(bad) + 10)
-    while bad:
-        if budget <= 0:
-            return None
-        budget -= 1
-        i = min(bad)
-        j = int(rng.integers(m))
-        a, b = int(us[i]), int(vs[i])
-        c, d = int(us[j]), int(vs[j])
-        if j == i or a == c or b == d or a == d or c == b:
-            continue
-        k_new1, k_new2 = key_of(a, d), key_of(c, b)
-        if slots.get(k_new1) or slots.get(k_new2):
-            continue
-        k_old1, k_old2 = key_of(a, b), key_of(c, d)
-        slots[k_old1].discard(i)
-        slots[k_old2].discard(j)
-        slots.setdefault(k_new1, set()).add(i)
-        slots.setdefault(k_new2, set()).add(j)
-        vs[i] = d
-        vs[j] = b
-        touched = {i, j} | set(slots.get(k_old1, ())) | set(slots.get(k_old2, ()))
-        for idx in touched:
-            if is_bad(idx):
-                bad.add(idx)
-            else:
-                bad.discard(idx)
-    return us, vs
+    for i in bad:
+        while is_bad(i):
+            if budget <= 0:
+                return None
+            budget -= 1
+            j = int(rng.integers(m))
+            a, b, c, d = us[i], vs[i], us[j], vs[j]
+            if j == i or a == c or b == d or a == d or c == b:
+                continue
+            k_new1, k_new2 = key_of(a, d), key_of(c, b)
+            if count[k_new1] or count[k_new2]:
+                continue
+            count.subtract((key_of(a, b), key_of(c, d)))
+            count.update((k_new1, k_new2))
+            vs[i], vs[j] = d, b
+    return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
 
 
 def _random_regular(n: int, d: int, rng: np.random.Generator,
@@ -541,7 +531,7 @@ def load_labels(path: str) -> PlantedLabels:
                 continue
             width = len(rows[0]) if rows else len(parts)
             try:
-                row = [int(x) for x in parts]
+                row = [_number(x) for x in parts]
                 # cluster ids are nonnegative, a clique flag is 0 or 1
                 if len(row) != width or width not in (2, 3) or row[1] < 0 \
                         or row[2:] not in ([], [0], [1]):

@@ -42,6 +42,13 @@ def _int_array(values, what: str) -> np.ndarray:
     return ints
 
 
+def _number(tok: str, kind: type = int):
+    """``kind(tok)`` for a file token, refusing Python's ``_`` separator."""
+    if "_" in tok:
+        raise ValueError(f"bad number {tok!r}")
+    return kind(tok)
+
+
 def vertex_set(vertices: Iterable[int], n: int) -> np.ndarray:
     """Canonicalize ``vertices`` to a sorted duplicate-free int64 array.
 
@@ -234,7 +241,7 @@ def load_graph(path) -> Graph:
     with open(path, encoding="ascii", errors="replace") as fh:
         header = fh.readline()
         try:
-            n, m = (int(tok) for tok in header.split())
+            n, m = map(_number, header.split())
         except ValueError:
             raise ValueError(
                 f"{path}:1: expected header 'n m', got {header!r}") from None
@@ -246,7 +253,8 @@ def load_graph(path) -> Graph:
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: bad edge line {line!r}")
             try:
-                edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+                edges.append((_number(parts[0]), _number(parts[1]),
+                              _number(parts[2], float)))
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: bad edge line {line!r}") from None

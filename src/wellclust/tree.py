@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .generators import _rng
-from .graph import Graph, _int_array, _is_int
+from .graph import Graph, _int_array, _is_int, _number
 
 __all__ = [
     "HCTree",
@@ -533,7 +533,7 @@ def load_tree(path) -> HCTree:
             try:
                 if len(parts) != 3:
                     raise ValueError
-                node, *entry = map(int, parts[1:] if leaf else parts)
+                node, *entry = map(_number, parts[1:] if leaf else parts)
                 added = builder.leaf(entry[0]) if leaf else None
             except ValueError:
                 raise ValueError(

@@ -369,3 +369,57 @@ def _bernoulli_block_ORACLE(rng, A, B, prob):
         iu, iv = np.triu_indices(len(A), 1)
         return A[iu[idx]], A[iv[idx]]
     return A[idx // len(B)], B[idx % len(B)]
+
+
+# The per-pair index set form of ``generators._pair_repair``: a set of edge
+# indices per pair, a ``min(bad)`` scan per attempt and a rescan of every
+# edge a swap touched.
+def _pair_repair_ORACLE(us: np.ndarray, vs: np.ndarray, n: int,
+                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray] | None:
+    """Degree-preserving endpoint swaps until no self-loop or duplicate remains.
+
+    Returns None when the attempt budget runs out (caller redraws stubs).
+    """
+    us = us.astype(np.int64).copy()
+    vs = vs.astype(np.int64).copy()
+    m = len(us)
+
+    def key_of(a: int, b: int) -> int:
+        return a * n + b if a <= b else b * n + a
+
+    slots: dict[int, set[int]] = {}
+    for i in range(m):
+        slots.setdefault(key_of(us[i], vs[i]), set()).add(i)
+
+    def is_bad(i: int) -> bool:
+        return us[i] == vs[i] or len(slots[key_of(us[i], vs[i])]) > 1
+
+    bad = {i for i in range(m) if is_bad(i)}
+    budget = 200 * (len(bad) + 10)
+    while bad:
+        if budget <= 0:
+            return None
+        budget -= 1
+        i = min(bad)
+        j = int(rng.integers(m))
+        a, b = int(us[i]), int(vs[i])
+        c, d = int(us[j]), int(vs[j])
+        if j == i or a == c or b == d or a == d or c == b:
+            continue
+        k_new1, k_new2 = key_of(a, d), key_of(c, b)
+        if slots.get(k_new1) or slots.get(k_new2):
+            continue
+        k_old1, k_old2 = key_of(a, b), key_of(c, d)
+        slots[k_old1].discard(i)
+        slots[k_old2].discard(j)
+        slots.setdefault(k_new1, set()).add(i)
+        slots.setdefault(k_new2, set()).add(j)
+        vs[i] = d
+        vs[j] = b
+        touched = {i, j} | set(slots.get(k_old1, ())) | set(slots.get(k_old2, ()))
+        for idx in touched:
+            if is_bad(idx):
+                bad.add(idx)
+            else:
+                bad.discard(idx)
+    return us, vs

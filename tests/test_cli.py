@@ -10,11 +10,13 @@ import sys
 import pytest
 
 from wellclust.cli import _flag, _load_points, main
-from wellclust.generators import (FAMILY_PARAMS, GENERATOR_FAMILIES,
-                                  load_labels)
+from wellclust.degree_hc import hc_with_degrees
+from wellclust.generators import (FAMILY_PARAMS, GENERATOR_FAMILIES, GenSpec,
+                                  generate, load_labels)
 from wellclust.graph import load_graph, save_graph
-from wellclust.spectral import SpectralConvergenceError, smallest_eigenvalues
-from wellclust.tree import dasgupta_cost, load_tree
+from wellclust.spectral import (SpectralConvergenceError, smallest_eigenvalues,
+                                spectral_partition)
+from wellclust.tree import dasgupta_cost, load_tree, save_tree
 
 from conftest import weighted_graph
 from test_decomposition import WIDE_RANGE_EDGES
@@ -41,6 +43,51 @@ def test_cost_command(tmp_path):
     code, out, _ = run_cli("cost", str(g), str(t))
     assert code == 0
     assert out == "5\n"
+
+
+def _bridged_triangles(tmp_path):
+    """Two triangles joined by a light edge, and their degree tree."""
+    g, t = tmp_path / "g.txt", tmp_path / "t.txt"
+    g.write_text(TWO_TRIANGLES.replace("6 6\n", "6 7\n") + "2 3 0.5\n")
+    G = load_graph(g)
+    save_tree(hc_with_degrees(G), str(t))
+    return G, g, t
+
+
+def test_cost_spectrum_sweep_print_the_library_results(tmp_path, capsys):
+    G, g, t = _bridged_triangles(tmp_path)
+    assert main(["cost", str(g), str(t)]) == 0
+    cost = dasgupta_cost(G, load_tree(t))
+    assert capsys.readouterr().out == format(cost, ".12g") + "\n"
+    assert main(["spectrum", "--graph", str(g), "--k", "3"]) == 0
+    spec = smallest_eigenvalues(G, 3)
+    assert capsys.readouterr().out == "".join(
+        f"{i} {value:.12g} {residual:.3g}\n"
+        for i, (value, residual) in enumerate(zip(spec.eigenvalues,
+                                                  spec.residuals)))
+    assert main(["sweep", "--graph", str(g)]) == 0
+    cut = spectral_partition(G)
+    assert capsys.readouterr().out == (
+        " ".join(str(int(v)) for v in sorted(cut.set)) + "\n"
+        + format(cut.conductance, ".12g") + "\n")
+
+
+def test_run_wall_timing_writes_one_ms_line(tmp_path, capsys):
+    G, g, _ = _bridged_triangles(tmp_path)
+    assert main(["run", "--graph", str(g), "--algo", "degrees",
+                 "--timing", "wall"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == format(dasgupta_cost(G, hc_with_degrees(G)),
+                                  ".12g") + "\n"
+    assert re.fullmatch(r"ms \d+\.\d{3}\n", captured.err)
+
+
+def test_generate_omitted_optional_flag_takes_its_default(tmp_path, capsys):
+    out, want = tmp_path / "g.txt", tmp_path / "want.txt"
+    assert main(["generate", "--family", "sbm_unequal", "--c-p", "0.1",
+                 "--seed", "3", "--out", str(out)]) == 0
+    save_graph(generate(GenSpec("sbm_unequal", {"c_p": 0.1}, 3))[0], str(want))
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_run_degrees_on_triangle(tmp_path):
@@ -504,6 +551,22 @@ def test_non_ascii_byte_fails_its_line(tmp_path, read, text):
     path.write_bytes(text)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: bad "):
         read(path)
+
+
+@pytest.mark.parametrize("read, text, kind", [
+    (load_graph, "12 1\n0 1_0 1.0\n", "edge"),
+    (load_tree, "leaf 0 0\nleaf 1 1_1\n2 0 1\n", "dendrogram"),
+    (load_labels, "0 0\n1 1_0\n", "label"),
+    (_load_points, "0 0\n1_0 2\n", "point"),
+], ids=["graph", "tree", "labels", "points"])
+def test_digit_separator_fails_its_line(tmp_path, read, text, kind):
+    """Python's int() and float() read "1_0" as 10; no file format does."""
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read(str(path))
+    assert str(err.value) == \
+        f"{path}:2: bad {kind} line {text.splitlines(True)[1]!r}"
 
 
 def test_out_of_memory_exits_one(monkeypatch, capsys):

@@ -281,6 +281,9 @@ def test_report_rejects_a_partition_of_another_graph(dumbbell):
 
 
 def test_partition_type_validation():
+    with pytest.raises(ValueError, match="^need matching nonempty sets and "
+                                         "cores$"):
+        Partition((), ())
     with pytest.raises(ValueError):
         Partition((np.array([0, 1]),), (np.array([], dtype=np.int64),))
     with pytest.raises(ValueError):

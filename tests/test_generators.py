@@ -24,7 +24,7 @@ from wellclust.generators import (
     gen_sbm_planted_cliques,
     gen_sbm_unequal,
 )
-from oracles import _bernoulli_block_ORACLE
+from oracles import _bernoulli_block_ORACLE, _pair_repair_ORACLE
 
 
 def adjacency_set(G):
@@ -546,10 +546,22 @@ def test_labels_load_validation(tmp_path):
                         ("0 0 1\n1 1\n", ":2"),    # columns change
                         ("0 0 2\n1 0 1\n", ":1"),  # clique flag not 0 or 1
                         ("0 0\n1 -1\n", ":2"),     # negative cluster id
+                        ("0 0\n1 1_0\n", ":2"),    # Python's digit separator
                         ("", "")]:
         bad.write_text(text)
         with pytest.raises(ValueError, match=rf"^{prefix}{where}: "):
             load_labels(str(bad))
+
+
+def test_labels_load_skips_blank_lines(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("0 1 1\n1 1 1\n2 0 0\n")
+    want = load_labels(str(path))
+    path.write_text("0 1 1\n\n1 1 1\n \t\n2 0 0\n")
+    got = load_labels(str(path))
+    assert np.array_equal(got.clusters, want.clusters)
+    assert got.cliques.keys() == want.cliques.keys() == {1}
+    assert np.array_equal(got.cliques[1], want.cliques[1])
 
 
 def test_planted_labels_validation():
@@ -557,6 +569,11 @@ def test_planted_labels_validation():
         PlantedLabels(np.array([0, 1]), {0: np.array([1])})
     with pytest.raises(ValueError):
         PlantedLabels(np.array([-1, 0]))
+    with pytest.raises(ValueError, match="^cluster ids must be nonnegative$"):
+        PlantedLabels([-1, 0])
+    with pytest.raises(ValueError,
+                       match="^cluster labels must be a nonempty 1-d array$"):
+        PlantedLabels([])
     with pytest.raises(ValueError, match="^cluster labels must be integers"):
         PlantedLabels(np.array([0, 1.5, 1]))
     with pytest.raises(ValueError, match="^clique 0 members must be integers"):
@@ -679,6 +696,76 @@ def test_chunked_bernoulli_block_matches_whole_draw(monkeypatch, chunk):
             assert _stream_state(ours) == _stream_state(theirs)
             # The next draw continues the stream at the same position.
             assert ours.random() == theirs.random()
+
+
+def _stub_draws():
+    """``(n, us, vs)`` stub pairings of three kinds: random permutations as
+    ``_random_regular`` draws them, all self-loops, and dense draws on at
+    most 7 vertices, where many pairings admit no simple graph."""
+    for seed in range(1200):
+        r = np.random.default_rng(seed)
+        if seed % 8 == 6:
+            loops = np.repeat(np.arange(int(r.integers(2, 7))),
+                              int(r.integers(1, 3)))
+            yield int(loops[-1]) + 1, loops, loops.copy()
+            continue
+        if seed % 8 == 7:
+            n = int(r.integers(2, 8))
+            d = int(r.integers(1, n + 1))
+        else:
+            n, d = int(r.integers(8, 65)), int(r.integers(2, 9))
+        # one more stub per vertex when n * d is odd, so all pair up
+        stubs = r.permutation(np.repeat(np.arange(n), d + n * d % 2))
+        yield n, stubs[0::2], stubs[1::2]
+
+
+def test_pair_repair_matches_oracle():
+    """The per-pair count repair gives the per-pair index set repair's
+    edges, or its None, and leaves the stream where the latter does."""
+    draws = exhausted = 0
+    for seed, (n, us, vs) in enumerate(_stub_draws()):
+        ours, theirs = generators._rng(seed), generators._rng(seed)
+        got = generators._pair_repair(us, vs, n, ours)
+        want = _pair_repair_ORACLE(us, vs, n, theirs)
+        assert (got is None) == (want is None), seed
+        if got is None:
+            exhausted += 1
+        else:
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), seed
+        assert _stream_state(ours) == _stream_state(theirs)
+        assert ours.random() == theirs.random()
+        draws += 1
+    assert draws >= 1000 and exhausted >= 100
+
+
+def _record_repairs(monkeypatch):
+    """Patch ``_pair_repair`` to log whether each call ran out of budget."""
+    log, repair = [], generators._pair_repair
+
+    def logged(*args):
+        out = repair(*args)
+        log.append(out is None)
+        return out
+    monkeypatch.setattr(generators, "_pair_repair", logged)
+    return log
+
+
+def test_random_regular_redraws_exhausted_stubs(monkeypatch):
+    log = _record_repairs(monkeypatch)
+    G = generators._random_regular(5, 4, generators._rng(0), 0.1)
+    assert log == [True, False]
+    assert G.m == 10  # K5, the one 4-regular graph on 5 vertices
+
+
+def test_random_regular_gives_up_after_20_draws(monkeypatch):
+    log = _record_repairs(monkeypatch)
+    # K4 is the one 3-regular graph on 4 vertices, and its lambda2 is 4/3
+    with pytest.raises(ValueError, match=r"^failed to sample a 3-regular "
+                       r"graph with spectral gap >= 2.0 on 4 vertices after "
+                       r"20 draws$"):
+        generators._random_regular(4, 3, generators._rng(0), 2.0)
+    assert len(log) == 20
 
 
 def test_block_generation_memory_follows_edges():

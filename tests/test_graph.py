@@ -185,6 +185,13 @@ def test_load_errors_carry_line_numbers(tmp_path):
     p.write_text("2 1\n0 x 1\n")
     with pytest.raises(ValueError, match=r":2:"):
         load_graph(p)
+    # Python's int() and float() read "1_0" as 10; no file format does
+    p.write_text("12 1\n0 1_0 1.0\n")
+    with pytest.raises(ValueError, match=r":2: bad edge line '0 1_0 1.0\\n'$"):
+        load_graph(p)
+    p.write_text("1_2 0\n")
+    with pytest.raises(ValueError, match=r":1: expected header 'n m'"):
+        load_graph(p)
     p.write_text("2 2\n0 1 1\n")
     with pytest.raises(ValueError, match="claims"):
         load_graph(p)

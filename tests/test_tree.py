@@ -457,8 +457,51 @@ def test_load_rejects_malformed(tmp_path):
             ("leaf 0 0\n1 0 7\n", ":2: child 7 is not defined on an earlier "
              "line$"),
             ("leaf 0 0\nleaf 1 1\n2 3 0\n3 2 1\n",
-             ":3: child 3 is not defined on an earlier line$")):
+             ":3: child 3 is not defined on an earlier line$"),
+            ("leaf 0 0\nleaf 1 1_1\n2 0 1\n",
+             r":2: bad dendrogram line 'leaf 1 1_1\\n'$"),
+            ("leaf 0 0\nleaf 1\n", r":2: bad dendrogram line 'leaf 1\\n'$")):
         p.write_text(text)
         prefix = re.escape(str(p))
         with pytest.raises(ValueError, match=f"^{prefix}{message}"):
             load_tree(p)
+
+
+def test_load_skips_blank_lines(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_text("leaf 0 0\nleaf 1 1\n2 0 1\n")
+    want = load_tree(p)
+    p.write_text("leaf 0 0\n\nleaf 1 1\n  \n2 0 1\n")
+    got = load_tree(p)
+    for field in ("left", "right", "parent", "leaf_vertex", "leaf_count"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert got.root == want.root
+
+
+def _two_leaf_builder():
+    b = TreeBuilder()
+    b.internal(b.leaf(0), b.leaf(1))
+    return b
+
+
+def _one_leaf_tree():
+    b = TreeBuilder()
+    b.leaf(0)
+    return b.build()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _two_leaf_builder().internal(0, 2),
+     "the left child already has a parent"),
+    (lambda: _two_leaf_builder().internal(2, 3), "child id 3 out of range"),
+    (lambda: TreeBuilder().build(), "cannot build an empty tree"),
+    (lambda: critical_nodes(build_graph(1, []), _one_leaf_tree()),
+     "critical nodes need a tree with at least 2 leaves"),
+    (lambda: caterpillar_merge([]), "caterpillar_merge needs at least one tree"),
+    (lambda: brute_force_opt(build_graph(0, [])),
+     "empty graph has no clustering tree"),
+], ids=["reused-child", "child-range", "empty-build", "one-leaf-critical",
+        "empty-merge", "empty-brute-force"])
+def test_degenerate_calls_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
